@@ -17,6 +17,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import random
 import sys
@@ -542,10 +543,13 @@ def cmd_bench(args) -> int:
     t0 = time.time()
     mass = fmod.damped_mass_recursive(big, 0.5)
     dt = time.time() - t0
+    # the mass can lie below the float range (mass == 0.0); log2 of the exact value
+    exact = fmod.damped_mass_recursive(big, Fraction(1, 2), exact=True)
     results["recursion"] = {
         "leaves": big.size,
         "wall_s": round(dt, 4),
         "damped_mass_half": mass,
+        "damped_mass_half_log2": math.log2(exact.numerator) - math.log2(exact.denominator),
     }
 
     mc_circuit = gen_random_read_once(24, 3, seed=3)

@@ -4,8 +4,10 @@ Two computation paths for the spectrum's level structure: a brute-force
 Walsh-Hadamard transform over the full truth table (the oracle, exact in
 integer arithmetic, n capped), and a linear-size bottom-up recursion that
 exploits read-onceness (children of a gate touch disjoint variables, so
-generating polynomials multiply).  The recursion is exact in rationals at
-any n.
+generating polynomials multiply).  The recursion is exact at any n, in
+dyadic integers: a leaf contributes +-1/2, so every subtree's quantities are
+integers over 2^(leaf count) ((2b)^(leaf count) for damping p = a/b), with
+one ``Fraction`` built at the root and float modes rounding that value.
 
 Conventions, fixed once here and used everywhere:
   * characters chi_s(x) = (-1)^{s.x}; F_hat[s] = E_x[F(x) chi_s(x)]
@@ -34,7 +36,7 @@ from .circuit import (
     Not,
     Or,
     acceptance_probability,
-    push_nots_to_leaves,
+    push_nots_to_leaves,  # noqa: F401  (perfbench's tracer wraps this name here)
 )
 
 WHT_CAP = 24  # largest n for exhaustive transforms
@@ -84,15 +86,15 @@ def truth_table(c: Circuit) -> np.ndarray:
 
 
 def _wht_integers(values: np.ndarray) -> np.ndarray:
-    """In-place-style butterfly: returns h with h[s] = sum_x v[x]*(-1)^{s.x}."""
+    """In-place butterfly: returns h with h[s] = sum_x v[x]*(-1)^{s.x}."""
     h = values.astype(np.int64)
-    size = h.size
     step = 1
-    while step < size:
-        h = h.reshape(-1, 2 * step)
-        a = h[:, :step] + h[:, step:]
-        b = h[:, :step] - h[:, step:]
-        h = np.concatenate([a, b], axis=1).reshape(size)
+    while step < h.size:
+        pairs = h.reshape(-1, 2, step)
+        a, b = pairs[:, 0], pairs[:, 1]
+        a += b  # a + b
+        b *= -2
+        b += a  # (a + b) - 2b = a - b
         step *= 2
     return h
 
@@ -169,22 +171,41 @@ class LevelProfile:
             raise CircuitError("profile arrays must have length n+1")
 
 
-def _convolve(a: list, b: list, zero) -> list:
-    out = [zero] * (len(a) + len(b) - 1)
+def _convolve(a: list, b: list) -> list:
+    out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
+        if ai:
+            for j, bj in enumerate(b, i):
+                out[j] += ai * bj
     return out
 
 
-def _negate_polys(absL: list, sgnA: list, one) -> tuple[list, list]:
+def _negate_polys(m: int, absL: list, sgnA: list) -> tuple[int, list, list]:
     # G = 1 - F: level 0 becomes 1 - A^0, higher signed levels flip sign,
     # higher abs levels are untouched.
-    new_sgn = [one - sgnA[0]] + [-a for a in sgnA[1:]]
-    new_abs = [one - sgnA[0]] + list(absL[1:])
-    return new_abs, new_sgn
+    a0 = (1 << m) - sgnA[0]
+    return m, [a0] + absL[1:], [a0] + [-a for a in sgnA[1:]]
+
+
+def _profile_ints(node) -> tuple[int, list, list]:
+    """(m, abs, sgn) over the subtree's leaf count m: L^k = abs[k] / 2^m."""
+    if isinstance(node, Leaf):
+        return 1, [1, 1], [1, 1 if node.negated else -1]
+    if isinstance(node, Const):
+        return 0, [node.value], [node.value]
+    if isinstance(node, Not):
+        return _negate_polys(*_profile_ints(node.child))
+    # And multiplies; Or is NOT-AND-NOT and Nand is NOT-AND
+    neg = isinstance(node, Or)
+    m, absL, sgnA = 0, [1], [1]
+    for ch in node.children:
+        cm, cl, ca = _negate_polys(*_profile_ints(ch)) if neg else _profile_ints(ch)
+        m += cm
+        absL = _convolve(absL, cl)
+        sgnA = _convolve(sgnA, ca)
+    if isinstance(node, And):
+        return m, absL, sgnA
+    return _negate_polys(m, absL, sgnA)
 
 
 def level_profile_recursive(c: Circuit, exact: bool = True) -> LevelProfile:
@@ -193,41 +214,18 @@ def level_profile_recursive(c: Circuit, exact: bool = True) -> LevelProfile:
     Gate recursion: for an AND the children's generating polynomials
     multiply (their variable sets are disjoint, so coefficient magnitudes
     multiply with no cancellation); NOT rewrites only level 0; OR is
-    NOT-AND-NOT.  Costs O(total size^2) rational operations.
+    NOT-AND-NOT.  Coefficients are integers over 2^(leaf count), so the
+    recursion costs O(size^2) integer operations and both modes share it;
+    ``exact=False`` returns the correctly rounded floats of the exact masses.
     """
     c.check_read_once()
-    root = push_nots_to_leaves(c).root
-    if exact:
-        one, half = Fraction(1), Fraction(1, 2)
-    else:
-        one, half = 1.0, 0.5
-    zero = one * 0
-
-    def go(node) -> tuple[list, list]:
-        if isinstance(node, Leaf):
-            a1 = half if node.negated else -half
-            return [half, half], [half, a1]
-        if isinstance(node, Const):
-            v = one * node.value
-            return [v], [v]
-        if isinstance(node, And):
-            absL, sgnA = go(node.children[0])
-            for ch in node.children[1:]:
-                cl, ca = go(ch)
-                absL = _convolve(absL, cl, zero)
-                sgnA = _convolve(sgnA, ca, zero)
-            return absL, sgnA
-        # Or: negate children, AND them, negate the result
-        parts = [_negate_polys(*go(ch), one) for ch in node.children]
-        absL, sgnA = parts[0]
-        for cl, ca in parts[1:]:
-            absL = _convolve(absL, cl, zero)
-            sgnA = _convolve(sgnA, ca, zero)
-        return _negate_polys(absL, sgnA, one)
-
-    absL, sgnA = go(root)
-    pad = [zero] * (c.n + 1 - len(absL))
-    return LevelProfile(c.n, tuple(absL + pad), tuple(sgnA + pad))
+    m, absL, sgnA = _profile_ints(c.root)
+    den = 1 << m
+    pad = [0] * (c.n + 1 - len(absL))
+    conv = (lambda v: Fraction(v, den)) if exact else (lambda v: v / den)
+    return LevelProfile(
+        c.n, tuple(map(conv, absL + pad)), tuple(map(conv, sgnA + pad))
+    )
 
 
 def damped_mass(lp: LevelProfile, p) -> object:
@@ -251,38 +249,42 @@ def damped_mass_recursive(c: Circuit, p, exact: bool = False):
     """L_p by the scalar product recursion, O(size) with no polynomials.
 
     For an AND: L_p(F) = prod(L_p(F_i) + F_i_hat[0]) - prod(F_i_hat[0]).
-    Useful at sizes where even the linear-size profile would be slow.
+    With p = a/b every subtree's L_p and F_hat[0] are integers over
+    (2b)^(leaf count), so the recursion is exact for any rational p (a
+    float p is a dyadic rational) and ``exact=False`` returns the correctly
+    rounded float of the exact value, with no cancellation.
     """
     if not 0 <= p <= 1:
         raise CircuitError(f"p={p} outside [0,1]")
     c.check_read_once()
-    root = push_nots_to_leaves(c).root
-    one = Fraction(1) if exact else 1.0
-    if exact:
-        p = Fraction(p)
+    pf = Fraction(p)
+    a, scale = pf.numerator, 2 * pf.denominator
 
-    def go(node):
-        """Returns (L_p, F_hat[0]) of the subtree."""
+    def go(node) -> tuple[int, int, int]:
+        """(u, L, f0): L_p = L / u and F_hat[0] = f0 / u, u = scale^leaves."""
         if isinstance(node, Leaf):
-            return p * one / 2, one / 2
+            return scale, a, scale // 2
         if isinstance(node, Const):
-            return one * 0, one * node.value
-        if isinstance(node, And):
-            prod_both, prod_f0 = one, one
-            for ch in node.children:
-                lp_c, f0_c = go(ch)
-                prod_both *= lp_c + f0_c
-                prod_f0 *= f0_c
-            return prod_both - prod_f0, prod_f0
-        # Or: negate children (L_p unchanged, f0 -> 1-f0), AND, negate
-        prod_both, prod_f0 = one, one
+            return 1, 0, node.value
+        if isinstance(node, Not):
+            u, lp, f0 = go(node.child)
+            return u, lp, u - f0
+        # Or: negate children (L_p unchanged, f0 -> 1-f0), AND, negate;
+        # Nand: AND, negate
+        neg = isinstance(node, Or)
+        u, prod_both, prod_f0 = 1, 1, 1
         for ch in node.children:
-            lp_c, f0_c = go(ch)
-            prod_both *= lp_c + (one - f0_c)
-            prod_f0 *= one - f0_c
-        return prod_both - prod_f0, one - prod_f0
+            cu, lp_c, f0_c = go(ch)
+            if neg:
+                f0_c = cu - f0_c
+            u *= cu
+            prod_both *= lp_c + f0_c
+            prod_f0 *= f0_c
+        f0 = prod_f0 if isinstance(node, And) else u - prod_f0
+        return u, prod_both - prod_f0, f0
 
-    return go(root)[0]
+    u, num, _ = go(c.root)
+    return Fraction(num, u) if exact else num / u
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +372,7 @@ def check_mainbound(
         raise CircuitError(f"p={p} exceeds admissible maximum {p_max}")
     lp = level_profile_recursive(c)
     lhs = float(damped_mass(lp, p))
-    f0 = acceptance_probability(c, BiasVector.uniform(c.n))
+    f0 = lp.signed_sum[0]  # F_hat[0] = E[F]
     minf0 = float(min(f0, 1 - f0))
     rhs = p * minf0 * logterm**d + eps
     return _report(

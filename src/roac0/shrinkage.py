@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import log2, sqrt
+from math import ceil, log2, sqrt
 from typing import Iterator
 
 import numpy as np
@@ -40,12 +40,13 @@ from .circuit import (
     Not,
     Or,
     RestrictionMask,
+    _accept_node,
     acceptance_probability,
     push_nots_to_leaves,
     simplify,
     strip_leaf_negations,
 )
-from .fourier import biased_gap
+from .fourier import biased_gap  # noqa: F401  (perfbench's tracer wraps this name here)
 from .prg import wilson_interval
 
 _ALIVE = 2
@@ -168,13 +169,15 @@ def _exact_nonconstant_probability(c: Circuit, p) -> Fraction:
     Leaf values are uniform, so negations shift nothing; after pushing and
     stripping them the circuit is monotone and the restriction is
     nonconstant exactly when setting free bits to all-1 accepts while all-0
-    rejects.  Both events are product-form coin biases: acceptance rises at
-    coin bias -p and falls at +p, so the two absolute gaps add up to the
-    difference of the acceptance probabilities.
+    rejects.  Each bit is 1 with probability (1+p)/2 in the first event and
+    (1-p)/2 in the second, and the first event contains the second, so the
+    probability is the difference of the two acceptance probabilities.
     """
     mono = strip_leaf_negations(push_nots_to_leaves(c))
     pf = Fraction(p)
-    return biased_gap(mono, -pf) + biased_gap(mono, pf)
+    hi = acceptance_probability(mono, BiasVector.constant(c.n, (1 + pf) / 2))
+    lo = acceptance_probability(mono, BiasVector.constant(c.n, (1 - pf) / 2))
+    return hi - lo
 
 
 @dataclass(frozen=True)
@@ -207,12 +210,15 @@ _BLOCK = 1 << 14
 
 
 def _restriction_blocks(n: int, p: float, trials: int, master_seed: int) -> Iterator:
+    # Draws are multiples of 2^-53, so u < p exactly when u < ceil(p 2^53) 2^-53,
+    # a float threshold even for a Fraction p.
+    threshold = ceil(Fraction(p) * 2**53) / 2**53
     done = 0
     b = 0
     while done < trials:
         size = min(_BLOCK, trials - done)
         rng = np.random.default_rng(np.random.SeedSequence([master_seed, b]))
-        free = rng.random((size, n)) < p
+        free = rng.random((size, n)) < threshold
         x = rng.integers(0, 2, (size, n), dtype=np.uint8)
         yield free, x
         done += size
@@ -286,19 +292,9 @@ class SandwichPair:
             "eps": float(self.eps),
             "gap": float(self.gap),
             "source_leaves": self.source_leaves,
-            "lower_leaves": _leaf_count(self.lower.root),
-            "upper_leaves": _leaf_count(self.upper.root),
+            "lower_leaves": self.lower.size,
+            "upper_leaves": self.upper.size,
         }
-
-
-def _leaf_count(node: Node) -> int:
-    if isinstance(node, Leaf):
-        return 1
-    if isinstance(node, Const):
-        return 0
-    if isinstance(node, Not):
-        return _leaf_count(node.child)
-    return sum(_leaf_count(ch) for ch in node.children)
 
 
 def _require_nand_form(node: Node) -> None:
@@ -414,41 +410,20 @@ def build_sandwich(c: Circuit, eps) -> SandwichPair:
         upper=upper,
         eps=e,
         gap=acc_up - acc_low,
-        source_leaves=_leaf_count(base.root),
+        source_leaves=base.size,
     )
-
-
-def _node_acceptance(node: Node) -> Fraction:
-    if isinstance(node, Leaf):
-        return Fraction(1, 2)
-    if isinstance(node, Const):
-        return Fraction(node.value)
-    if isinstance(node, Not):
-        return 1 - _node_acceptance(node.child)
-    accs = [_node_acceptance(ch) for ch in node.children]
-    prod = Fraction(1)
-    if isinstance(node, And):
-        for a in accs:
-            prod *= a
-        return prod
-    if isinstance(node, Or):
-        for a in accs:
-            prod *= 1 - a
-        return 1 - prod
-    for a in accs:
-        prod *= a
-    return 1 - prod
 
 
 def sandwich_condition_violations(c: Circuit, eps) -> list:
     """Nonconstant nodes whose exact rejection mass leaves [eps, 1-eps]."""
     e = Fraction(eps)
+    uniform = BiasVector.uniform(c.n)
     out = []
 
     def walk(node):
         if isinstance(node, Const):
             return
-        rej = 1 - _node_acceptance(node)
+        rej = 1 - _accept_node(node, uniform)
         if not e <= rej <= 1 - e:
             out.append((type(node).__name__, float(rej)))
         if isinstance(node, Not):
@@ -573,8 +548,8 @@ def shrink_experiment(
             "n": n,
             "depth": c.depth,
             "gap": float(pair.gap),
-            "lower_leaves": _leaf_count(pair.lower.root),
-            "upper_leaves": _leaf_count(pair.upper.root),
+            "lower_leaves": pair.lower.size,
+            "upper_leaves": pair.upper.size,
             "master_seed": master_seed,
         },
     )

@@ -1,6 +1,7 @@
 """Spectra: brute-force transform oracle, level recursion, bound checkers."""
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -159,6 +160,33 @@ def test_scalar_recursion_agrees_with_profile():
         lp = level_profile_recursive(c)
         for p in (Fraction(1, 4), Fraction(3, 5)):
             assert damped_mass_recursive(c, p, exact=True) == damped_mass(lp, p)
+
+
+def _assert_float_damped_is_rounded_exact(c, p):
+    exact = damped_mass_recursive(c, p, exact=True)
+    approx = damped_mass_recursive(c, p)
+    if exact >= Fraction(sys.float_info.min):
+        assert abs(Fraction(approx) - exact) <= exact / 2**52
+    assert approx == float(exact)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(1, 5000),
+    d=st.integers(1, 5),
+    seed=st.integers(0, 2**16),
+    p=st.sampled_from([0.5, 0.01, 0.25, 0.9, 1.0, Fraction(1, 3), Fraction(2, 7)]),
+)
+def test_float_damped_mass_matches_exact(n, d, seed, p):
+    _assert_float_damped_is_rounded_exact(gen_random_read_once(n, d, seed=seed), p)
+
+
+def test_float_damped_mass_at_cancellation_sizes():
+    # 1.7e-28 exactly; a float recursion that subtracts products returns 0.0
+    c = gen_random_read_once(2000, 3, seed=2)
+    for p in (0.5, Fraction(1, 3)):
+        _assert_float_damped_is_rounded_exact(c, p)
+    assert damped_mass_recursive(c, 0.5) > 1e-28
 
 
 def test_total_mass_excludes_level_zero():

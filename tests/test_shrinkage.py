@@ -1,6 +1,7 @@
 """Random restrictions: sampler, collapse rates, sandwiches, shrink runs."""
 
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -27,6 +28,7 @@ from roac0.shrinkage import (
     CollapseReport,
     PRegularSampler,
     _exact_nonconstant_probability,
+    _restriction_blocks,
     build_sandwich,
     collapse_probability,
     sample_restriction,
@@ -106,6 +108,35 @@ def test_collapse_and4_matches_closed_form():
     )
     assert rep.exact == Fraction(17, 128)
     assert abs(rep.estimate - float(rep.exact)) <= 4 * rep.se
+
+
+def test_collapse_fraction_p_draws_like_its_float():
+    # dyadic p is the same number either way, and float(1/3) rounds to a
+    # value no 2^-53 draw falls between, so every trial agrees
+    c = gen_random_read_once(40, 3, seed=5)
+    for p in (Fraction(1, 4), Fraction(3, 64), Fraction(1, 3)):
+        a = collapse_probability(c, p, 0.01, trials=3000, master_seed=2, enforce_bounds=False)
+        b = collapse_probability(c, float(p), 0.01, trials=3000, master_seed=2, enforce_bounds=False)
+        assert a.estimate == b.estimate
+    assert a.exact == _exact_nonconstant_probability(c, Fraction(1, 3))
+
+
+def test_restriction_free_mask_is_exact_comparison_with_p():
+    p = Fraction(1, 3)
+    (free, _), = _restriction_blocks(8, p, 500, 9)
+    rng = np.random.default_rng(np.random.SeedSequence([9, 0]))
+    draws = rng.random((500, 8))
+    assert free.tolist() == [[Fraction(u) < p for u in row] for row in draws.tolist()]
+
+
+def test_collapse_non_dyadic_fraction_p_is_fast():
+    c = gen_random_read_once(256, 3, seed=5)
+    t0 = time.perf_counter()
+    rep = collapse_probability(
+        c, Fraction(1, 3), 0.01, trials=20000, master_seed=1, enforce_bounds=False
+    )
+    assert time.perf_counter() - t0 < 5
+    assert abs(rep.estimate - float(rep.exact)) <= 4 * rep.se + 1e-3
 
 
 def test_collapse_parameter_gates():
