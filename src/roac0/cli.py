@@ -565,6 +565,15 @@ def cmd_bench(args) -> int:
         "trials_per_s": round(args.mc_trials / max(dt, 1e-9)),
     }
 
+    results["prg_mc"] = {"trials": args.mc_trials}
+    for kind, gen in (("smallbias", prgmod.SmallBiasGen(12, 20)),
+                      ("restriction", prgmod.RestrictionPRG.standard(16, Fraction(1, 16)))):
+        t0 = time.time()
+        prgmod.fooling_error(gen_random_read_once(gen.n, 3, seed=4), gen, mode="mc",
+                             trials=args.mc_trials)
+        dt = time.time() - t0
+        results["prg_mc"][f"{kind}_seeds_per_s"] = round(args.mc_trials / max(dt, 1e-9))
+
     rep.add_json("bench.json", results)
     for name, row in results.items():
         print(f"{name}: {row}")
@@ -671,6 +680,14 @@ def main(argv=None) -> int:
         return 2
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        # the circuit walkers recurse once per nesting level
+        print(
+            "error: circuit nested too deeply for the recursive walkers "
+            f"(Python recursion limit {sys.getrecursionlimit()})",
+            file=sys.stderr,
+        )
         return 2
 
 

@@ -25,6 +25,7 @@ import numpy as np
 
 from .circuit import BiasVector, Circuit, CircuitError, acceptance_probability
 from .fourier import (
+    WHT_CAP,
     BoundReport,
     CapExceeded,
     _report,
@@ -35,7 +36,6 @@ from .fourier import (
 )
 
 EXHAUSTIVE_SEED_CAP = 26  # full seed sweeps stay below 2^26 expansions
-_VECTOR_ELL_CAP = 13  # coefficient masks must fit int64 for the numpy paths
 
 # Lexicographically least irreducible polynomial of each degree over GF(2),
 # bit i = coefficient of x^i.  Degree 8 is the familiar 0x11b.
@@ -122,20 +122,82 @@ def gf_mul(a: int, b: int, ell: int) -> int:
     return r
 
 
+def _gf_shifts(a: np.ndarray, ell: int) -> list:
+    """[a * x^j for j < ell], elementwise over a uint64 array of field elements."""
+    poly = np.uint64(IRREDUCIBLE_POLY[ell] ^ (1 << ell))
+    low = np.uint64((1 << (ell - 1)) - 1)
+    top = np.uint64(ell - 1)
+    shifts = [a]
+    for _ in range(ell - 1):
+        # clear the top bit before the shift (so ell = 64 fits), fold it back in
+        a = ((a & low) << np.uint64(1)) ^ (poly * (a >> top))
+        shifts.append(a)
+    return shifts
+
+
+def _gf_mul_many(shifts: list, b: np.ndarray) -> np.ndarray:
+    """Elementwise gf_mul(a, b): the XOR of a * x^j over the set bits j of b.
+
+    ``shifts`` is ``_gf_shifts(a, ell)``, so a power chain with a fixed
+    factor shifts it once.
+    """
+    r = np.zeros(b.shape, dtype=np.uint64)
+    bit = np.empty(b.shape, dtype=np.uint64)
+    for j, aj in enumerate(shifts):
+        np.right_shift(b, np.uint64(j), out=bit)
+        bit &= np.uint64(1)
+        bit *= aj
+        r ^= bit
+    return r
+
+
+def _gf_powers(alpha: np.ndarray, ell: int, n: int) -> Iterator[np.ndarray]:
+    """alpha^1, ..., alpha^n, elementwise over a uint64 array."""
+    shifts = _gf_shifts(alpha, ell)
+    p = alpha
+    for i in range(n):
+        yield p
+        if i + 1 < n:
+            p = _gf_mul_many(shifts, p)
+
+
 @lru_cache(maxsize=32)
 def _alpha_power_rows(ell: int, n: int) -> np.ndarray:
     """rows[alpha, i] = coefficient mask of alpha^(i+1), as int64."""
-    if ell > _VECTOR_ELL_CAP:
-        raise CapExceeded(f"vectorized field tables capped at ell={_VECTOR_ELL_CAP}")
-    size = 1 << ell
-    rows = np.zeros((size, n), dtype=np.int64)
-    for alpha in range(size):
-        p = alpha
-        for i in range(n):
-            rows[alpha, i] = p
-            p = gf_mul(p, alpha, ell)
+    alphas = np.arange(1 << ell, dtype=np.uint64)
+    rows = np.stack(list(_gf_powers(alphas, ell, n)), axis=1).view(np.int64)
     rows.setflags(write=False)
     return rows
+
+
+def _xor_span(vectors: np.ndarray) -> np.ndarray:
+    """table[t] = XOR of vectors[j] over the set bits j of t."""
+    table = np.zeros((1, vectors.shape[1]), dtype=vectors.dtype)
+    for v in vectors:
+        table = np.concatenate([table, table ^ v])
+    return table
+
+
+def _fields(bits: np.ndarray, offsets, width: int) -> np.ndarray:
+    """uint64 value of the width-bit field at each offset, shape (rows, offsets).
+
+    ``bits`` holds one seed per row, bit k of the seed in column k.
+    """
+    cols = np.asarray(offsets)[:, None] + np.arange(width)
+    packed = np.packbits(bits[:, cols], axis=-1, bitorder="little")
+    words = np.zeros(packed.shape[:-1] + (8,), dtype=np.uint8)
+    words[..., : packed.shape[-1]] = packed
+    return words.view("<u8")[..., 0]
+
+
+def _expand_fields(bits: np.ndarray, ell: int, n: int, offsets) -> np.ndarray:
+    """SmallBiasGen(ell, n) outputs of the blocks at each offset, (rows, offsets) int64."""
+    alpha = _fields(bits, offsets, ell)
+    beta = _fields(bits, np.add(offsets, ell), ell)
+    out = np.zeros(alpha.shape, dtype=np.uint64)
+    for i, p in enumerate(_gf_powers(alpha, ell, n)):
+        out |= (np.bitwise_count(p & beta) & 1).astype(np.uint64) << np.uint64(i)
+    return out.view(np.int64)
 
 
 @dataclass(frozen=True)
@@ -179,16 +241,26 @@ class SmallBiasGen:
 
     def _output_chunks(self, chunk_bits: int = 20) -> Iterator[np.ndarray]:
         # Seed order: alpha in the low ell bits, beta above, so beta is the
-        # outer loop.  Batch betas so each batch stays around 2^chunk_bits
-        # scalar operations.
+        # outer loop.  Output bit i is <alpha^(i+1), beta>, GF(2)-linear in
+        # beta: the outputs of beta XOR cols[j] over the set bits j of beta,
+        # where cols[j][alpha] is the output of beta = 2^j.  A chunk holds
+        # 2^k consecutive betas (about 2^chunk_bits seeds): a table over
+        # their low k bits, split in two halves so only the chunk itself is
+        # full size, XOR one base for the high bits.
         rows = _alpha_power_rows(self.ell, self.n)
-        size = 1 << self.ell
-        weights = (np.int64(1) << np.arange(self.n, dtype=np.int64))
-        batch = max(1, (1 << chunk_bits) // max(1, size * self.n))
-        for lo in range(0, size, batch):
-            betas = np.arange(lo, min(lo + batch, size), dtype=np.int64)
-            bits = np.bitwise_count(rows[None, :, :] & betas[:, None, None]) & 1
-            yield (bits.astype(np.int64) * weights).sum(axis=2).reshape(-1)
+        shifts = np.arange(self.ell, dtype=np.int64)[:, None]
+        cols = np.zeros((self.ell, rows.shape[0]), dtype=np.int64)
+        for i in range(self.n):
+            cols |= ((rows[:, i] >> shifts) & 1) << i
+        k = min(self.ell, max(0, chunk_bits - self.ell))
+        lows, highs = _xor_span(cols[: k // 2]), _xor_span(cols[k // 2 : k])
+        for hi in range(0, 1 << self.ell, 1 << k):
+            high_bits = (hi >> np.arange(k, self.ell)) & 1
+            base = np.bitwise_xor.reduce(cols[k:][high_bits == 1], axis=0)
+            yield (highs[:, None, :] ^ (lows ^ base)[None, :, :]).reshape(-1)
+
+    def _expand_bits(self, bits: np.ndarray) -> np.ndarray:
+        return _expand_fields(bits, self.ell, self.n, [0])[:, 0]
 
 
 def smallbias_expand(seed, n: int, ell: int | None = None) -> int:
@@ -244,25 +316,25 @@ class UniformGen:
         for lo in range(0, total, step):
             yield np.arange(lo, min(lo + step, total), dtype=np.int64)
 
+    def _expand_bits(self, bits: np.ndarray) -> np.ndarray:
+        return _fields(bits, [0], self.n)[:, 0].view(np.int64)
+
 
 def _iter_outputs(gen, chunk_bits: int = 20) -> Iterator[np.ndarray]:
-    if hasattr(gen, "_output_chunks"):
-        yield from gen._output_chunks(chunk_bits)
-        return
-    total = 1 << gen.seed_bits
-    step = 1 << chunk_bits
-    for lo in range(0, total, step):
-        hi = min(lo + step, total)
-        yield np.fromiter(
-            (gen.expand(s) for s in range(lo, hi)), dtype=np.int64, count=hi - lo
-        )
+    """Every seed's output in seed order, in int64 chunks of about 2^chunk_bits."""
+    return gen._output_chunks(chunk_bits)
 
 
 @lru_cache(maxsize=6)
 def _distribution_cached(gen) -> np.ndarray:
-    counts = np.zeros(1 << gen.n, dtype=np.int64)
-    for chunk in _iter_outputs(gen):
-        counts += np.bincount(chunk, minlength=1 << gen.n)
+    # chunks of at least 2^n outputs, so each 2^n-bin bincount pays for itself
+    counts = None
+    for chunk in _iter_outputs(gen, chunk_bits=max(20, gen.n)):
+        part = np.bincount(chunk, minlength=1 << gen.n)
+        if counts is None:
+            counts = part
+        else:
+            counts += part
     counts.setflags(write=False)
     return counts
 
@@ -273,8 +345,8 @@ def output_distribution(gen) -> np.ndarray:
         raise CapExceeded(
             f"{gen.seed_bits} seed bits exceed exhaustive cap {EXHAUSTIVE_SEED_CAP}"
         )
-    if gen.n > 24:
-        raise CapExceeded(f"output distribution for n={gen.n} exceeds cap 24")
+    if gen.n > WHT_CAP:
+        raise CapExceeded(f"output distribution for n={gen.n} exceeds cap {WHT_CAP}")
     return _distribution_cached(gen).copy()
 
 
@@ -282,8 +354,10 @@ def measure_bias(gen, n: int | None = None) -> Fraction:
     """Exact max over nonzero characters of |E_seed[(-1)^(s.output)]|.
 
     Runs a full seed sweep (cap 2^26 seeds), accumulates the output
-    distribution, and transforms it; everything stays in integers.  With
-    n < gen.n only the first n output bits are kept.
+    distribution, and transforms it; everything stays in integers.  A
+    small-bias sweep never multiplies field elements per seed: its outputs
+    are linear in beta, so each block of betas is one XOR of precomputed
+    tables.  With n < gen.n only the first n output bits are kept.
     """
     counts = output_distribution(gen)
     if n is not None:
@@ -292,8 +366,9 @@ def measure_bias(gen, n: int | None = None) -> Fraction:
         if n < gen.n:
             folded = counts.reshape(-1, 1 << n).sum(axis=0)
             counts = folded
-    spectrum = _wht_integers(counts.astype(np.int64))
-    top = int(np.abs(spectrum[1:]).max()) if spectrum.size > 1 else 0
+    spectrum = _wht_integers(counts)
+    rest = spectrum[1:]  # max |.| without a full-size np.abs temporary
+    top = max(int(rest.max()), -int(rest.min())) if rest.size else 0
     return Fraction(top, 1 << gen.seed_bits)
 
 
@@ -415,31 +490,54 @@ class RestrictionPRG:
             "fallback_values": final,
         }
 
+    def _fold(self, strings) -> np.ndarray:
+        """Outputs from each block's int64 strings, taken in block order.
+
+        The vectorized form of ``expand_trace``: selection strings AND
+        within a round, the assignment string fills the free positions they
+        select, and the final string fills whatever is still free.
+        """
+        full = np.int64((1 << self.n) - 1)
+        free, sel, out = full, full, np.int64(0)
+        for (kind, _, _), string in zip(self.blocks, strings):
+            if kind == "sel":
+                sel = sel & string
+            elif kind == "asn":
+                fix = free & sel
+                out = out | (string & fix)
+                free = free & ~fix
+                sel = full
+            else:
+                out = out | (string & free)
+        return out
+
     def _output_chunks(self, chunk_bits: int = 20) -> Iterator[np.ndarray]:
-        tables = [_block_table(ell, self.n) for _, ell, _ in self.blocks]
+        tables = [(_block_table(ell, self.n), off, (1 << (2 * ell)) - 1)
+                  for _, ell, off in self.blocks]
         total = 1 << self.seed_bits
         step = 1 << min(chunk_bits, self.seed_bits)
-        full = np.int64((1 << self.n) - 1)
+        sub = min(step, 1 << 20)  # each block's strings stay at 2^20 seeds
         for lo in range(0, total, step):
-            seeds = np.arange(lo, min(lo + step, total), dtype=np.int64)
-            strings = []
-            for (kind, ell, off), table in zip(self.blocks, tables):
-                idx = (seeds >> off) & ((1 << (2 * ell)) - 1)
-                strings.append((kind, table[idx]))
-            free = np.full(seeds.shape, full, dtype=np.int64)
-            out = np.zeros(seeds.shape, dtype=np.int64)
-            sel = np.full(seeds.shape, full, dtype=np.int64)
-            for kind, string in strings:
-                if kind == "sel":
-                    sel &= string
-                elif kind == "asn":
-                    fix = free & sel
-                    out |= string & fix
-                    free &= ~fix
-                    sel = np.full(seeds.shape, full, dtype=np.int64)
-                else:
-                    out |= string & free
-            yield out
+            chunk = np.empty(step, dtype=np.int64)
+            for s in range(0, step, sub):
+                seeds = np.arange(lo + s, lo + s + sub, dtype=np.int64)
+                chunk[s : s + sub] = self._fold(
+                    table[(seeds >> off) & mask] for table, off, mask in tables
+                )
+            yield chunk
+
+    def _expand_bits(self, bits: np.ndarray) -> np.ndarray:
+        # one batched expansion per distinct block degree
+        strings = [None] * len(self.blocks)
+        by_ell = {}
+        for i, (_, ell, off) in enumerate(self.blocks):
+            by_ell.setdefault(ell, []).append((i, off))
+        for ell, members in by_ell.items():
+            index, offsets = zip(*members)
+            outs = _expand_fields(bits, ell, self.n, offsets)
+            for col, i in enumerate(index):
+                strings[i] = outs[:, col]
+        return self._fold(strings)
 
 
 @lru_cache(maxsize=32)
@@ -534,17 +632,14 @@ class FoolingReport:
         }
 
 
-def _sample_seed_ints(rng, bits: int, size: int) -> list:
-    nbytes = (bits + 7) // 8
-    raw = rng.integers(0, 256, size=(size, nbytes), dtype=np.uint16)
-    mask = (1 << bits) - 1
-    out = []
-    for row in raw:
-        v = 0
-        for byte in row:
-            v = (v << 8) | int(byte)
-        out.append(v & mask)
-    return out
+def _seed_bytes(rng, bits: int, size: int) -> np.ndarray:
+    """One block's seed draws as little-endian bytes, one row per seed."""
+    if bits <= 63:
+        seeds = rng.integers(0, 1 << bits, size=size, dtype=np.uint64)
+        return seeds.astype("<u8").view(np.uint8).reshape(size, 8)
+    # wider seeds come a byte at a time, the first byte the most significant
+    raw = rng.integers(0, 256, size=(size, (bits + 7) // 8), dtype=np.uint16)
+    return raw[:, ::-1].astype(np.uint8)
 
 
 def fooling_error(
@@ -556,20 +651,19 @@ def fooling_error(
 ) -> FoolingReport:
     """|E[F(uniform)] - E[F(expander(seed))]|, exact or Monte-Carlo.
 
-    Exhaustive mode enumerates every seed (cap 24 seed bits) and returns an
-    exact rational error.  MC mode samples seeds in blocks with counter-based
-    per-block RNG streams and attaches a Wilson 95% interval, so the result
-    depends only on (master_seed, trials), not on scheduling.
+    Exhaustive mode enumerates every seed (cap EXHAUSTIVE_SEED_CAP seed
+    bits; small-bias sweeps use the linearity of the output in beta) and
+    returns an exact rational error.  MC mode samples seeds in blocks with
+    counter-based per-block RNG streams and attaches a Wilson 95% interval,
+    so the result depends only on (master_seed, trials), not on scheduling.
+    It expands each block of seeds in numpy batches, any field degree up to
+    64 included.
     """
     if expander.n != c.n:
         raise CircuitError(f"expander emits {expander.n} bits, circuit reads {c.n}")
     exact = acceptance_probability(c, BiasVector.uniform(c.n))
     tt = truth_table(c)
     if mode == "exhaustive":
-        if expander.seed_bits > 24:
-            raise CapExceeded(
-                f"{expander.seed_bits} seed bits exceed the exhaustive cap 24"
-            )
         counts = output_distribution(expander)
         seen = 1 << expander.seed_bits
         gen_exp = Fraction(int(counts @ tt.astype(np.int64)), seen)
@@ -579,25 +673,17 @@ def fooling_error(
     if trials < 1:
         raise CircuitError("trials must be positive")
     block = 1 << 16
-    accepted = 0
-    done = 0
     bits = expander.seed_bits
-    fast = bits <= 63
-    for b in range((trials + block - 1) // block):
-        size = min(block, trials - done)
+    step = max(1, (1 << 20) // bits)  # seeds unpacked to a bit matrix at once
+    accepted = 0
+    for b, lo in enumerate(range(0, trials, block)):
         rng = np.random.default_rng(np.random.SeedSequence([master_seed, b]))
-        if fast:
-            seeds = rng.integers(0, 1 << bits, size=size, dtype=np.uint64)
-            outs = np.fromiter(
-                (expander.expand(int(s)) for s in seeds), dtype=np.int64, count=size
+        draws = _seed_bytes(rng, bits, min(block, trials - lo))
+        for s in range(0, len(draws), step):
+            seed_bits = np.unpackbits(
+                draws[s : s + step], axis=1, count=bits, bitorder="little"
             )
-        else:
-            seeds = _sample_seed_ints(rng, bits, size)
-            outs = np.fromiter(
-                (expander.expand(s) for s in seeds), dtype=np.int64, count=size
-            )
-        accepted += int(tt[outs].sum(dtype=np.int64))
-        done += size
+            accepted += int(tt[expander._expand_bits(seed_bits)].sum(dtype=np.int64))
     mean = accepted / trials
     ci = wilson_interval(accepted, trials)
     return FoolingReport(exact, mean, abs(mean - float(exact)), trials, "mc", ci)

@@ -59,6 +59,12 @@ def test_describe_ok(capsys):
     assert "[PASS] circuit is read-once" in out
 
 
+def test_deeply_nested_circuit_is_a_usage_error(capsys):
+    deep = "(and " * 1200 + "x0" + ")" * 1200
+    assert run(["describe", "--circuit", deep]) == 2
+    assert "nested too deeply" in capsys.readouterr().err
+
+
 def test_describe_tribes_acceptance(capsys):
     assert run(["describe", "--circuit", "tribes:m=2,w=2"]) == 0
     assert "f0=7/16" in capsys.readouterr().out

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_corpus
+from roac0.cli import load_circuit
 from roac0 import (
     BiasVector,
     CircuitError,
@@ -18,8 +19,9 @@ from roac0 import (
     restrict,
 )
 from roac0.circuit import RestrictionMask
-from roac0.fourier import level_profile_recursive, total_mass
+from roac0.fourier import WHT_CAP, CapExceeded, level_profile_recursive, total_mass
 from roac0.prg import (
+    EXHAUSTIVE_SEED_CAP,
     RestrictionPRG,
     SmallBiasGen,
     UniformGen,
@@ -34,6 +36,7 @@ from roac0.prg import (
     smallbias_expand,
     wilson_interval,
 )
+from roac0.prg import _gf_mul_many, _gf_shifts, _iter_outputs, _seed_bytes
 
 
 # -- field arithmetic ---------------------------------------------------------
@@ -63,6 +66,15 @@ def test_field_no_zero_divisors_small():
             assert gf_mul(a, b, 4) != 0
 
 
+@pytest.mark.parametrize("ell", [2, 3, 12, 13, 31, 32, 63, 64])
+def test_batched_field_multiplication_matches_scalar(ell):
+    rng = random.Random(ell)
+    a = [rng.getrandbits(ell) for _ in range(300)] + [(1 << ell) - 1, 1, 0]
+    b = [rng.getrandbits(ell) for _ in range(300)] + [(1 << ell) - 1, 0, 1]
+    got = _gf_mul_many(_gf_shifts(np.array(a, dtype=np.uint64), ell), np.array(b, dtype=np.uint64))
+    assert got.tolist() == [gf_mul(x, y, ell) for x, y in zip(a, b)]
+
+
 # -- small-bias expansion -----------------------------------------------------
 
 
@@ -87,13 +99,56 @@ def test_expand_rejects_oversized_n():
         smallbias_expand(0, 9, ell=3)  # n > 2^ell, powers of alpha wrap
 
 
-def test_chunked_outputs_match_scalar():
+@pytest.mark.parametrize("chunk_bits", [3, 6, 11])  # below ell, between, above 2*ell
+def test_chunked_outputs_match_scalar(chunk_bits):
     gen = SmallBiasGen(5, 9)
-    from roac0.prg import _iter_outputs
-
-    seen = np.concatenate(list(_iter_outputs(gen, chunk_bits=6)))
+    seen = np.concatenate(list(_iter_outputs(gen, chunk_bits=chunk_bits)))
     want = [gen.expand(s) for s in range(1 << gen.seed_bits)]
     assert seen.tolist() == want
+
+
+def _scalar_seeds(rng, bits: int, size: int) -> list:
+    """Monte-Carlo seeds as Python ints, drawn the way fooling_error draws them."""
+    if bits <= 63:
+        return [int(s) for s in rng.integers(0, 1 << bits, size=size, dtype=np.uint64)]
+    rows = rng.integers(0, 256, size=(size, (bits + 7) // 8), dtype=np.uint16)
+    return [int.from_bytes(bytes(row.astype(np.uint8)), "big") & ((1 << bits) - 1)
+            for row in rows]
+
+
+def _assert_batched_matches_scalar(gen, size=200, seed=5):
+    draws = _seed_bytes(np.random.default_rng(seed), gen.seed_bits, size)
+    bits = np.unpackbits(draws, axis=1, count=gen.seed_bits, bitorder="little")
+    want = [gen.expand(s) for s in _scalar_seeds(np.random.default_rng(seed), gen.seed_bits, size)]
+    assert gen._expand_bits(bits).tolist() == want
+
+
+@pytest.mark.parametrize("ell", [2, 3, 12, 13, 31, 32, 63, 64])
+def test_batched_smallbias_expansion_matches_scalar(ell):
+    # 2*ell <= 62 reads seeds from uint64 draws, 2*ell >= 64 from byte draws
+    _assert_batched_matches_scalar(SmallBiasGen(ell, 20))
+
+
+@pytest.mark.parametrize("gen", [
+    RestrictionPRG(6, a=0, rounds=2, ell_asn=4, ell_final=3),
+    RestrictionPRG(10, a=2, rounds=3, ell_sel=5, ell_asn=7, ell_final=9),
+    RestrictionPRG(12, a=1, rounds=2, ell_sel=31, ell_asn=64, ell_final=2),
+    RestrictionPRG.standard(16, Fraction(1, 16)),
+    UniformGen(12),
+], ids=lambda g: f"{type(g).__name__}-{g.seed_bits}bits")
+def test_batched_layout_expansion_matches_scalar(gen):
+    _assert_batched_matches_scalar(gen)
+
+
+def test_restriction_chunks_agree_across_sub_steps():
+    # a 2^21-seed chunk is filled in 2^20-seed steps
+    gen = RestrictionPRG(21, a=1, rounds=1, ell_sel=2, ell_asn=4, ell_final=5)
+    wide = np.concatenate(list(_iter_outputs(gen, chunk_bits=21)))
+    narrow = np.concatenate(list(_iter_outputs(gen, chunk_bits=20)))
+    assert np.array_equal(wide, narrow)
+    assert [int(v) for v in wide[[0, 12345, len(wide) - 1]]] == [
+        gen.expand(s) for s in (0, 12345, len(wide) - 1)
+    ]
 
 
 def test_measured_bias_within_envelope():
@@ -115,6 +170,18 @@ def test_single_bit_bias():
 
 def test_uniform_generator_unbiased():
     assert measure_bias(UniformGen(6)) == 0
+
+
+def test_exhaustive_entry_points_share_seed_cap():
+    gen = SmallBiasGen(14, 4)  # 28 seed bits
+    with pytest.raises(CapExceeded) as direct:
+        output_distribution(gen)
+    with pytest.raises(CapExceeded) as fooling:
+        fooling_error(gen_tribes(2, 2), gen, mode="exhaustive")
+    assert str(direct.value) == str(fooling.value)
+    assert f"cap {EXHAUSTIVE_SEED_CAP}" in str(direct.value)
+    with pytest.raises(CapExceeded, match=f"cap {WHT_CAP}"):
+        output_distribution(UniformGen(WHT_CAP + 1))
 
 
 def test_distribution_sums_to_seed_count():
@@ -222,6 +289,19 @@ def test_mc_reproducible():
     a = fooling_error(c, gen, mode="mc", trials=5000, master_seed=42)
     b = fooling_error(c, gen, mode="mc", trials=5000, master_seed=42)
     assert a.generator_expectation == b.generator_expectation
+
+
+@pytest.mark.parametrize("gen, hits", [
+    (SmallBiasGen(12, 16), 1774),
+    (SmallBiasGen(20, 16), 1700),
+    (RestrictionPRG.standard(16, 0.0625, a=1), 1712),  # 784 seed bits
+    (RestrictionPRG(16, a=2, rounds=3, ell_sel=5, ell_asn=7, ell_final=9), 1732),
+], ids=lambda v: getattr(v, "seed_bits", v))
+def test_mc_hit_counts_pinned(gen, hits):
+    # pins the draw order and the expansion: any change to either moves these
+    c = load_circuit("random:n=16,d=3,seed=7")
+    r = fooling_error(c, gen, mode="mc", trials=3000, master_seed=9)
+    assert round(r.generator_expectation * 3000) == hits
 
 
 def test_length_mismatch_rejected():
