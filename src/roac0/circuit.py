@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence, Union
 
@@ -93,7 +93,15 @@ class Circuit:
 
     @property
     def depth(self) -> int:
-        return node_depth(self.root)
+        """Number of AND/OR/NAND gates on the deepest root-to-leaf path."""
+        return fold(
+            self,
+            lambda var, negated: 0,
+            lambda value: 0,
+            lambda: 0,
+            lambda acc, d, is_and: max(acc, d),
+            lambda acc, is_and, nand: acc + 1,
+        )
 
     @property
     def size(self) -> int:
@@ -147,13 +155,49 @@ def _collect_vars(node: Node) -> list[int]:
     return [nd.var for nd in iter_nodes(node) if isinstance(nd, Leaf)]
 
 
-def node_depth(node: Node) -> int:
-    """Number of AND/OR/NAND gates on the deepest root-to-leaf path."""
-    if isinstance(node, (Leaf, Const)):
-        return 0
-    if isinstance(node, Not):
-        return node_depth(node.child)
-    return 1 + max((node_depth(c) for c in node.children), default=0)
+def fold(c: Circuit, leaf, const, start, absorb, finish):
+    """Bottom-up value of ``c`` over its NOT-free de Morgan form, iteratively.
+
+    This is the one place where NOTs are pushed down: ``leaf(var, negated)``
+    and ``const(value)`` see the flags after every NOT above them is applied,
+    an AND or OR under an odd number of NOTs arrives as the other gate, and a
+    NAND arrives as an OR of negated children (an AND under an odd number of
+    NOTs).  Children of every gate then read disjoint variables and no
+    negation sits above a gate.  A gate opens with ``acc = start()``, takes
+    each child's value through ``acc = absorb(acc, value, is_and)`` as soon as
+    that child is done, and closes with ``finish(acc, is_and, nand)``, where
+    ``nand`` says the gate is a NAND of ``c``.  No recursion, so any nesting
+    depth works.
+    """
+    # the open gate lives in locals, its ancestors on the stack; the bottom
+    # frame is a pseudo-gate over the root whose first value is the result
+    stack = []
+    kids, i, neg, is_and, nand, acc = (c.root,), 0, False, True, False, None
+    while True:
+        if i < len(kids):
+            node = kids[i]
+            i += 1
+            node_neg = neg
+            kind = type(node)
+            while kind is Not:
+                node, node_neg, kind = node.child, not node_neg, type(node.child)
+            if kind is Leaf:
+                value = leaf(node.var, node.negated != node_neg)
+            elif kind is Const:
+                value = const(node.value ^ node_neg)
+            else:
+                stack.append((kids, i, neg, is_and, nand, acc))
+                nand = kind is Nand
+                neg = node_neg != nand  # NAND(cs) = NOT(AND(cs))
+                is_and = (kind is Or) == neg
+                kids, i, acc = node.children, 0, start()
+                continue
+        else:
+            value = finish(acc, is_and, nand)
+            kids, i, neg, is_and, nand, acc = stack.pop()
+        if not stack:
+            return value
+        acc = absorb(acc, value, is_and)
 
 
 # ---------------------------------------------------------------------------
@@ -363,23 +407,19 @@ def push_nots_to_leaves(c: Circuit) -> Circuit:
     rewritten into NOT-free AND/OR structure as well.
     """
 
-    def go(node: Node, neg: bool) -> Node:
-        if isinstance(node, Leaf):
-            return Leaf(node.var, node.negated ^ neg)
-        if isinstance(node, Const):
-            return Const(node.value ^ 1 if neg else node.value)
-        if isinstance(node, Not):
-            return go(node.child, not neg)
-        if isinstance(node, Nand):
-            # NAND(cs) == NOT(AND(cs))
-            node = And(node.children)
-            neg = not neg
-        children = tuple(go(ch, neg) for ch in node.children)
-        if isinstance(node, And):
-            return Or(children) if neg else And(children)
-        return And(children) if neg else Or(children)
+    def absorb(children, child, is_and):
+        children.append(child)
+        return children
 
-    return Circuit(go(c.root, False), c.n)
+    root = fold(
+        c,
+        Leaf,
+        Const,
+        list,
+        absorb,
+        lambda children, is_and, nand: (And if is_and else Or)(tuple(children)),
+    )
+    return Circuit(root, c.n)
 
 
 def to_nand_form(c: Circuit) -> tuple[Circuit, dict]:
@@ -528,31 +568,22 @@ def acceptance_probability(c: Circuit, q: BiasVector):
     if len(q) != c.n:
         raise CircuitError(f"bias vector length {len(q)} != n={c.n}")
     c.check_read_once()
-    return _accept_node(c.root, q)
 
+    def leaf(var, negated):
+        return 1 - q[var] if negated else q[var]
 
-def _accept_node(node: Node, q: BiasVector):
-    if isinstance(node, Leaf):
-        p = q[node.var]
-        return 1 - p if node.negated else p
-    if isinstance(node, Const):
-        return node.value
-    if isinstance(node, Not):
-        return 1 - _accept_node(node.child, q)
-    if isinstance(node, And):
-        prod = 1
-        for ch in node.children:
-            prod *= _accept_node(ch, q)
-        return prod
-    if isinstance(node, Or):
-        prod = 1
-        for ch in node.children:
-            prod *= 1 - _accept_node(ch, q)
-        return 1 - prod
-    prod = 1
-    for ch in node.children:
-        prod *= _accept_node(ch, q)
-    return 1 - prod
+    def absorb(prod, acc, is_and):
+        # AND accepts when every child does, OR rejects when every child does
+        return prod * (acc if is_and else 1 - acc)
+
+    return fold(
+        c,
+        leaf,
+        lambda value: value,
+        lambda: 1,
+        absorb,
+        lambda prod, is_and, nand: prod if is_and else 1 - prod,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -27,15 +27,11 @@ from fractions import Fraction
 import numpy as np
 
 from .circuit import (
-    And,
     BiasVector,
     Circuit,
     CircuitError,
-    Const,
-    Leaf,
-    Not,
-    Or,
     acceptance_probability,
+    fold,
     push_nots_to_leaves,  # noqa: F401  (perfbench's tracer wraps this name here)
 )
 
@@ -62,27 +58,32 @@ def truth_table(c: Circuit) -> np.ndarray:
         raise CapExceeded(f"truth table for n={c.n} exceeds cap {WHT_CAP}")
     size = 1 << c.n
 
-    def go(node) -> np.ndarray:
-        if isinstance(node, Leaf):
-            col = variable_pattern(node.var, c.n)
-            return 1 - col if node.negated else col
-        if isinstance(node, Const):
-            return np.full(size, node.value, dtype=np.uint8)
-        if isinstance(node, Not):
-            return 1 - go(node.child)
-        if isinstance(node, Or):
-            acc = go(node.children[0])
-            for ch in node.children[1:]:
-                acc = acc | go(ch)
-            return acc
-        acc = go(node.children[0])
-        for ch in node.children[1:]:
-            acc = acc & go(ch)
-        if isinstance(node, And):
-            return acc
-        return 1 - acc  # Nand
+    def leaf(var, negated):
+        col = variable_pattern(var, c.n)
+        return col ^ 1 if negated else col
 
-    return go(c.root)
+    def absorb(acc, col, is_and):
+        # every value is a fresh array, so the first child's becomes the
+        # accumulator and at most two 2^n columns are alive at once
+        if acc is None:
+            return col
+        if is_and:
+            acc &= col
+        else:
+            acc |= col
+        return acc
+
+    def finish(acc, is_and, nand):
+        return np.full(size, int(is_and), dtype=np.uint8) if acc is None else acc
+
+    return fold(
+        c,
+        leaf,
+        lambda value: np.full(size, value, dtype=np.uint8),
+        lambda: None,
+        absorb,
+        finish,
+    )
 
 
 def _wht_integers(values: np.ndarray) -> np.ndarray:
@@ -187,25 +188,23 @@ def _negate_polys(m: int, absL: list, sgnA: list) -> tuple[int, list, list]:
     return m, [a0] + absL[1:], [a0] + [-a for a in sgnA[1:]]
 
 
-def _profile_ints(node) -> tuple[int, list, list]:
-    """(m, abs, sgn) over the subtree's leaf count m: L^k = abs[k] / 2^m."""
-    if isinstance(node, Leaf):
-        return 1, [1, 1], [1, 1 if node.negated else -1]
-    if isinstance(node, Const):
-        return 0, [node.value], [node.value]
-    if isinstance(node, Not):
-        return _negate_polys(*_profile_ints(node.child))
-    # And multiplies; Or is NOT-AND-NOT and Nand is NOT-AND
-    neg = isinstance(node, Or)
-    m, absL, sgnA = 0, [1], [1]
-    for ch in node.children:
-        cm, cl, ca = _negate_polys(*_profile_ints(ch)) if neg else _profile_ints(ch)
-        m += cm
-        absL = _convolve(absL, cl)
-        sgnA = _convolve(sgnA, ca)
-    if isinstance(node, And):
-        return m, absL, sgnA
-    return _negate_polys(m, absL, sgnA)
+def _profile_leaf(var: int, negated: bool) -> tuple[int, list, list]:
+    return 1, [1, 1], [1, 1 if negated else -1]
+
+
+def _profile_const(value: int) -> tuple[int, list, list]:
+    return 0, [value], [value]
+
+
+def _profile_absorb(acc, child, is_and):
+    # And multiplies; Or is NOT-AND-NOT
+    m, absL, sgnA = acc
+    cm, cl, ca = child if is_and else _negate_polys(*child)
+    return m + cm, _convolve(absL, cl), _convolve(sgnA, ca)
+
+
+def _profile_finish(acc, is_and, nand):
+    return acc if is_and else _negate_polys(*acc)
 
 
 def level_profile_recursive(c: Circuit, exact: bool = True) -> LevelProfile:
@@ -219,7 +218,10 @@ def level_profile_recursive(c: Circuit, exact: bool = True) -> LevelProfile:
     ``exact=False`` returns the correctly rounded floats of the exact masses.
     """
     c.check_read_once()
-    m, absL, sgnA = _profile_ints(c.root)
+    # (m, abs, sgn) over the subtree's leaf count m: L^k = abs[k] / 2^m
+    m, absL, sgnA = fold(
+        c, _profile_leaf, _profile_const, lambda: (0, [1], [1]), _profile_absorb, _profile_finish
+    )
     den = 1 << m
     pad = [0] * (c.n + 1 - len(absL))
     conv = (lambda v: Fraction(v, den)) if exact else (lambda v: v / den)
@@ -260,30 +262,27 @@ def damped_mass_recursive(c: Circuit, p, exact: bool = False):
     pf = Fraction(p)
     a, scale = pf.numerator, 2 * pf.denominator
 
-    def go(node) -> tuple[int, int, int]:
-        """(u, L, f0): L_p = L / u and F_hat[0] = f0 / u, u = scale^leaves."""
-        if isinstance(node, Leaf):
-            return scale, a, scale // 2
-        if isinstance(node, Const):
-            return 1, 0, node.value
-        if isinstance(node, Not):
-            u, lp, f0 = go(node.child)
-            return u, lp, u - f0
-        # Or: negate children (L_p unchanged, f0 -> 1-f0), AND, negate;
-        # Nand: AND, negate
-        neg = isinstance(node, Or)
-        u, prod_both, prod_f0 = 1, 1, 1
-        for ch in node.children:
-            cu, lp_c, f0_c = go(ch)
-            if neg:
-                f0_c = cu - f0_c
-            u *= cu
-            prod_both *= lp_c + f0_c
-            prod_f0 *= f0_c
-        f0 = prod_f0 if isinstance(node, And) else u - prod_f0
-        return u, prod_both - prod_f0, f0
+    # (u, L, f0): L_p = L / u and F_hat[0] = f0 / u, u = scale^leaves; a gate
+    # carries (u, prod(L_i + f0_i), prod(f0_i)) until it closes
+    def absorb(acc, child, is_and):
+        u, prod_both, prod_f0 = acc
+        cu, lp_c, f0_c = child
+        if not is_and:  # Or is NOT-AND-NOT: L_p unchanged, f0 -> 1 - f0
+            f0_c = cu - f0_c
+        return u * cu, prod_both * (lp_c + f0_c), prod_f0 * f0_c
 
-    u, num, _ = go(c.root)
+    def finish(acc, is_and, nand):
+        u, prod_both, prod_f0 = acc
+        return u, prod_both - prod_f0, prod_f0 if is_and else u - prod_f0
+
+    u, num, _ = fold(
+        c,
+        lambda var, negated: (scale, a, scale // 2),
+        lambda value: (1, 0, value),
+        lambda: (1, 1, 1),
+        absorb,
+        finish,
+    )
     return Fraction(num, u) if exact else num / u
 
 

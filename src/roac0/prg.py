@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import ceil, log2
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -327,6 +327,13 @@ def _iter_outputs(gen, chunk_bits: int = 20) -> Iterator[np.ndarray]:
 
 @lru_cache(maxsize=6)
 def _distribution_cached(gen) -> np.ndarray:
+    """Read-only counts of each n-bit output over the full seed space."""
+    if gen.seed_bits > EXHAUSTIVE_SEED_CAP:
+        raise CapExceeded(
+            f"{gen.seed_bits} seed bits exceed exhaustive cap {EXHAUSTIVE_SEED_CAP}"
+        )
+    if gen.n > WHT_CAP:
+        raise CapExceeded(f"output distribution for n={gen.n} exceeds cap {WHT_CAP}")
     # chunks of at least 2^n outputs, so each 2^n-bin bincount pays for itself
     counts = None
     for chunk in _iter_outputs(gen, chunk_bits=max(20, gen.n)):
@@ -341,12 +348,6 @@ def _distribution_cached(gen) -> np.ndarray:
 
 def output_distribution(gen) -> np.ndarray:
     """Counts of each n-bit output over the full seed space."""
-    if gen.seed_bits > EXHAUSTIVE_SEED_CAP:
-        raise CapExceeded(
-            f"{gen.seed_bits} seed bits exceed exhaustive cap {EXHAUSTIVE_SEED_CAP}"
-        )
-    if gen.n > WHT_CAP:
-        raise CapExceeded(f"output distribution for n={gen.n} exceeds cap {WHT_CAP}")
     return _distribution_cached(gen).copy()
 
 
@@ -359,13 +360,11 @@ def measure_bias(gen, n: int | None = None) -> Fraction:
     are linear in beta, so each block of betas is one XOR of precomputed
     tables.  With n < gen.n only the first n output bits are kept.
     """
-    counts = output_distribution(gen)
-    if n is not None:
-        if not 1 <= n <= gen.n:
-            raise CircuitError(f"n={n} outside 1..{gen.n}")
-        if n < gen.n:
-            folded = counts.reshape(-1, 1 << n).sum(axis=0)
-            counts = folded
+    if n is not None and not 1 <= n <= gen.n:
+        raise CircuitError(f"n={n} outside 1..{gen.n}")
+    counts = _distribution_cached(gen)  # read-only; the transform works on a copy
+    if n is not None and n < gen.n:
+        counts = counts.reshape(-1, 1 << n).sum(axis=0)
     spectrum = _wht_integers(counts)
     rest = spectrum[1:]  # max |.| without a full-size np.abs temporary
     top = max(int(rest.max()), -int(rest.min())) if rest.size else 0

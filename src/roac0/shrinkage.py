@@ -29,7 +29,6 @@ from typing import Iterator
 import numpy as np
 
 from .circuit import (
-    And,
     BiasVector,
     Circuit,
     CircuitError,
@@ -37,11 +36,9 @@ from .circuit import (
     Leaf,
     Nand,
     Node,
-    Not,
-    Or,
-    RestrictionMask,
-    _accept_node,
     acceptance_probability,
+    fold,
+    iter_nodes,
     push_nots_to_leaves,
     simplify,
     strip_leaf_negations,
@@ -52,115 +49,60 @@ from .prg import wilson_interval
 _ALIVE = 2
 
 
-@dataclass
-class PRegularSampler:
-    """Stream of restriction masks: each bit free w.p. p, values uniform."""
+def _restricted(c: Circuit, free: np.ndarray, x: np.ndarray, stats: bool = False):
+    """Per-trial value of the restricted circuit: 0, 1, or 2 (alive).
 
-    n: int
-    p: float
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise CircuitError(f"n={self.n} must be positive")
-        if not 0 <= self.p <= 1:
-            raise CircuitError(f"p={self.p} outside [0,1]")
-        self._rng = np.random.default_rng(self.seed)
-
-
-def _pack_bits(arr) -> int:
-    data = np.packbits(np.asarray(arr, dtype=np.uint8), bitorder="little")
-    return int.from_bytes(data.tobytes(), "little")
-
-
-def sample_restriction(s: PRegularSampler) -> RestrictionMask:
-    t = s._rng.random(s.n) < s.p
-    x = s._rng.integers(0, 2, s.n, dtype=np.uint8)
-    return RestrictionMask(t=_pack_bits(t), x=_pack_bits(x), n=s.n)
-
-
-def _state_vec(node: Node, free: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Per-trial value of the restricted node: 0, 1, or 2 (alive)."""
-    if isinstance(node, Leaf):
-        val = x[:, node.var] ^ (1 if node.negated else 0)
-        return np.where(free[:, node.var], _ALIVE, val).astype(np.int8)
-    if isinstance(node, Const):
-        return np.full(free.shape[0], node.value, dtype=np.int8)
-    if isinstance(node, Not):
-        s = _state_vec(node.child, free, x)
-        return np.where(s == _ALIVE, _ALIVE, 1 - s).astype(np.int8)
-    states = [_state_vec(ch, free, x) for ch in node.children]
-    alive = np.zeros(free.shape[0], dtype=bool)
-    absorbed = np.zeros(free.shape[0], dtype=bool)
-    absorbing = 1 if isinstance(node, Or) else 0
-    for s in states:
-        absorbed |= s == absorbing
-        alive |= s == _ALIVE
-    if isinstance(node, And):
-        quiet, hit = 1, 0
-    elif isinstance(node, Or):
-        quiet, hit = 0, 1
-    else:
-        quiet, hit = 0, 1  # Nand: all children 1 -> 0, any child 0 -> 1
-    out = np.where(absorbed, hit, np.where(alive, _ALIVE, quiet))
-    return out.astype(np.int8)
-
-
-def _shrink_stats(node: Node, free: np.ndarray, x: np.ndarray):
-    """(state, live leaf count, max gate fan-in) per trial, all vectorized.
-
-    Counts match simplify(restrict(.)) exactly: neutral constants drop out,
-    absorbed gates vanish, single-child And/Or collapse, and a one-child
-    NAND survives as a gate only when its child is not a leaf.
+    With ``stats`` the value is (state, live leaf count, max gate fan-in),
+    counted as simplify(restrict(.)) leaves them: neutral constants drop out,
+    absorbed gates vanish, single-child And/Or collapse, and a one-child NAND
+    survives as a gate only when its child is not a leaf.
     """
-    B = free.shape[0]
-    zeros = np.zeros(B, dtype=np.int32)
-    if isinstance(node, Leaf):
-        s = _state_vec(node, free, x)
-        return s, (s == _ALIVE).astype(np.int32), zeros
-    if isinstance(node, Const):
-        return np.full(B, node.value, dtype=np.int8), zeros, zeros.copy()
-    if isinstance(node, Not):
-        s, leaves, fan = _shrink_stats(node.child, free, x)
-        return np.where(s == _ALIVE, _ALIVE, 1 - s).astype(np.int8), leaves, fan
-    triples = [_shrink_stats(ch, free, x) for ch in node.children]
-    states = [t[0] for t in triples]
-    alive_counts = np.zeros(B, dtype=np.int32)
-    leaf_alive = np.zeros(B, dtype=np.int32)
-    absorbed = np.zeros(B, dtype=bool)
-    any_alive = np.zeros(B, dtype=bool)
-    leaves_sum = np.zeros(B, dtype=np.int32)
-    fan_best = np.zeros(B, dtype=np.int32)
-    absorbing = 1 if isinstance(node, Or) else 0
-    for ch, (s, leaves, fan) in zip(node.children, triples):
-        isalive = s == _ALIVE
-        alive_counts += isalive
-        if isinstance(ch, Leaf):
-            leaf_alive += isalive
-        absorbed |= s == absorbing
-        any_alive |= isalive
-        leaves_sum += leaves
-        fan_best = np.maximum(fan_best, fan)
-    if isinstance(node, And):
-        quiet, hit = 1, 0
-    elif isinstance(node, Or):
-        quiet, hit = 0, 1
-    else:
-        quiet, hit = 0, 1
-    state = np.where(absorbed, hit, np.where(any_alive, _ALIVE, quiet)).astype(np.int8)
-    here = state == _ALIVE
-    if isinstance(node, Nand):
-        # fan-in k >= 2 counts; k == 1 keeps a gate only over a non-leaf child
-        own = np.where(
-            alive_counts >= 2,
-            alive_counts,
-            np.where((alive_counts == 1) & (leaf_alive == 0), 1, 0),
-        )
-    else:
-        own = np.where(alive_counts >= 2, alive_counts, 0)
-    fan = np.where(here, np.maximum(fan_best, own), 0).astype(np.int32)
-    leaves = np.where(here, leaves_sum, 0).astype(np.int32)
-    return state, leaves, fan
+    trials = free.shape[0]
+    zeros = np.zeros(trials, dtype=np.int32)
+
+    def leaf(var, negated):
+        s = np.where(free[:, var], _ALIVE, x[:, var] ^ int(negated)).astype(np.int8)
+        return (s, (s == _ALIVE).astype(np.int32), zeros, True) if stats else s
+
+    def const(value):
+        s = np.full(trials, value, dtype=np.int8)
+        return (s, zeros, zeros, False) if stats else s
+
+    def absorb(children, child, is_and):
+        children.append(child)
+        return children
+
+    def finish(children, is_and, nand):
+        # one absorbing child fixes the gate; otherwise an alive child keeps it alive
+        hit = 0 if is_and else 1
+        absorbed = np.zeros(trials, dtype=bool)
+        alive = np.zeros(trials, dtype=np.int32 if stats else bool)  # count, or any
+        for ch in children:
+            s = ch[0] if stats else ch
+            absorbed |= s == hit
+            alive += s == _ALIVE  # on bool, += is or
+        state = np.where(absorbed, hit, np.where(alive, _ALIVE, 1 - hit)).astype(np.int8)
+        if not stats:
+            return state
+        leaves = np.zeros(trials, dtype=np.int32)
+        fan = np.zeros(trials, dtype=np.int32)
+        leaf_alive = np.zeros(trials, dtype=np.int32)
+        for s, ch_leaves, ch_fan, is_leaf in children:
+            leaves += ch_leaves
+            np.maximum(fan, ch_fan, out=fan)
+            if is_leaf:
+                leaf_alive += s == _ALIVE
+        own = np.where(alive >= 2, alive, 0)
+        if nand:
+            # fan-in k >= 2 counts; k == 1 keeps a gate only over a non-leaf child
+            own[(alive == 1) & (leaf_alive == 0)] = 1
+        np.maximum(fan, own, out=fan)
+        dead = state != _ALIVE
+        leaves[dead] = 0
+        fan[dead] = 0
+        return state, leaves, fan, False
+
+    return fold(c, leaf, const, list, absorb, finish)
 
 
 def _exact_nonconstant_probability(c: Circuit, p) -> Fraction:
@@ -258,7 +200,7 @@ def collapse_probability(
         raise CircuitError("trials must be positive")
     hits = 0
     for free, x in _restriction_blocks(n, p, trials, master_seed):
-        hits += int((_state_vec(c.root, free, x) == _ALIVE).sum())
+        hits += int((_restricted(c, free, x) == _ALIVE).sum())
     estimate = hits / trials
     se = sqrt(max(estimate * (1 - estimate), 1e-300) / trials)
     f0 = acceptance_probability(c, BiasVector.uniform(n))
@@ -415,25 +357,31 @@ def build_sandwich(c: Circuit, eps) -> SandwichPair:
 
 
 def sandwich_condition_violations(c: Circuit, eps) -> list:
-    """Nonconstant nodes whose exact rejection mass leaves [eps, 1-eps]."""
+    """Nonconstant nodes whose exact rejection mass leaves [eps, 1-eps].
+
+    Needs NAND form, as the sandwich does.  A NAND rejects exactly when every
+    child accepts, so one bottom-up pass gives every node's rejection mass;
+    the offending nodes come back in pre-order.
+    """
     e = Fraction(eps)
-    uniform = BiasVector.uniform(c.n)
-    out = []
-
-    def walk(node):
-        if isinstance(node, Const):
-            return
-        rej = 1 - _accept_node(node, uniform)
-        if not e <= rej <= 1 - e:
-            out.append((type(node).__name__, float(rej)))
-        if isinstance(node, Not):
-            walk(node.child)
-        elif not isinstance(node, Leaf):
+    _require_nand_form(c.root)
+    nodes = list(iter_nodes(c.root))
+    rej = {}
+    for node in reversed(nodes):  # every child before its parent
+        if isinstance(node, Nand):
+            r = Fraction(1)
             for ch in node.children:
-                walk(ch)
-
-    walk(c.root)
-    return out
+                r *= 1 - rej[id(ch)]
+        elif isinstance(node, Leaf):
+            r = Fraction(1, 2)
+        else:
+            r = Fraction(1 - node.value)
+        rej[id(node)] = r
+    return [
+        (type(node).__name__, float(rej[id(node)]))
+        for node in nodes
+        if not isinstance(node, Const) and not e <= rej[id(node)] <= 1 - e
+    ]
 
 
 @dataclass(frozen=True)
@@ -506,15 +454,15 @@ def shrink_experiment(
     s_lo, s_up, s_or, fans = [], [], [], []
     alive_lo = alive_up = alive_or = 0
     for free, x in _restriction_blocks(n, p, trials, master_seed):
-        st, lv, fn = _shrink_stats(pair.lower.root, free, x)
+        st, lv, fn, _ = _restricted(pair.lower, free, x, stats=True)
         alive_lo += int((st == _ALIVE).sum())
         s_lo.append(lv)
         fan_block = fn
-        st, lv, fn = _shrink_stats(pair.upper.root, free, x)
+        st, lv, fn, _ = _restricted(pair.upper, free, x, stats=True)
         alive_up += int((st == _ALIVE).sum())
         s_up.append(lv)
         fan_block = np.maximum(fan_block, fn)
-        st, lv, _ = _shrink_stats(c.root, free, x)
+        st, lv, _, _ = _restricted(c, free, x, stats=True)
         alive_or += int((st == _ALIVE).sum())
         s_or.append(lv)
         fans.append(fan_block)

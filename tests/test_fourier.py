@@ -4,12 +4,29 @@ import math
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_corpus
-from roac0 import Circuit, CircuitError, Not, gen_random_read_once, gen_tribes, parse
+from roac0 import (
+    And,
+    BiasVector,
+    Circuit,
+    CircuitError,
+    Const,
+    Leaf,
+    Nand,
+    Not,
+    Or,
+    acceptance_probability,
+    evaluate,
+    gen_random_read_once,
+    gen_tribes,
+    parse,
+    to_nand_form,
+)
 from roac0.fourier import (
     BoundReport,
     CapExceeded,
@@ -304,10 +321,51 @@ def test_profile_oracle_property(n, d, seed):
     assert list(lp.signed_sum) == sgn_w
 
 
-def test_truth_table_matches_evaluate():
-    from roac0 import evaluate
+FOLD_CORPUS = {
+    "tribes": gen_tribes(2, 2),
+    "not_over_or": parse("(not (or (and x0 (not x1)) x2))"),
+    "nand_mixed": parse("(nand x0 (or x1 (not x2)) (not (nand x3 x4)))"),
+    "constants": parse("(or 0 (and 1 x0) (not (and x1 0)) (not (nand 1 x2)))"),
+    "double_not": parse("(not (not (nand (not (or x0 x1)) (not x2))))"),
+    "not_leaf_node": Circuit(Not(Leaf(0)), 1),
+    "const_root": Circuit(Not(Const(0)), 2),
+    "nand_form": to_nand_form(gen_random_read_once(9, 3, seed=4))[0],
+    "negated_leaves": gen_random_read_once(10, 4, seed=8, neg_prob=0.6),
+}
 
-    c = gen_tribes(2, 2)
+
+@pytest.mark.parametrize("name", FOLD_CORPUS)
+def test_truth_table_matches_evaluate(name):
+    c = FOLD_CORPUS[name]
     tt = truth_table(c)
-    for x in range(16):
-        assert tt[x] == evaluate(c, x)
+    assert tt.dtype == np.uint8
+    assert tt.tolist() == [evaluate(c, x) for x in range(1 << c.n)]
+
+
+def deep_chain(depth: int) -> Circuit:
+    """And/Or/Nand gates nested ``depth`` deep, one leaf each, NOTs sprinkled in."""
+    node = Leaf(0)
+    for i in range(1, depth + 1):
+        gate = (And, Or, Nand)[i % 3]
+        node = gate((node, Leaf(i, negated=i % 2 == 0)))
+        if i % 5 == 0:
+            node = Not(node)
+    return Circuit(node, depth + 1)
+
+
+def test_folds_handle_deep_nesting():
+    depth = 1200
+    assert depth > sys.getrecursionlimit()
+    c = deep_chain(depth)
+    assert c.depth == depth
+    # acceptance by the chain's own recurrence: every leaf is 1 w.p. 1/2
+    acc = Fraction(1, 2)
+    for i in range(1, depth + 1):
+        acc = (acc / 2, 1 - (1 - acc) / 2, 1 - acc / 2)[i % 3]
+        if i % 5 == 0:
+            acc = 1 - acc
+    assert acceptance_probability(c, BiasVector.uniform(c.n)) == acc
+    lp = level_profile_recursive(c)
+    assert lp.signed_sum[0] == acc
+    half = Fraction(1, 2)
+    assert damped_mass_recursive(c, half, exact=True) == damped_mass(lp, half)

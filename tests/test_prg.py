@@ -184,6 +184,17 @@ def test_exhaustive_entry_points_share_seed_cap():
         output_distribution(UniformGen(WHT_CAP + 1))
 
 
+def test_measure_bias_reads_the_cached_distribution_without_changing_it():
+    gen = SmallBiasGen(5, 7)
+    counts = output_distribution(gen)
+    counts[:] = 0  # the caller's copy is its own
+    first = measure_bias(gen)
+    assert measure_bias(gen) == first == measure_bias(gen, n=7)
+    assert output_distribution(gen).sum() == 1 << gen.seed_bits
+    with pytest.raises(CapExceeded, match=f"cap {EXHAUSTIVE_SEED_CAP}"):
+        measure_bias(SmallBiasGen(14, 4))
+
+
 def test_distribution_sums_to_seed_count():
     gen = SmallBiasGen(4, 6)
     dist = output_distribution(gen)

@@ -1,4 +1,4 @@
-"""Random restrictions: sampler, collapse rates, sandwiches, shrink runs."""
+"""Random restrictions: collapse rates, sandwiches, shrink runs."""
 
 import random
 import time
@@ -22,63 +22,17 @@ from roac0 import (
     restrict,
     to_nand_form,
 )
-from roac0.circuit import Const, Leaf, RestrictionMask
+from roac0.circuit import Const, Leaf, RestrictionMask, iter_nodes
 from roac0.fourier import truth_table
 from roac0.shrinkage import (
     CollapseReport,
-    PRegularSampler,
     _exact_nonconstant_probability,
     _restriction_blocks,
     build_sandwich,
     collapse_probability,
-    sample_restriction,
     sandwich_condition_violations,
     shrink_experiment,
 )
-
-
-# -- p-regular sampler ----------------------------------------------------------
-
-
-def test_sampler_rejects_bad_parameters():
-    with pytest.raises(CircuitError):
-        PRegularSampler(0, 0.5)
-    with pytest.raises(CircuitError):
-        PRegularSampler(4, 1.5)
-    with pytest.raises(CircuitError):
-        PRegularSampler(4, -0.1)
-
-
-def test_sampler_extreme_p():
-    s = PRegularSampler(6, 0.0, seed=1)
-    for _ in range(20):
-        assert sample_restriction(s).t == 0
-    s = PRegularSampler(6, 1.0, seed=1)
-    for _ in range(20):
-        assert sample_restriction(s).t == 0b111111
-
-
-def test_sampler_marginals():
-    n, p, draws = 8, 0.3, 4000
-    s = PRegularSampler(n, p, seed=7)
-    free = np.zeros(n)
-    ones = np.zeros(n)
-    for _ in range(draws):
-        m = sample_restriction(s)
-        for i in range(n):
-            free[i] += (m.t >> i) & 1
-            ones[i] += (m.x >> i) & 1
-    # 3 sigma on a Bernoulli mean over 4000 draws
-    assert np.all(np.abs(free / draws - p) < 3 * (p * (1 - p) / draws) ** 0.5)
-    assert np.all(np.abs(ones / draws - 0.5) < 3 * (0.25 / draws) ** 0.5)
-
-
-def test_sampler_is_deterministic_per_seed():
-    a = PRegularSampler(10, 0.4, seed=42)
-    b = PRegularSampler(10, 0.4, seed=42)
-    for _ in range(25):
-        ma, mb = sample_restriction(a), sample_restriction(b)
-        assert (ma.t, ma.x) == (mb.t, mb.x)
 
 
 # -- collapse probability -------------------------------------------------------
@@ -276,6 +230,23 @@ def test_condition_check_flags_light_rejection():
     assert bad and bad[0][0] == "Nand"
     ok, _ = to_nand_form(parse("(nand x0 x1)"))
     assert sandwich_condition_violations(ok, Fraction(1, 16)) == []
+
+
+def test_condition_violations_match_per_node_acceptance():
+    e = Fraction(1, 8)
+    for c in random_corpus(20, 10, 3, seed=31):
+        nand, _ = to_nand_form(c)
+        expected = []
+        for node in iter_nodes(nand.root):
+            if isinstance(node, Const):
+                continue
+            sub = Circuit(node, nand.n)
+            rej = 1 - acceptance_probability(sub, BiasVector.uniform(nand.n))
+            if not e <= rej <= 1 - e:
+                expected.append((type(node).__name__, float(rej)))
+        assert sandwich_condition_violations(nand, e) == expected
+    with pytest.raises(CircuitError, match="NAND form"):
+        sandwich_condition_violations(parse("(and x0 x1)"), e)
 
 
 # -- shrink experiment ----------------------------------------------------------
