@@ -55,18 +55,19 @@ def _restricted(c: Circuit, free: np.ndarray, x: np.ndarray, stats: bool = False
     With ``stats`` the value is (state, live leaf count, max gate fan-in),
     counted as simplify(restrict(.)) leaves them: neutral constants drop out,
     absorbed gates vanish, single-child And/Or collapse, and a one-child NAND
-    survives as a gate only when its child is not a leaf.
+    survives as a gate only when its child keeps two or more live leaves (one
+    live leaf simplifies to a literal).
     """
     trials = free.shape[0]
     zeros = np.zeros(trials, dtype=np.int32)
 
     def leaf(var, negated):
         s = np.where(free[:, var], _ALIVE, x[:, var] ^ int(negated)).astype(np.int8)
-        return (s, (s == _ALIVE).astype(np.int32), zeros, True) if stats else s
+        return (s, (s == _ALIVE).astype(np.int32), zeros) if stats else s
 
     def const(value):
         s = np.full(trials, value, dtype=np.int8)
-        return (s, zeros, zeros, False) if stats else s
+        return (s, zeros, zeros) if stats else s
 
     def absorb(children, child, is_and):
         children.append(child)
@@ -86,21 +87,17 @@ def _restricted(c: Circuit, free: np.ndarray, x: np.ndarray, stats: bool = False
             return state
         leaves = np.zeros(trials, dtype=np.int32)
         fan = np.zeros(trials, dtype=np.int32)
-        leaf_alive = np.zeros(trials, dtype=np.int32)
-        for s, ch_leaves, ch_fan, is_leaf in children:
-            leaves += ch_leaves
+        for _, ch_leaves, ch_fan in children:
+            leaves += ch_leaves  # dead children carry 0
             np.maximum(fan, ch_fan, out=fan)
-            if is_leaf:
-                leaf_alive += s == _ALIVE
         own = np.where(alive >= 2, alive, 0)
-        if nand:
-            # fan-in k >= 2 counts; k == 1 keeps a gate only over a non-leaf child
-            own[(alive == 1) & (leaf_alive == 0)] = 1
+        if nand:  # NAND((child)) stays a gate unless the child is one live leaf
+            own[(alive == 1) & (leaves >= 2)] = 1
         np.maximum(fan, own, out=fan)
         dead = state != _ALIVE
         leaves[dead] = 0
         fan[dead] = 0
-        return state, leaves, fan, False
+        return state, leaves, fan
 
     return fold(c, leaf, const, list, absorb, finish)
 
@@ -454,15 +451,15 @@ def shrink_experiment(
     s_lo, s_up, s_or, fans = [], [], [], []
     alive_lo = alive_up = alive_or = 0
     for free, x in _restriction_blocks(n, p, trials, master_seed):
-        st, lv, fn, _ = _restricted(pair.lower, free, x, stats=True)
+        st, lv, fn = _restricted(pair.lower, free, x, stats=True)
         alive_lo += int((st == _ALIVE).sum())
         s_lo.append(lv)
         fan_block = fn
-        st, lv, fn, _ = _restricted(pair.upper, free, x, stats=True)
+        st, lv, fn = _restricted(pair.upper, free, x, stats=True)
         alive_up += int((st == _ALIVE).sum())
         s_up.append(lv)
         fan_block = np.maximum(fan_block, fn)
-        st, lv, _, _ = _restricted(c, free, x, stats=True)
+        st, lv, _ = _restricted(c, free, x, stats=True)
         alive_or += int((st == _ALIVE).sum())
         s_or.append(lv)
         fans.append(fan_block)

@@ -19,14 +19,17 @@ from roac0 import (
     gen_random_read_once,
     gen_tribes,
     parse,
+    render,
     restrict,
+    simplify,
     to_nand_form,
 )
-from roac0.circuit import Const, Leaf, RestrictionMask, iter_nodes
+from roac0.circuit import And, Const, Leaf, Nand, Not, Or, RestrictionMask, iter_nodes
 from roac0.fourier import truth_table
 from roac0.shrinkage import (
     CollapseReport,
     _exact_nonconstant_probability,
+    _restricted,
     _restriction_blocks,
     build_sandwich,
     collapse_probability,
@@ -250,6 +253,27 @@ def test_condition_violations_match_per_node_acceptance():
 
 
 # -- shrink experiment ----------------------------------------------------------
+
+
+def simplified_stats(c: Circuit) -> tuple:
+    """(state, live leaves, largest gate fan-in) of an already simplified circuit."""
+    if isinstance(c.root, Const):
+        return c.root.value, 0, 0
+    fans = [len(nd.children) for nd in iter_nodes(c.root) if isinstance(nd, (And, Or, Nand))]
+    return 2, c.size, max(fans, default=0)
+
+
+def test_restricted_stats_match_simplify():
+    for c in random_corpus(30, 9, 4, seed=61):
+        nand, _ = to_nand_form(c)
+        pair = build_sandwich(nand, Fraction(1, 16))
+        (free, x), = _restriction_blocks(c.n, 0.4, 64, c.n)
+        for form in (c, Circuit(Not(c.root), c.n), nand, pair.lower, pair.upper):
+            state, leaves, fan = _restricted(form, free, x, stats=True)
+            for t in range(len(free)):
+                m = RestrictionMask.from_bits(free[t].astype(int).tolist(), x[t].tolist())
+                want = simplified_stats(simplify(restrict(form, m)))
+                assert (int(state[t]), int(leaves[t]), int(fan[t])) == want, (render(form), t)
 
 
 def test_shrink_p_zero_collapses_everything():
