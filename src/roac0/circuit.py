@@ -3,7 +3,8 @@
 Circuits are immutable trees.  Gate depth counts AND/OR/NAND nodes only;
 NOT gates and leaves are free.  Every variable index may feed at most one
 leaf (read-once), which is what makes the bottom-up product formulas in
-:func:`acceptance_probability` exact.
+:func:`acceptance_probability` exact.  Every bottom-up quantity is a
+:func:`fold` over the NOT-free de Morgan form.
 """
 
 from __future__ import annotations
@@ -94,14 +95,8 @@ class Circuit:
     @property
     def depth(self) -> int:
         """Number of AND/OR/NAND gates on the deepest root-to-leaf path."""
-        return fold(
-            self,
-            lambda var, negated: 0,
-            lambda value: 0,
-            lambda: 0,
-            lambda acc, d, is_and: max(acc, d),
-            lambda acc, is_and, nand: acc + 1,
-        )
+        return fold(self, lambda var, negated: 0, lambda value: 0, lambda: 0,
+                    lambda acc, d, is_and: max(acc, d), lambda acc, is_and, nand: acc + 1)
 
     @property
     def size(self) -> int:
@@ -411,14 +406,8 @@ def push_nots_to_leaves(c: Circuit) -> Circuit:
         children.append(child)
         return children
 
-    root = fold(
-        c,
-        Leaf,
-        Const,
-        list,
-        absorb,
-        lambda children, is_and, nand: (And if is_and else Or)(tuple(children)),
-    )
+    root = fold(c, Leaf, Const, list, absorb,
+                lambda children, is_and, nand: (And if is_and else Or)(tuple(children)))
     return Circuit(root, c.n)
 
 
@@ -576,14 +565,8 @@ def acceptance_probability(c: Circuit, q: BiasVector):
         # AND accepts when every child does, OR rejects when every child does
         return prod * (acc if is_and else 1 - acc)
 
-    return fold(
-        c,
-        leaf,
-        lambda value: value,
-        lambda: 1,
-        absorb,
-        lambda prod, is_and, nand: prod if is_and else 1 - prod,
-    )
+    return fold(c, leaf, lambda value: value, lambda: 1, absorb,
+                lambda prod, is_and, nand: prod if is_and else 1 - prod)
 
 
 # ---------------------------------------------------------------------------

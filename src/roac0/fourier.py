@@ -4,10 +4,13 @@ Two computation paths for the spectrum's level structure: a brute-force
 Walsh-Hadamard transform over the full truth table (the oracle, exact in
 integer arithmetic, n capped), and a linear-size bottom-up recursion that
 exploits read-onceness (children of a gate touch disjoint variables, so
-generating polynomials multiply).  The recursion is exact at any n, in
-dyadic integers: a leaf contributes +-1/2, so every subtree's quantities are
-integers over 2^(leaf count) ((2b)^(leaf count) for damping p = a/b), with
-one ``Fraction`` built at the root and float modes rounding that value.
+generating polynomials multiply).  Both the truth table and the recursion
+are folds (``circuit.fold``) over the NOT-free de Morgan form, so they see
+only AND and OR gates over possibly negated leaves, and need no recursion
+at any nesting depth.  The recursion is exact at any n, in dyadic integers:
+a leaf contributes +-1/2, so every subtree's quantities are integers over
+2^(leaf count) ((2b)^(leaf count) for damping p = a/b), with one
+``Fraction`` built at the root and float modes rounding that value.
 
 Conventions, fixed once here and used everywhere:
   * characters chi_s(x) = (-1)^{s.x}; F_hat[s] = E_x[F(x) chi_s(x)]
@@ -73,17 +76,11 @@ def truth_table(c: Circuit) -> np.ndarray:
             acc |= col
         return acc
 
-    def finish(acc, is_and, nand):
-        return np.full(size, int(is_and), dtype=np.uint8) if acc is None else acc
+    def const(value):
+        return np.full(size, value, dtype=np.uint8)
 
-    return fold(
-        c,
-        leaf,
-        lambda value: np.full(size, value, dtype=np.uint8),
-        lambda: None,
-        absorb,
-        finish,
-    )
+    return fold(c, leaf, const, lambda: None, absorb,
+                lambda acc, is_and, nand: const(int(is_and)) if acc is None else acc)
 
 
 def _wht_integers(values: np.ndarray) -> np.ndarray:
@@ -188,23 +185,11 @@ def _negate_polys(m: int, absL: list, sgnA: list) -> tuple[int, list, list]:
     return m, [a0] + absL[1:], [a0] + [-a for a in sgnA[1:]]
 
 
-def _profile_leaf(var: int, negated: bool) -> tuple[int, list, list]:
-    return 1, [1, 1], [1, 1 if negated else -1]
-
-
-def _profile_const(value: int) -> tuple[int, list, list]:
-    return 0, [value], [value]
-
-
 def _profile_absorb(acc, child, is_and):
     # And multiplies; Or is NOT-AND-NOT
     m, absL, sgnA = acc
     cm, cl, ca = child if is_and else _negate_polys(*child)
     return m + cm, _convolve(absL, cl), _convolve(sgnA, ca)
-
-
-def _profile_finish(acc, is_and, nand):
-    return acc if is_and else _negate_polys(*acc)
 
 
 def level_profile_recursive(c: Circuit, exact: bool = True) -> LevelProfile:
@@ -220,7 +205,12 @@ def level_profile_recursive(c: Circuit, exact: bool = True) -> LevelProfile:
     c.check_read_once()
     # (m, abs, sgn) over the subtree's leaf count m: L^k = abs[k] / 2^m
     m, absL, sgnA = fold(
-        c, _profile_leaf, _profile_const, lambda: (0, [1], [1]), _profile_absorb, _profile_finish
+        c,
+        lambda var, negated: (1, [1, 1], [1, 1 if negated else -1]),
+        lambda value: (0, [value], [value]),
+        lambda: (0, [1], [1]),
+        _profile_absorb,
+        lambda acc, is_and, nand: acc if is_and else _negate_polys(*acc),
     )
     den = 1 << m
     pad = [0] * (c.n + 1 - len(absL))
@@ -275,14 +265,8 @@ def damped_mass_recursive(c: Circuit, p, exact: bool = False):
         u, prod_both, prod_f0 = acc
         return u, prod_both - prod_f0, prod_f0 if is_and else u - prod_f0
 
-    u, num, _ = fold(
-        c,
-        lambda var, negated: (scale, a, scale // 2),
-        lambda value: (1, 0, value),
-        lambda: (1, 1, 1),
-        absorb,
-        finish,
-    )
+    u, num, _ = fold(c, lambda var, negated: (scale, a, scale // 2), lambda value: (1, 0, value),
+                     lambda: (1, 1, 1), absorb, finish)
     return Fraction(num, u) if exact else num / u
 
 

@@ -270,6 +270,7 @@ def test_restricted_stats_match_simplify():
         (free, x), = _restriction_blocks(c.n, 0.4, 64, c.n)
         for form in (c, Circuit(Not(c.root), c.n), nand, pair.lower, pair.upper):
             state, leaves, fan = _restricted(form, free, x, stats=True)
+            assert np.array_equal(_restricted(form, free, x), state)  # collapse's path
             for t in range(len(free)):
                 m = RestrictionMask.from_bits(free[t].astype(int).tolist(), x[t].tolist())
                 want = simplified_stats(simplify(restrict(form, m)))
