@@ -184,7 +184,7 @@ def fold(c: Circuit, leaf, const, start, absorb, finish):
                 stack.append((kids, i, neg, is_and, nand, acc))
                 nand = kind is Nand
                 neg = node_neg != nand  # NAND(cs) = NOT(AND(cs))
-                is_and = (kind is Or) == neg
+                is_and = (kind is Or) == neg  # a NOT swaps AND and OR
                 kids, i, acc = node.children, 0, start()
                 continue
         else:
