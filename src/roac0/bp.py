@@ -16,12 +16,15 @@ fresh state, which is what keeps AND towers at width 2.
 
 Construction metadata (child block boundaries, child programs' functions)
 stays attached to the program so that any state-to-state slice indicator
-can be rebuilt as a read-once circuit of depth <= D.
+can be rebuilt as a read-once circuit of depth <= D.  ``bp_run`` runs a
+program on many inputs at once (one table gather per layer); ``roac0 bp``
+checks equivalence and witnesses with it and ``circuit.evaluate_columns``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Sequence, Union
 
 import numpy as np
@@ -38,6 +41,7 @@ from .circuit import (
     RestrictionMask,
     simplify,
 )
+from .fourier import _wht_integers, popcounts, variable_pattern
 
 
 class BPError(CircuitError):
@@ -138,6 +142,25 @@ def bp_evaluate(b: OrderedBP, x, start: int = 1) -> int:
 
 def bp_accepts(b: OrderedBP, x) -> int:
     return 1 if bp_evaluate(b, x, 1) == 1 else 0
+
+
+def bp_run(b: OrderedBP, column, size: int, start=1) -> np.ndarray:
+    """Final states after running all layers, for ``size`` inputs at once.
+
+    ``column(var)`` is variable ``var``'s uint8 0/1 bits over the inputs, and
+    ``start`` a state or an array of states broadcast against them (shape
+    ``(w, 1)`` runs every start state).  Each layer is one gather from a
+    table indexed by bit * w + state; :func:`bp_evaluate` is the reference.
+    """
+    if not 1 <= np.min(start) <= np.max(start) <= b.width:
+        raise BPError(f"start state outside [1,{b.width}]")
+    dtype = np.min_scalar_type(2 * b.width)
+    w = dtype.type(b.width)
+    states = np.full(np.broadcast_shapes(np.shape(start), (size,)), start, dtype=dtype)
+    for v, (m0, m1) in zip(b.var_order, b.layers):
+        table = np.array((0,) + m0 + m1, dtype=dtype)
+        states = table.take(column(v) * w + states)
+    return states
 
 
 def bp_concat(b1: OrderedBP, b2: OrderedBP) -> OrderedBP:
@@ -441,19 +464,11 @@ def bp_state_functions(b: OrderedBP) -> dict[tuple[int, int], np.ndarray]:
     length = b.length
     if length > 22:
         raise BPError(f"length {length} exceeds exhaustive cap")
-    size = 1 << length
-    finals = np.empty((b.width, size), dtype=np.int64)
-    for u in range(1, b.width + 1):
-        states = np.full(size, u, dtype=np.int64)
-        for t, (m0, m1) in enumerate(b.layers):
-            block = np.repeat(np.array([0, 1], dtype=np.uint8), 1 << t)
-            bits = np.tile(block, 1 << (length - 1 - t))
-            a0 = np.asarray(m0, dtype=np.int64)
-            a1 = np.asarray(m1, dtype=np.int64)
-            states = np.where(bits, a1[states - 1], a0[states - 1])
-        finals[u - 1] = states
+    layer_of = {v: t for t, v in enumerate(b.var_order)}
+    finals = bp_run(b, lambda v: variable_pattern(layer_of[v], length), 1 << length,
+                    start=np.arange(1, b.width + 1)[:, None])
     return {
-        (u, v): (finals[u - 1] == v).astype(np.uint8)
+        (u, v): (finals[u - 1] == v).view(np.uint8)
         for u in range(1, b.width + 1)
         for v in range(1, b.width + 1)
     }
@@ -465,20 +480,11 @@ def bp_matrix_levelmass_upper(b: OrderedBP, k: int):
     This is the scalar bound obtained from the matrix view by bounding the
     operator norm entrywise.
     """
-    from .fourier import _wht_integers, popcounts
-
     if k < 0:
         raise BPError("level must be nonnegative")
     if k > b.length:
-        from fractions import Fraction
-
         return Fraction(0)
-    from fractions import Fraction
-
-    counts = popcounts(b.length)
-    best = 0
-    for table in bp_state_functions(b).values():
-        w_ints = _wht_integers(table)
-        mass = int(np.abs(w_ints)[counts == k].sum())
-        best = max(best, mass)
+    at_k = popcounts(b.length) == k
+    best = max(int(np.abs(_wht_integers(table))[at_k].sum())
+               for table in bp_state_functions(b).values())
     return b.width * Fraction(best, 1 << b.length)

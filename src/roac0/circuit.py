@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence, Union
 
+import numpy as np
+
 
 class CircuitError(Exception):
     """Base class for circuit construction and usage errors."""
@@ -369,6 +371,29 @@ def _eval_node(node: Node, mask: int) -> int:
         if _eval_node(ch, mask) == 0:
             return 1
     return 0
+
+
+def evaluate_columns(c: Circuit, column, size: int) -> np.ndarray:
+    """uint8 values of the circuit on ``size`` inputs at once.
+
+    ``column(var)`` returns a fresh uint8 0/1 array of variable ``var``'s bits
+    over the inputs, which the fold may overwrite; each gate combines whole
+    columns.  :func:`evaluate` is the scalar reference.
+    """
+
+    def absorb(acc, col, is_and):
+        # every value is a fresh array, so the first child's becomes the
+        # accumulator and each open gate holds one column
+        if acc is None:
+            return col
+        return np.bitwise_and(acc, col, out=acc) if is_and else np.bitwise_or(acc, col, out=acc)
+
+    def const(value):
+        return np.full(size, value, dtype=np.uint8)
+
+    return fold(c, lambda var, negated: column(var) ^ 1 if negated else column(var), const,
+                lambda: None, absorb,
+                lambda acc, is_and, nand: const(int(is_and)) if acc is None else acc)
 
 
 def restrict(c: Circuit, m: RestrictionMask) -> Circuit:

@@ -38,7 +38,8 @@ from .circuit import (
     Leaf,
     Or,
     acceptance_probability,
-    evaluate,
+    evaluate,  # noqa: F401  (perfbench's tracer wraps this name here)
+    evaluate_columns,
     gen_random_read_once,
     gen_recursive_tribes,
     gen_tribes,
@@ -367,16 +368,29 @@ def cmd_bounds(args) -> int:
     return rep.finish()
 
 
+def _bp_planes(n: int, seed: int) -> np.ndarray:
+    """uint8 bit planes (row v = variable v) of the inputs ``bp`` checks: all
+    2^n for n <= 14, else 10,000 ``random.Random(seed ^ 0xB9)`` draws."""
+    if n <= 14:
+        return np.stack([fmod.variable_pattern(v, n) for v in range(n)])
+    rng = random.Random(seed ^ 0xB9)
+    width = (n + 7) // 8
+    raw = b"".join(rng.randrange(1 << n).to_bytes(width, "little") for _ in range(10_000))
+    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(-1, width),
+                         axis=1, count=n, bitorder="little")
+    return np.ascontiguousarray(bits.T)
+
+
 def _bp_task(item):
     idx, c, witnesses, seed = item
     b = bpmod.bp_from_circuit(c)
     width_ok = b.width <= max(c.depth, 1) + 1
-    if c.n <= 14:
-        inputs = range(1 << c.n)
-    else:
-        rng = random.Random(seed ^ 0xB9)
-        inputs = [rng.randrange(1 << c.n) for _ in range(10_000)]
-    equal = all(bpmod.bp_accepts(b, x) == evaluate(c, x) for x in inputs)
+    planes = _bp_planes(c.n, seed)
+    size = planes.shape[1]
+    column = lambda v: planes[v].copy()  # noqa: E731  (evaluate_columns writes into it)
+    # both sides are arrays of 0/1 bytes, so equal bytes mean equal values
+    accepted = bpmod.bp_run(b, column, size) == 1
+    equal = accepted.tobytes() == evaluate_columns(c, column, size).tobytes()
     wit_ok = 0
     rng = random.Random(seed)
     for _ in range(witnesses):
@@ -386,16 +400,8 @@ def _bp_task(item):
         d2 = rng.randint(1, b.width)
         w = bpmod.bp_slice_witness(b, bpmod.BPSliceQuery(i, j, d1, d2))
         sub = bpmod.bp_subprogram(b, i, j)
-        good = True
-        for x in range(1 << min(w.n, 14)):
-            if bpmod.bp_evaluate(sub, x, start=d1) == d2:
-                want = 1
-            else:
-                want = 0
-            if evaluate(w, x) != want:
-                good = False
-                break
-        wit_ok += good
+        reached = bpmod.bp_run(sub, column, size, start=d1) == d2
+        wit_ok += reached.tobytes() == evaluate_columns(w, column, size).tobytes()
     return (idx, c.n, c.depth, b.width, b.length, width_ok, equal, wit_ok, witnesses)
 
 

@@ -34,6 +34,7 @@ from .circuit import (
     Circuit,
     CircuitError,
     acceptance_probability,
+    evaluate_columns,
     fold,
     push_nots_to_leaves,  # noqa: F401  (perfbench's tracer wraps this name here)
 )
@@ -59,28 +60,7 @@ def truth_table(c: Circuit) -> np.ndarray:
     """uint8 array of length 2^n with F evaluated on every assignment."""
     if c.n > WHT_CAP:
         raise CapExceeded(f"truth table for n={c.n} exceeds cap {WHT_CAP}")
-    size = 1 << c.n
-
-    def leaf(var, negated):
-        col = variable_pattern(var, c.n)
-        return col ^ 1 if negated else col
-
-    def absorb(acc, col, is_and):
-        # every value is a fresh array, so the first child's becomes the
-        # accumulator and at most two 2^n columns are alive at once
-        if acc is None:
-            return col
-        if is_and:
-            acc &= col
-        else:
-            acc |= col
-        return acc
-
-    def const(value):
-        return np.full(size, value, dtype=np.uint8)
-
-    return fold(c, leaf, const, lambda: None, absorb,
-                lambda acc, is_and, nand: const(int(is_and)) if acc is None else acc)
+    return evaluate_columns(c, lambda var: variable_pattern(var, c.n), 1 << c.n)
 
 
 def _wht_integers(values: np.ndarray) -> np.ndarray:

@@ -28,12 +28,13 @@ from roac0.bp import (
     bp_matrix_levelmass_upper,
     bp_permute,
     bp_restrict,
+    bp_run,
     bp_slice_witness,
     bp_state_functions,
     bp_subprogram,
     bp_to_json_dict,
 )
-from roac0.fourier import level_profile_recursive, truth_table
+from roac0.fourier import level_profile_recursive, truth_table, variable_pattern
 
 
 def and_k(k):
@@ -73,6 +74,42 @@ def test_start_state_validated():
     b = bp_from_circuit(and_k(2))
     with pytest.raises(BPError):
         bp_evaluate(b, 0, start=9)
+
+
+def _run_programs() -> dict:
+    conv = bp_from_circuit(gen_random_read_once(8, 3, seed=5))
+    rotate = list(range(2, conv.width + 1)) + [1]
+    mask = RestrictionMask.from_strings("10110010", "01101001")
+    return {
+        "converted": conv,
+        "restricted": bp_restrict(conv, mask),
+        "permuted_pre": bp_permute(conv, rotate, "pre"),
+        "permuted_post": bp_permute(conv, rotate[::-1], "post"),
+        "concatenated": bp_concat(
+            bp_from_circuit(Circuit(parse("(and x0 (not x2))").root, 8)),
+            bp_from_circuit(Circuit(parse("(or x1 (not x5) x7)").root, 8)),
+        ),
+        "const_one": bp_from_circuit(Circuit(Const(1), 8)),  # width 1, length 0
+        "const_zero": bp_from_circuit(Circuit(Const(0), 8)),  # width 2, one layer
+    }
+
+
+RUN_PROGRAMS = _run_programs()
+
+
+@pytest.mark.parametrize("name", RUN_PROGRAMS)
+def test_batched_run_matches_scalar_for_every_start(name):
+    b = RUN_PROGRAMS[name]
+    column = lambda v: variable_pattern(v, 8)  # noqa: E731
+    every = bp_run(b, column, 256, start=np.arange(1, b.width + 1)[:, None])
+    assert every.shape == (b.width, 256)
+    for u in range(1, b.width + 1):
+        want = [bp_evaluate(b, x, start=u) for x in range(256)]
+        assert bp_run(b, column, 256, start=u).tolist() == want
+        assert every[u - 1].tolist() == want
+    for bad in (0, b.width + 1):
+        with pytest.raises(BPError):
+            bp_run(b, column, 256, start=bad)
 
 
 # -- conversion ---------------------------------------------------------------

@@ -1,10 +1,12 @@
 """Command-line interface: specs, exit codes, data files, worker independence."""
 
 import json
+import random
 
+import numpy as np
 import pytest
 
-from roac0.cli import _default_jobs, load_circuit, load_corpus, main
+from roac0.cli import _bp_planes, _default_jobs, load_circuit, load_corpus, main
 
 
 def run(args):
@@ -175,6 +177,36 @@ def test_bp_outputs_identical_across_jobs(tmp_path):
     assert run(args + ["--jobs", "1", "--out", str(d1)]) == 0
     assert run(args + ["--jobs", "4", "--out", str(d4)]) == 0
     assert (d1 / "bp.csv").read_bytes() == (d4 / "bp.csv").read_bytes()
+
+
+def test_bp_csv_pinned(tmp_path):
+    args = ["bp", "--corpus", "random:n=12,d=4,count=6,seed=3", "--witnesses", "5",
+            "--seed", "4", "--out", str(tmp_path)]
+    assert run(args) == 0
+    assert (tmp_path / "bp.csv").read_bytes() == (
+        b"index,n,depth,width,length,width_ok,equivalent,witnesses_ok,witnesses\n"
+        b"0,5,2,3,5,True,True,5,5\n1,12,1,2,12,True,True,5,5\n2,9,3,4,9,True,True,5,5\n"
+        b"3,5,4,5,5,True,True,5,5\n4,8,2,3,8,True,True,5,5\n5,4,1,2,4,True,True,5,5\n"
+    )
+
+
+def test_bp_checks_sampled_inputs_above_14_variables(tmp_path):
+    args = ["bp", "--corpus", "random:n=100,d=3", "--witnesses", "5", "--out", str(tmp_path)]
+    assert run(args) == 0
+    _, row = (tmp_path / "bp.csv").read_text().splitlines()
+    assert row.split(",")[1:] == ["100", "3", "4", "100", "True", "True", "5", "5"]
+
+
+def test_bp_planes_hold_the_checked_inputs():
+    every = _bp_planes(5, seed=3)
+    assert every.dtype == np.uint8 and every.shape == (5, 32)
+    assert [sum(int(every[v, x]) << v for v in range(5)) for x in range(32)] == list(range(32))
+    sampled = _bp_planes(100, seed=7)
+    rng = random.Random(7 ^ 0xB9)
+    xs = [rng.randrange(1 << 100) for _ in range(10_000)]
+    assert sampled.dtype == np.uint8 and sampled.shape == (100, 10_000)
+    for v in (0, 13, 14, 63, 64, 99):  # x14 and up vary too
+        assert sampled[v].tolist() == [(x >> v) & 1 for x in xs]
 
 
 def test_jobs_default_reads_environment(monkeypatch):

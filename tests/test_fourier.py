@@ -1,6 +1,7 @@
 """Spectra: brute-force transform oracle, level recursion, bound checkers."""
 
 import math
+import random
 import sys
 from fractions import Fraction
 
@@ -27,6 +28,7 @@ from roac0 import (
     parse,
     to_nand_form,
 )
+from roac0.circuit import evaluate_columns
 from roac0.fourier import (
     BoundReport,
     CapExceeded,
@@ -340,6 +342,24 @@ def test_truth_table_matches_evaluate(name):
     tt = truth_table(c)
     assert tt.dtype == np.uint8
     assert tt.tolist() == [evaluate(c, x) for x in range(1 << c.n)]
+
+
+SAMPLED_CORPUS = {
+    **FOLD_CORPUS,
+    "random_n100": gen_random_read_once(100, 4, seed=11, neg_prob=0.5),  # Pr[1] ~ 0.52
+    "nand_n100": to_nand_form(gen_random_read_once(100, 4, seed=13))[0],
+}
+
+
+@pytest.mark.parametrize("name", SAMPLED_CORPUS)
+def test_evaluate_columns_matches_evaluate_on_sampled_inputs(name):
+    c = SAMPLED_CORPUS[name]
+    rng = random.Random(name)
+    xs = [rng.randrange(1 << c.n) for _ in range(300)]
+    planes = np.array([[(x >> v) & 1 for x in xs] for v in range(c.n)], dtype=np.uint8)
+    got = evaluate_columns(c, lambda v: planes[v].copy(), len(xs))
+    assert got.dtype == np.uint8
+    assert got.tolist() == [evaluate(c, x) for x in xs]
 
 
 def deep_chain(depth: int) -> Circuit:
