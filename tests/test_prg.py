@@ -14,6 +14,8 @@ from roac0 import (
     BiasVector,
     CircuitError,
     acceptance_probability,
+    evaluate,
+    gen_random_read_once,
     gen_tribes,
     parse,
     restrict,
@@ -283,6 +285,17 @@ def test_exhaustive_error_within_mass_bound():
     r = fooling_error(c, gen, mode="exhaustive")
     mass = total_mass(level_profile_recursive(c))
     assert r.abs_error <= measure_bias(gen) * mass
+
+
+def test_exhaustive_fooling_counts_seeds_like_scalar_expansion():
+    c = gen_random_read_once(5, 2, seed=3)
+    gen = SmallBiasGen(6, 5)
+    before = output_distribution(gen)
+    hits = sum(evaluate(c, gen.expand(seed)) for seed in range(1 << gen.seed_bits))
+    r = fooling_error(c, gen, mode="exhaustive")
+    assert r.generator_expectation == Fraction(hits, 1 << gen.seed_bits)
+    assert check_sandwich_fooling(c, c, c, gen).passed
+    assert np.array_equal(output_distribution(gen), before)  # cached counts untouched
 
 
 def test_mc_interval_contains_exhaustive_value():
