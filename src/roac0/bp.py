@@ -40,6 +40,7 @@ from .circuit import (
     Or,
     RestrictionMask,
     simplify,
+    trampoline,
 )
 from .fourier import _wht_integers, popcounts, variable_pattern
 
@@ -247,7 +248,7 @@ def bp_from_circuit(c: Circuit) -> OrderedBP:
         if sc.root.value == 1:
             return OrderedBP(1, (), (), meta=ConstBlock(1))
         return OrderedBP(2, (0,), (((2, 2), (2, 2)),), meta=ConstBlock(0))
-    width, var_order, layers, meta, _ = _build(sc.root, False, c.n)
+    width, var_order, layers, meta, _ = trampoline(_build(sc.root, False, c.n))
     return OrderedBP(width, tuple(var_order), tuple(layers), meta=meta)
 
 
@@ -260,28 +261,28 @@ def _build(node, neg: bool, n: int):
             maps.append(((1 if bit == sat else 2), 2))
         return 2, [node.var], [tuple(maps)], LeafBlock(node.var, sat), True
     if isinstance(node, Not):
-        return _build(node.child, not neg, n)
+        return (yield _build(node.child, not neg, n))
     if isinstance(node, And):
         pairs = [(ch, False) for ch in node.children]
-        return _and_construction(pairs, n, swap=neg)
+        return (yield _and_construction(pairs, n, swap=neg))
     if isinstance(node, Or):
         # OR(cs) = NOT(AND(NOT cs)); negation toggles the final swap
         pairs = [(ch, True) for ch in node.children]
-        return _and_construction(pairs, n, swap=not neg)
+        return (yield _and_construction(pairs, n, swap=not neg))
     if isinstance(node, Nand):
         pairs = [(ch, False) for ch in node.children]
-        return _and_construction(pairs, n, swap=not neg)
+        return (yield _and_construction(pairs, n, swap=not neg))
     raise BPError(f"constant below the root; simplify first: {node}")
 
 
 def _and_construction(pairs, n: int, swap: bool):
-    built = [(_build(ch, cneg, n), ch, cneg) for ch, cneg in pairs]
-    width = max(2, max(w if ab else w + 1 for (w, _, _, _, ab), _, _ in built))
+    built = yield [_build(ch, cneg, n) for ch, cneg in pairs]
+    width = max(2, max(w if ab else w + 1 for w, _, _, _, ab in built))
 
     var_order: list[int] = []
     layers: list[Layer] = []
     slots: list[ChildSlot] = []
-    for (w, vo, ly, meta, absorbing), ch, cneg in built:
+    for (w, vo, ly, meta, absorbing), (ch, cneg) in zip(built, pairs):
         # child state u sits at parent label emb[u]; an absorbing child's
         # reject (its own top state) is shared with the parent's
         embed = list(range(w + 1))  # embed[0] unused
@@ -346,7 +347,7 @@ def bp_slice_witness(b: OrderedBP, q: BPSliceQuery) -> Circuit:
     if not (1 <= q.d1 <= b.width and 1 <= q.d2 <= b.width):
         raise BPError("states out of range")
     n = _meta_space(b)
-    node = _witness(b.meta, q.i, q.j, q.d1, q.d2)
+    node = trampoline(_witness(b.meta, q.i, q.j, q.d1, q.d2))
     return simplify(Circuit(node, n))
 
 
@@ -391,12 +392,12 @@ def _witness(meta: Meta, i: int, j: int, d1: int, d2: int):
         i_local = i - first.start + 1
         j_local = j - first.start + 1
         if j < first.end:
-            return _mid_block_target(first, i_local, j_local, d1_local, d2, w)
+            return (yield _mid_block_target(first, i_local, j_local, d1_local, d2, w))
         # block boundary: outcomes collapse to accept (1) or reject (w)
-        alive = _witness(first.meta, i_local, first.end - first.start + 1, d1_local, 1)
+        alive = yield _witness(first.meta, i_local, first.end - first.start + 1, d1_local, 1)
         return _boundary_target(alive, d2, w, swapped)
 
-    survive_first = _witness(
+    survive_first = yield _witness(
         first.meta, i - first.start + 1, first.end - first.start + 1, d1_local, 1
     )
     chain = [survive_first]
@@ -410,13 +411,13 @@ def _witness(meta: Meta, i: int, j: int, d1: int, d2: int):
             # dead at j: either the chain broke earlier, or the last child
             # walked into its own absorbing reject
             if last.absorbing:
-                avoid = Not(_witness(last.meta, 1, j_local, 1, last.width))
+                avoid = Not((yield _witness(last.meta, 1, j_local, 1, last.width)))
                 return Not(And(tuple(chain + [avoid])))
             return Not(And(tuple(chain)))
         d2_local = _unembed(d2, last, w)
         if d2_local is None:
             return _const(False)
-        reach = _witness(last.meta, 1, j_local, 1, d2_local)
+        reach = yield _witness(last.meta, 1, j_local, 1, d2_local)
         return And(tuple(chain + [reach]))
 
     alive = And(tuple(chain + [last.circuit.root]))
@@ -435,12 +436,12 @@ def _unembed(state: int, slot: ChildSlot, parent_width: int):
 def _mid_block_target(slot: ChildSlot, i_local, j_local, d1_local, d2, w):
     if d2 == w:
         if slot.absorbing:
-            return _witness(slot.meta, i_local, j_local, d1_local, slot.width)
+            return (yield _witness(slot.meta, i_local, j_local, d1_local, slot.width))
         return _const(False)
     d2_local = _unembed(d2, slot, w)
     if d2_local is None:
         return _const(False)
-    return _witness(slot.meta, i_local, j_local, d1_local, d2_local)
+    return (yield _witness(slot.meta, i_local, j_local, d1_local, d2_local))
 
 
 def _boundary_target(alive, d2: int, w: int, swapped: bool):

@@ -4,7 +4,12 @@ Circuits are immutable trees.  Gate depth counts AND/OR/NAND nodes only;
 NOT gates and leaves are free.  Every variable index may feed at most one
 leaf (read-once), which is what makes the bottom-up product formulas in
 :func:`acceptance_probability` exact.  Every bottom-up quantity is a
-:func:`fold` over the NOT-free de Morgan form.
+:func:`fold` over the NOT-free de Morgan form.  Walkers that keep the tree
+as written (the parser, the renderer, evaluation, restriction and the
+rewrites) are generators run by :func:`trampoline`, which keeps their
+recursion on an explicit stack.  Nothing here recurses in Python once per
+nesting level, so circuits of any depth work; pickling goes through the
+DSL text for the same reason.
 """
 
 from __future__ import annotations
@@ -86,11 +91,16 @@ class Circuit:
     n: int
 
     def __post_init__(self):
-        if self.n <= 0 and _collect_vars(self.root):
+        variables = self.variables()
+        if self.n <= 0 and variables:
             raise CircuitError("variable count must be positive")
-        for v in _collect_vars(self.root):
+        for v in variables:
             if v >= self.n:
                 raise CircuitError(f"leaf x{v} out of range for n={self.n}")
+
+    def __reduce__(self):
+        # the default pickle recurses once per nesting level; the text does not
+        return _from_text, (render(self), self.n)
 
     # -- structural queries ------------------------------------------------
 
@@ -148,8 +158,34 @@ def iter_nodes(node: Node) -> Iterator[Node]:
             stack.append(cur.child)
 
 
-def _collect_vars(node: Node) -> list[int]:
-    return [nd.var for nd in iter_nodes(node) if isinstance(nd, Leaf)]
+def trampoline(walk):
+    """Run a generator-based recursive walker on an explicit stack.
+
+    A walker is a generator function that yields where it would recurse: it
+    yields the generator of one recursive call, or a list of them, and gets
+    back that call's value, or the list of their values, evaluated in order.
+    Its ``return`` value is the call's value.  So ``f(x)`` in a recursive
+    body becomes ``(yield f(x))``, and the evaluation order, side effects
+    included, stays that of the recursion, at any nesting depth.
+    """
+    stack, value = [walk], None
+    while stack:
+        try:
+            call = stack[-1].send(value)
+        except StopIteration as done:
+            stack.pop()
+            value = done.value
+            continue
+        stack.append(_each(call) if isinstance(call, list) else call)
+        value = None
+    return value
+
+
+def _each(calls):
+    values = []
+    for call in calls:
+        values.append((yield call))
+    return values
 
 
 def fold(c: Circuit, leaf, const, start, absorb, finish):
@@ -221,15 +257,25 @@ def parse(text: str) -> Circuit:
     Raises :class:`ParseError` on syntax problems (with character position)
     and :class:`ReadOnceViolation` when a variable repeats.
     """
+    node = _parse_node(text)
+    circuit = Circuit(node, 1 + max((nd.var for nd in iter_nodes(node) if isinstance(nd, Leaf)),
+                                    default=0))
+    circuit.check_read_once()
+    return circuit
+
+
+def _parse_node(text: str) -> Node:
     tokens = _tokenize(text)
     if not tokens:
         raise ParseError("empty input", 0)
-    node, rest = _parse_expr(tokens, 0)
+    node, rest = trampoline(_parse_expr(tokens, 0))
     if rest != len(tokens):
         raise ParseError("trailing input after expression", tokens[rest][1])
-    circuit = Circuit(node, max(_collect_vars(node), default=-1) + 1 or 1)
-    circuit.check_read_once()
-    return circuit
+    return node
+
+
+def _from_text(text: str, n: int) -> Circuit:
+    return Circuit(_parse_node(text), n)
 
 
 def _parse_expr(tokens: list[tuple[str, int]], i: int) -> tuple[Node, int]:
@@ -245,7 +291,7 @@ def _parse_expr(tokens: list[tuple[str, int]], i: int) -> tuple[Node, int]:
         children = []
         j = i + 2
         while j < len(tokens) and tokens[j][0] != ")":
-            child, j = _parse_expr(tokens, j)
+            child, j = yield _parse_expr(tokens, j)
             children.append(child)
         if j >= len(tokens):
             raise ParseError("missing ')'", pos)
@@ -272,7 +318,7 @@ def _parse_expr(tokens: list[tuple[str, int]], i: int) -> tuple[Node, int]:
 
 def render(c: Circuit) -> str:
     """Canonical single-line DSL text; ``parse(render(c))`` round-trips."""
-    return _render_node(c.root)
+    return trampoline(_render_node(c.root))
 
 
 def _render_node(node: Node) -> str:
@@ -282,9 +328,9 @@ def _render_node(node: Node) -> str:
     if isinstance(node, Const):
         return str(node.value)
     if isinstance(node, Not):
-        return f"(not {_render_node(node.child)})"
+        return f"(not {(yield _render_node(node.child))})"
     name = {And: "and", Or: "or", Nand: "nand"}[type(node)]
-    return f"({name} {' '.join(_render_node(ch) for ch in node.children)})"
+    return f"({name} {' '.join((yield [_render_node(ch) for ch in node.children]))})"
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +379,7 @@ def evaluate(c: Circuit, x: int | Sequence[int] | str) -> int:
     or a '0101' string (position ``k`` = variable ``k``).
     """
     mask = _as_mask(x, c.n)
-    return _eval_node(c.root, mask)
+    return trampoline(_eval_node(c.root, mask))
 
 
 def _as_mask(x, n: int) -> int:
@@ -355,20 +401,20 @@ def _eval_node(node: Node, mask: int) -> int:
     if isinstance(node, Const):
         return node.value
     if isinstance(node, Not):
-        return 1 - _eval_node(node.child, mask)
+        return 1 - (yield _eval_node(node.child, mask))
     if isinstance(node, And):
         for ch in node.children:
-            if _eval_node(ch, mask) == 0:
+            if (yield _eval_node(ch, mask)) == 0:
                 return 0
         return 1
     if isinstance(node, Or):
         for ch in node.children:
-            if _eval_node(ch, mask) == 1:
+            if (yield _eval_node(ch, mask)) == 1:
                 return 1
         return 0
     # Nand
     for ch in node.children:
-        if _eval_node(ch, mask) == 0:
+        if (yield _eval_node(ch, mask)) == 0:
             return 1
     return 0
 
@@ -410,14 +456,20 @@ def restrict(c: Circuit, m: RestrictionMask) -> Circuit:
         if isinstance(node, Const):
             return node
         if isinstance(node, Not):
-            return Not(go(node.child))
-        return type(node)(tuple(go(ch) for ch in node.children))
+            return Not((yield go(node.child)))
+        return type(node)(tuple((yield [go(ch) for ch in node.children])))
 
-    return Circuit(go(c.root), c.n)
+    return Circuit(trampoline(go(c.root)), c.n)
 
 
 # ---------------------------------------------------------------------------
 # Normalization
+
+
+def _collect(children, child, is_and):
+    # a fold's ``absorb`` for gates that need every child's value at ``finish``
+    children.append(child)
+    return children
 
 
 def push_nots_to_leaves(c: Circuit) -> Circuit:
@@ -426,12 +478,7 @@ def push_nots_to_leaves(c: Circuit) -> Circuit:
     Preserves the computed function and the gate depth.  NAND gates are
     rewritten into NOT-free AND/OR structure as well.
     """
-
-    def absorb(children, child, is_and):
-        children.append(child)
-        return children
-
-    root = fold(c, Leaf, Const, list, absorb,
+    root = fold(c, Leaf, Const, list, _collect,
                 lambda children, is_and, nand: (And if is_and else Or)(tuple(children)))
     return Circuit(root, c.n)
 
@@ -443,34 +490,18 @@ def to_nand_form(c: Circuit) -> tuple[Circuit, dict]:
     and after (the rewrite at most doubles it).  The function is unchanged.
     """
 
-    def pos(node: Node) -> Node:
-        if isinstance(node, Leaf):
-            return node
-        if isinstance(node, Const):
-            return node
-        if isinstance(node, Not):
-            return neg(node.child)
-        if isinstance(node, And):
-            return Nand((Nand(tuple(pos(ch) for ch in node.children)),))
-        if isinstance(node, Or):
-            return Nand(tuple(neg(ch) for ch in node.children))
-        return Nand(tuple(pos(ch) for ch in node.children))  # Nand kept
+    # each node's value is (its NAND form, its negation's NAND form), over the
+    # de Morgan form: an AND (or a NOT-ed OR or NAND) is NOT(NAND(cs)), an OR
+    # (or a NOT-ed AND, or a NAND) is NAND(NOT cs)
+    def leaf(var, negated):
+        return Leaf(var, negated), Leaf(var, not negated)
 
-    def neg(node: Node) -> Node:
-        if isinstance(node, Leaf):
-            return Leaf(node.var, not node.negated)
-        if isinstance(node, Const):
-            return Const(1 - node.value)
-        if isinstance(node, Not):
-            return pos(node.child)
-        if isinstance(node, And):
-            return Nand(tuple(pos(ch) for ch in node.children))
-        if isinstance(node, Or):
-            # NOT(OR(cs)) == AND(neg cs) == NAND(NAND(neg cs))
-            return Nand((Nand(tuple(neg(ch) for ch in node.children)),))
-        return Nand((Nand(tuple(pos(ch) for ch in node.children)),))
+    def finish(children, is_and, nand):
+        inner = Nand(tuple(child[0 if is_and else 1] for child in children))
+        return (Nand((inner,)), inner) if is_and else (inner, Nand((inner,)))
 
-    result = Circuit(pos(c.root), c.n)
+    pos, _ = fold(c, leaf, lambda value: (Const(value), Const(1 - value)), list, _collect, finish)
+    result = Circuit(pos, c.n)
     info = {"depth_before": c.depth, "depth_after": result.depth}
     return result, info
 
@@ -482,14 +513,14 @@ def simplify(c: Circuit) -> Circuit:
     the circuit computes a constant function: every surviving leaf of a
     constant-propagated read-once formula is influential.
     """
-    return Circuit(_simplify_node(c.root), c.n)
+    return Circuit(trampoline(_simplify_node(c.root)), c.n)
 
 
 def _simplify_node(node: Node) -> Node:
     if isinstance(node, (Leaf, Const)):
         return node
     if isinstance(node, Not):
-        child = _simplify_node(node.child)
+        child = yield _simplify_node(node.child)
         if isinstance(child, Const):
             return Const(1 - child.value)
         if isinstance(child, Leaf):
@@ -500,7 +531,7 @@ def _simplify_node(node: Node) -> Node:
     absorbing = 0 if isinstance(node, (And, Nand)) else 1
     kept = []
     for ch in node.children:
-        ch = _simplify_node(ch)
+        ch = yield _simplify_node(ch)
         if isinstance(ch, Const):
             if ch.value == absorbing:
                 return Const(1 if isinstance(node, Nand) else absorbing)
@@ -532,9 +563,9 @@ def strip_leaf_negations(c: Circuit) -> Circuit:
             return node
         if isinstance(node, Not):
             raise CircuitError("strip_leaf_negations expects NOTs at leaves")
-        return type(node)(tuple(go(ch) for ch in node.children))
+        return type(node)(tuple((yield [go(ch) for ch in node.children])))
 
-    return Circuit(go(c.root), c.n)
+    return Circuit(trampoline(go(c.root)), c.n)
 
 
 # ---------------------------------------------------------------------------
@@ -626,12 +657,12 @@ def gen_recursive_tribes(depth: int, fanins: Sequence[int]) -> Circuit:
             leaf = Leaf(counter)
             counter += 1
             return leaf
-        children = tuple(build(level + 1) for _ in range(fanins[level]))
+        children = tuple((yield [build(level + 1) for _ in range(fanins[level])]))
         # bottom gate level (level == depth-1) is AND; alternate upward
         is_and = (depth - 1 - level) % 2 == 0
         return And(children) if is_and else Or(children)
 
-    root = build(0)
+    root = trampoline(build(0))
     return Circuit(root, counter)
 
 
@@ -673,9 +704,9 @@ def gen_random_read_once(
             blocks.append(rest[prev:cut])
             prev = cut
         rng.shuffle(blocks)
-        children = tuple(build(b, d - 1, not is_and) for b in blocks)
+        children = tuple((yield [build(b, d - 1, not is_and) for b in blocks]))
         return (And if is_and else Or)(children)
 
-    circuit = Circuit(build(variables, depth, root_is_and), n)
+    circuit = Circuit(trampoline(build(variables, depth, root_is_and)), n)
     circuit.check_read_once()
     return circuit

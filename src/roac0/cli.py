@@ -203,11 +203,15 @@ def _jsonable(obj):
 
 
 class Reporter:
-    """Collects data files and check results for one run."""
+    """Collects data files and check results for one run.
 
-    def __init__(self, command: str, options: dict, out_dir: str | None):
-        self.manifest = RunManifest(ExperimentConfig(command, options))
-        self.out_dir = Path(out_dir) if out_dir else None
+    The manifest echoes the parsed command line: every option but ``--out``.
+    """
+
+    def __init__(self, args):
+        options = {k: v for k, v in vars(args).items() if k not in ("command", "fn", "out")}
+        self.manifest = RunManifest(ExperimentConfig(args.command, options))
+        self.out_dir = Path(args.out) if args.out else None
         self._payloads: list[tuple[str, str]] = []
         self._t0 = time.time()
 
@@ -251,6 +255,13 @@ def _default_jobs() -> int:
         return 1
 
 
+def _fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise UsageError(f"{text!r} divides by zero") from None
+
+
 def _pmap(fn, items: list, jobs: int) -> list:
     # order-preserving map; results never depend on the worker count
     if jobs <= 1 or len(items) <= 1:
@@ -263,7 +274,7 @@ def _pmap(fn, items: list, jobs: int) -> list:
 
 
 def cmd_describe(args) -> int:
-    rep = Reporter("describe", {"circuit": args.circuit}, args.out)
+    rep = Reporter(args)
     c = load_circuit(args.circuit)
     f0 = acceptance_probability(c, BiasVector.uniform(c.n))
     info = {
@@ -285,11 +296,7 @@ def cmd_describe(args) -> int:
 
 
 def cmd_fourier(args) -> int:
-    rep = Reporter(
-        "fourier",
-        {"circuit": args.circuit, "p": args.p, "check": args.check},
-        args.out,
-    )
+    rep = Reporter(args)
     c = load_circuit(args.circuit)
     lp = fmod.level_profile_recursive(c)
     rows = [
@@ -326,7 +333,7 @@ def cmd_fourier(args) -> int:
 
 def _bounds_task(item):
     idx, c, eps_opt, p_opt = item
-    eps = Fraction(eps_opt) if eps_opt is not None else Fraction(1, c.n)
+    eps = eps_opt if eps_opt is not None else Fraction(1, c.n)
     r = fmod.check_mainbound(c, eps, p=p_opt)
     return (
         idx,
@@ -342,13 +349,10 @@ def _bounds_task(item):
 
 
 def cmd_bounds(args) -> int:
-    rep = Reporter(
-        "bounds",
-        {"corpus": args.corpus, "eps": args.eps, "p": args.p, "jobs": args.jobs},
-        args.out,
-    )
+    rep = Reporter(args)
+    eps = None if args.eps is None else _fraction(args.eps)
     circuits = load_corpus(args.corpus)
-    items = [(i, c, args.eps, args.p) for i, c in enumerate(circuits)]
+    items = [(i, c, eps, args.p) for i, c in enumerate(circuits)]
     rows = _pmap(_bounds_task, items, args.jobs)
     failures = sum(1 for row in rows if not row[6])
     rep.add_csv(
@@ -406,16 +410,9 @@ def _bp_task(item):
 
 
 def cmd_bp(args) -> int:
-    rep = Reporter(
-        "bp",
-        {
-            "corpus": args.corpus,
-            "witnesses": args.witnesses,
-            "seed": args.seed,
-            "jobs": args.jobs,
-        },
-        args.out,
-    )
+    rep = Reporter(args)
+    if args.witnesses < 0:
+        raise UsageError(f"--witnesses {args.witnesses} is negative")
     circuits = load_corpus(args.corpus)
     items = [(i, c, args.witnesses, args.seed + i) for i, c in enumerate(circuits)]
     rows = _pmap(_bp_task, items, args.jobs)
@@ -454,22 +451,7 @@ def _build_expander(args, n: int):
 
 
 def cmd_prg(args) -> int:
-    rep = Reporter(
-        "prg",
-        {
-            "circuit": args.circuit,
-            "mode": args.mode,
-            "ell": args.ell,
-            "a": args.a,
-            "rounds": args.rounds,
-            "eps": args.eps,
-            "trials": args.trials,
-            "exhaustive": args.exhaustive,
-            "seed": args.seed,
-            "max_error": args.max_error,
-        },
-        args.out,
-    )
+    rep = Reporter(args)
     c = load_circuit(args.circuit)
     gen = _build_expander(args, c.n)
     mode = "exhaustive" if args.exhaustive else "mc"
@@ -491,20 +473,9 @@ def cmd_prg(args) -> int:
 
 
 def cmd_shrink(args) -> int:
-    rep = Reporter(
-        "shrink",
-        {
-            "circuit": args.circuit,
-            "p": args.p,
-            "eps": args.eps,
-            "trials": args.trials,
-            "seed": args.seed,
-            "threshold": args.threshold,
-        },
-        args.out,
-    )
+    rep = Reporter(args)
     c = load_circuit(args.circuit)
-    eps = Fraction(args.eps)
+    eps = _fraction(args.eps)
     r = shmod.shrink_experiment(
         c, args.p, eps, trials=args.trials, master_seed=args.seed,
         threshold=args.threshold,
@@ -529,15 +500,7 @@ def cmd_shrink(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    rep = Reporter(
-        "bench",
-        {
-            "wht_n": args.wht_n,
-            "recursion_leaves": args.recursion_leaves,
-            "mc_trials": args.mc_trials,
-        },
-        args.out,
-    )
+    rep = Reporter(args)
     results = {}
 
     c = gen_random_read_once(args.wht_n, 3, seed=1)
@@ -678,22 +641,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except UsageError as e:
+    except (CircuitError, ValueError, OSError) as e:  # UsageError is a CircuitError
         print(f"error: {e}", file=sys.stderr)
-        return 2
-    except CircuitError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except RecursionError:
-        # the circuit walkers recurse once per nesting level
-        print(
-            "error: circuit nested too deeply for the recursive walkers "
-            f"(Python recursion limit {sys.getrecursionlimit()})",
-            file=sys.stderr,
-        )
         return 2
 
 

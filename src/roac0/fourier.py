@@ -309,10 +309,22 @@ def check_lp_sandwich(lp: LevelProfile, p, tolerance: float = 0.0) -> BoundRepor
     )
 
 
+def growth_factor(n: int, depth: int, eps) -> float:
+    """(9 log2(4^D n / eps))^D at D = ``depth``, or CircuitError past the float range."""
+    try:
+        factor = (9.0 * math.log2((4.0**depth) * n / eps)) ** depth
+    except OverflowError:
+        factor = math.inf
+    if math.isinf(factor):
+        raise CircuitError(
+            f"growth factor (9 log2(4^D n/eps))^D overflows a float at D={depth}, n={n}"
+        )
+    return factor
+
+
 def boundary_p(n: int, depth: int, eps: float) -> float:
     """Largest admissible damping 1 / (9 log2(4^D n / eps))^D."""
-    d = max(depth, 1)
-    return 1.0 / (9.0 * math.log2((4.0**d) * n / eps)) ** d
+    return 1.0 / growth_factor(n, max(depth, 1), eps)
 
 
 def check_mainbound(
@@ -324,11 +336,11 @@ def check_mainbound(
     treated as depth 1 (wrap in a unary AND, which changes nothing else).
     The explicit constant is 9 and logs are base 2.
     """
-    if Fraction(eps) > Fraction(1, c.n):
-        raise CircuitError(f"eps={eps} exceeds 1/n for n={c.n}")
+    if not 0 < Fraction(eps) <= Fraction(1, c.n):
+        raise CircuitError(f"eps={eps} outside (0, 1/n] for n={c.n}")
     d = max(c.depth, 1)
-    logterm = 9.0 * math.log2((4.0**d) * c.n / eps)
-    p_max = 1.0 / logterm**d
+    factor = growth_factor(c.n, d, eps)
+    p_max = 1.0 / factor
     if p is None:
         p = p_max
     elif p > p_max * (1 + 1e-12):
@@ -337,7 +349,7 @@ def check_mainbound(
     lhs = float(damped_mass(lp, p))
     f0 = lp.signed_sum[0]  # F_hat[0] = E[F]
     minf0 = float(min(f0, 1 - f0))
-    rhs = p * minf0 * logterm**d + eps
+    rhs = p * minf0 * factor + eps
     return _report(
         lhs,
         rhs,

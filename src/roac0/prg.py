@@ -320,11 +320,6 @@ class UniformGen:
         return _fields(bits, [0], self.n)[:, 0].view(np.int64)
 
 
-def _iter_outputs(gen, chunk_bits: int = 20) -> Iterator[np.ndarray]:
-    """Every seed's output in seed order, in int64 chunks of about 2^chunk_bits."""
-    return gen._output_chunks(chunk_bits)
-
-
 @lru_cache(maxsize=6)
 def _distribution_cached(gen) -> np.ndarray:
     """Read-only counts of each n-bit output over the full seed space."""
@@ -336,7 +331,7 @@ def _distribution_cached(gen) -> np.ndarray:
         raise CapExceeded(f"output distribution for n={gen.n} exceeds cap {WHT_CAP}")
     # chunks of at least 2^n outputs, so each 2^n-bin bincount pays for itself
     counts = None
-    for chunk in _iter_outputs(gen, chunk_bits=max(20, gen.n)):
+    for chunk in gen._output_chunks(chunk_bits=max(20, gen.n)):
         part = np.bincount(chunk, minlength=1 << gen.n)
         if counts is None:
             counts = part

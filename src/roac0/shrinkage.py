@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil, log2, sqrt
+from math import ceil, sqrt
 from typing import Iterator
 
 import numpy as np
@@ -36,14 +36,17 @@ from .circuit import (
     Leaf,
     Nand,
     Node,
+    _collect,
     acceptance_probability,
     fold,
     iter_nodes,
     push_nots_to_leaves,
     simplify,
     strip_leaf_negations,
+    trampoline,
 )
 from .fourier import biased_gap  # noqa: F401  (perfbench's tracer wraps this name here)
+from .fourier import growth_factor
 from .prg import wilson_interval
 
 _ALIVE = 2
@@ -68,10 +71,6 @@ def _restricted(c: Circuit, free: np.ndarray, x: np.ndarray, stats: bool = False
     def const(value):
         s = np.full(trials, value, dtype=np.int8)
         return (s, zeros, zeros) if stats else s
-
-    def absorb(children, child, is_and):
-        children.append(child)
-        return children
 
     def finish(children, is_and, nand):
         # one absorbing child fixes the gate; otherwise an alive child keeps it alive
@@ -99,7 +98,7 @@ def _restricted(c: Circuit, free: np.ndarray, x: np.ndarray, stats: bool = False
         fan[dead] = 0
         return state, leaves, fan
 
-    return fold(c, leaf, const, list, absorb, finish)
+    return fold(c, leaf, const, list, _collect, finish)
 
 
 def _exact_nonconstant_probability(c: Circuit, p) -> Fraction:
@@ -189,8 +188,8 @@ def collapse_probability(
         raise CircuitError(f"eps={eps} not inside (0, 1/{n})")
     if not 0 < eps < 1:
         raise CircuitError(f"eps={eps} outside (0,1)")
-    logterm = 9 * log2((4**D) * n / eps)
-    pmax = 1.0 if D == 0 else logterm**-D
+    factor = growth_factor(n, D, eps)
+    pmax = 1.0 / factor
     if enforce_bounds and p > pmax * (1 + 1e-12):
         raise CircuitError(f"p={p} above the damping boundary {pmax}")
     if trials < 1:
@@ -202,7 +201,7 @@ def collapse_probability(
     se = sqrt(max(estimate * (1 - estimate), 1e-300) / trials)
     f0 = acceptance_probability(c, BiasVector.uniform(n))
     minf0 = float(min(f0, 1 - f0))
-    rhs = 2 * p * minf0 * logterm**D + 2 * eps
+    rhs = 2 * p * minf0 * factor + 2 * eps
     exact = _exact_nonconstant_probability(c, p)
     return CollapseReport(
         estimate=estimate,
@@ -237,16 +236,12 @@ class SandwichPair:
 
 
 def _require_nand_form(node: Node) -> None:
-    if isinstance(node, (Leaf, Const)):
-        return
-    if isinstance(node, Nand):
-        for ch in node.children:
-            _require_nand_form(ch)
-        return
-    raise CircuitError(
-        f"sandwich construction needs NAND form (got {type(node).__name__}); "
-        "run to_nand_form first"
-    )
+    for nd in iter_nodes(node):
+        if not isinstance(nd, (Leaf, Const, Nand)):
+            raise CircuitError(
+                f"sandwich construction needs NAND form (got {type(nd).__name__}); "
+                "run to_nand_form first"
+            )
 
 
 def _make_nand(nodes, accs):
@@ -278,7 +273,7 @@ def _sandwich_node(node: Node, e: Fraction):
     if isinstance(node, Const):
         v = Fraction(node.value)
         return node, node, v, v, v
-    parts = [_sandwich_node(ch, e) for ch in node.children]
+    parts = yield [_sandwich_node(ch, e) for ch in node.children]
     lows = [p[0] for p in parts]
     ups = [p[1] for p in parts]
     alows = [p[2] for p in parts]
@@ -337,7 +332,7 @@ def build_sandwich(c: Circuit, eps) -> SandwichPair:
         raise CircuitError(f"eps={eps} outside (0, 1/4]")
     _require_nand_form(c.root)
     base = simplify(c)
-    low, up, acc_low, acc_up, _ = _sandwich_node(base.root, e)
+    low, up, acc_low, acc_up, _ = trampoline(_sandwich_node(base.root, e))
     lower = simplify(Circuit(low, c.n))
     upper = simplify(Circuit(up, c.n))
     for half in (lower, upper):

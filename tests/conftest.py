@@ -2,7 +2,7 @@
 
 import random
 
-from roac0 import gen_random_read_once
+from roac0 import And, Circuit, Leaf, Nand, Not, Or, gen_random_read_once
 
 
 def random_corpus(count, n_max, d_max, seed, n_min=2):
@@ -19,3 +19,14 @@ def random_corpus(count, n_max, d_max, seed, n_min=2):
         d = rng.randint(1, d_max)
         out.append(gen_random_read_once(n, d, seed=rng.randrange(2**32)))
     return out
+
+
+def deep_chain(depth: int) -> Circuit:
+    """And/Or/Nand gates nested ``depth`` deep, one leaf each, NOTs sprinkled in."""
+    node = Leaf(0)
+    for i in range(1, depth + 1):
+        gate = (And, Or, Nand)[i % 3]
+        node = gate((node, Leaf(i, negated=i % 2 == 0)))
+        if i % 5 == 0:
+            node = Not(node)
+    return Circuit(node, depth + 1)

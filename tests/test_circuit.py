@@ -1,12 +1,15 @@
 """Circuit AST: parsing, evaluation, restriction, simplification, generators."""
 
+import pickle
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_corpus
+from conftest import deep_chain, random_corpus
 from roac0 import (
     And,
     BiasVector,
@@ -31,6 +34,7 @@ from roac0 import (
     simplify,
     to_nand_form,
 )
+from roac0.circuit import evaluate_columns, strip_leaf_negations, trampoline
 from roac0.fourier import truth_table
 
 
@@ -212,6 +216,82 @@ def test_to_nand_form_preserves_function_on_corpus():
     for c in random_corpus(20, 12, 3, seed=51):
         nand, _ = to_nand_form(c)
         assert (truth_table(nand) == truth_table(c)).all()
+
+
+def test_to_nand_form_structure_pinned():
+    # NOTs above gates, a NAND under a NOT, constants: the rewrite's exact shape
+    cases = {
+        "(or x0 (not (and x1 x2)) (nand x3 (not x4)))":
+            ("(nand (not x0) (nand (nand x1 x2)) (nand (nand x3 (not x4))))", 3),
+        "(not (or (and x0 1) (nand (not (or x1 x2)) 0)))":
+            ("(nand (nand (nand x0 1) (nand (nand (nand (nand (not x1) (not x2))) 0))))", 6),
+    }
+    for text, (want, depth) in cases.items():
+        nand, info = to_nand_form(parse(text))
+        assert render(nand) == want and info["depth_after"] == depth
+
+
+# -- deep nesting and pickling ---------------------------------------------
+
+
+def test_trampoline_keeps_the_recursion_order():
+    # each call records its path from the root; values come back in call order
+    def plain(path, seen):
+        seen.append(path)
+        if len(path) == 4:
+            return [path]
+        first = plain(path + "a", seen)
+        return first + sum([plain(path + k, seen) for k in "bc"], [])
+
+    def walk(path, seen):
+        seen.append(path)
+        if len(path) == 4:
+            return [path]
+        first = yield walk(path + "a", seen)
+        return first + sum((yield [walk(path + k, seen) for k in "bc"]), [])
+
+    a, b = [], []
+    assert trampoline(walk("", b)) == plain("", a)
+    assert a == b and len(a) == 1 + 3 + 9 + 27 + 81
+
+    def count(k):
+        if k == 0:
+            raise ValueError("bottom")
+        return 1 + (yield count(k - 1))
+
+    with pytest.raises(ValueError, match="bottom"):
+        trampoline(count(100_000))
+
+
+def test_structure_walkers_handle_deep_nesting():
+    c = deep_chain(1200)
+    text = render(c)
+    assert render(parse(text)) == text
+    assert render(pickle.loads(pickle.dumps(c))) == text  # == on deep trees recurses
+    nand, info = to_nand_form(c)
+    assert info == {"depth_before": 1200, "depth_after": nand.depth}
+    mono = strip_leaf_negations(push_nots_to_leaves(c))
+    assert mono.is_monotone()
+    rng = random.Random(7)
+    t, fixed = rng.getrandbits(c.n), rng.getrandbits(c.n)
+    restricted = restrict(c, RestrictionMask(t, fixed, c.n))
+    xs = [rng.getrandbits(c.n) for _ in range(40)]
+    columns = [[(x >> v) & 1 for x in xs] for v in range(c.n)]
+    want = evaluate_columns(c, lambda v: np.array(columns[v], dtype=np.uint8), len(xs)).tolist()
+    for x, value in zip(xs, want):
+        assert evaluate(c, x) == evaluate(nand, x) == evaluate(simplify(c), x) == value
+        assert evaluate(restricted, x) == evaluate(c, (x & t) | (fixed & ~t))
+    assert gen_random_read_once(2000, 1200, seed=1).depth == 1200
+    assert gen_recursive_tribes(1200, [2, 2] + [1] * 1198).size == 4
+
+
+def test_pickle_goes_through_text():
+    # a NOT over a leaf comes back as a negated leaf, as parse stores it; n
+    # survives, and so does a circuit that is not read-once
+    c = Circuit(And((Not(Leaf(0)), Leaf(2))), 5)
+    assert pickle.loads(pickle.dumps(c)) == Circuit(And((Leaf(0, negated=True), Leaf(2))), 5)
+    twice = Circuit(Or((Leaf(1), Leaf(1))), 2)
+    assert pickle.loads(pickle.dumps(twice)) == twice
 
 
 # -- exact acceptance ---------------------------------------------------------

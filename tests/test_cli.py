@@ -61,10 +61,39 @@ def test_describe_ok(capsys):
     assert "[PASS] circuit is read-once" in out
 
 
-def test_deeply_nested_circuit_is_a_usage_error(capsys):
-    deep = "(and " * 1200 + "x0" + ")" * 1200
-    assert run(["describe", "--circuit", deep]) == 2
-    assert "nested too deeply" in capsys.readouterr().err
+def _write_deep_chain(tmp_path):
+    # (and (or (nand (not (and ... x0)))) nested 1,200 deep
+    heads = ("(and ", "(or ", "(nand ", "(not ")
+    f = tmp_path / "deep.txt"
+    f.write_text("".join(heads[i % 4] for i in range(1200)) + "x0" + ")" * 1200 + "\n")
+    return str(f)
+
+
+@pytest.mark.parametrize("args", [
+    ["describe", "--circuit"],
+    ["fourier", "--check", "--circuit"],
+    ["bp", "--witnesses", "3", "--corpus"],
+    ["prg", "--mode", "uniform", "--trials", "1000", "--circuit"],
+    ["prg", "--mode", "smallbias", "--ell", "2", "--exhaustive", "--circuit"],
+    ["shrink", "--p", "0.5", "--eps", "1/16", "--trials", "100", "--circuit"],
+], ids=["describe", "fourier-check", "bp-witnesses", "prg-uniform", "prg-smallbias-exhaustive",
+        "shrink"])
+def test_deep_chain_runs_through_every_subcommand(tmp_path, args):
+    assert run(args + [_write_deep_chain(tmp_path)]) == 0
+
+
+def test_deep_chain_bound_overflow_exits_2(tmp_path, capsys):
+    assert run(["bounds", "--corpus", _write_deep_chain(tmp_path)]) == 2
+    assert "overflows a float" in capsys.readouterr().err
+
+
+def test_deep_generated_and_chained_inputs(tmp_path):
+    f = tmp_path / "and600.txt"
+    f.write_text("".join(f"(and x{i} " for i in range(600)) + "x600" + ")" * 600)
+    assert run(["bp", "--corpus", str(f), "--witnesses", "3"]) == 0
+    assert run(["describe", "--circuit", "random:n=2000,d=1200,seed=1"]) == 0
+    widths = "-".join(["2", "2"] + ["1"] * 1198)
+    assert run(["describe", "--circuit", f"rectribes:d=1200,widths={widths}"]) == 0
 
 
 def test_describe_tribes_acceptance(capsys):
@@ -98,6 +127,17 @@ def test_failing_threshold_exits_1(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("args", [
+    ["bounds", "--corpus", "random:n=8,d=3,count=2", "--eps", "1/0"],
+    ["bounds", "--corpus", "random:n=8,d=3,count=2", "--eps", "0"],
+    ["shrink", "--circuit", "tribes:m=2,w=2", "--p", "0.3", "--eps", "1/0"],
+    ["bp", "--corpus", "random:n=8,d=3", "--witnesses", "-1"],
+], ids=["bounds-eps-1/0", "bounds-eps-0", "shrink-eps-1/0", "bp-witnesses--1"])
+def test_bad_numbers_exit_2(args, capsys):
+    assert run(args) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_version_flag():
     with pytest.raises(SystemExit) as e:
         run(["--version"])
@@ -122,6 +162,20 @@ def test_fourier_writes_levels_and_manifest(tmp_path):
     assert man["checks"]["failed"] == 0
     data = json.loads((tmp_path / "fourier.json").read_text())
     assert data["n"] == 2
+
+
+def test_manifest_config_echoes_the_options(tmp_path):
+    assert run([
+        "prg", "--circuit", "and:k=3", "--mode", "restriction", "--a", "2",
+        "--rounds", "3", "--trials", "100", "--max-error", "0.5", "--out", str(tmp_path),
+    ]) == 0
+    assert json.loads((tmp_path / "run.json").read_text())["config"] == {
+        "command": "prg",
+        "options": {
+            "a": 2, "circuit": "and:k=3", "ell": None, "eps": None, "exhaustive": False,
+            "max_error": 0.5, "mode": "restriction", "rounds": 3, "seed": 0, "trials": 100,
+        },
+    }
 
 
 def test_shrink_writes_sizes(tmp_path):
@@ -168,6 +222,23 @@ def test_bounds_outputs_identical_across_jobs(tmp_path):
     assert run(["bounds", "--corpus", spec, "--jobs", "4", "--out", str(d4)]) == 0
     for name in ("bounds.csv", "bounds.json"):
         assert (d1 / name).read_bytes() == (d4 / name).read_bytes()
+
+
+def test_bounds_csv_pinned(tmp_path):
+    args = ["bounds", "--corpus", "random:n=40,d=4,count=5,seed=2", "--eps", "1/1000",
+            "--out", str(tmp_path)]
+    assert run(args) == 0
+    assert (tmp_path / "bounds.csv").read_text() == (
+        "index,n,depth,lhs,rhs,slack,passed,p,eps\n"
+        "0,5,1,0.0012341544030439943,0.03225,0.031015845596956006,True,0.007776690078822464,0.001\n"
+        "1,12,3,1.0352246707780154e-07,0.143822265625,0.14382216210253293,True,"
+        "1.8356184700527782e-07,0.001\n"
+        "2,29,4,4.880457639632648e-10,0.49755655957758427,0.4975565590895385,True,"
+        "5.616694372154248e-10,0.001\n"
+        "3,34,3,1.0993866074259915e-07,0.2544761047572829,0.25447599481862215,True,"
+        "1.4699927972736893e-07,0.001\n"
+        "4,3,2,3.190845688494102e-05,0.376,0.37596809154311506,True,5.10519672072808e-05,0.001\n"
+    )
 
 
 def test_bp_outputs_identical_across_jobs(tmp_path):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_corpus
+from conftest import deep_chain, random_corpus
 from roac0 import (
     And,
     BiasVector,
@@ -18,9 +18,7 @@ from roac0 import (
     CircuitError,
     Const,
     Leaf,
-    Nand,
     Not,
-    Or,
     acceptance_probability,
     evaluate,
     gen_random_read_once,
@@ -263,6 +261,19 @@ def test_mainbound_rejects_p_above_boundary():
 def test_boundary_p_value():
     # D=1, n=2, eps=1/2: 9*log2(4*2/(1/2)) = 9*4 = 36
     assert boundary_p(2, 1, 0.5) == pytest.approx(1 / 36)
+
+
+def test_growth_factor_overflow_is_a_circuit_error():
+    # (9 log2(4^D n/eps))^D passes the float range near D = 95 at n = 1, eps = 1,
+    # and 4.0**D alone does at D = 512
+    def chain(d):
+        return parse("(and " * d + "x0" + ")" * d)
+
+    assert check_mainbound(chain(90), 1).passed
+    with pytest.raises(CircuitError, match="overflows"):
+        check_mainbound(chain(100), 1)
+    with pytest.raises(CircuitError, match="overflows"):
+        boundary_p(10, 600, 0.01)
     assert boundary_p(2, 0, 0.5) == pytest.approx(1 / 36)  # depth floor at 1
 
 
@@ -360,17 +371,6 @@ def test_evaluate_columns_matches_evaluate_on_sampled_inputs(name):
     got = evaluate_columns(c, lambda v: planes[v].copy(), len(xs))
     assert got.dtype == np.uint8
     assert got.tolist() == [evaluate(c, x) for x in xs]
-
-
-def deep_chain(depth: int) -> Circuit:
-    """And/Or/Nand gates nested ``depth`` deep, one leaf each, NOTs sprinkled in."""
-    node = Leaf(0)
-    for i in range(1, depth + 1):
-        gate = (And, Or, Nand)[i % 3]
-        node = gate((node, Leaf(i, negated=i % 2 == 0)))
-        if i % 5 == 0:
-            node = Not(node)
-    return Circuit(node, depth + 1)
 
 
 def test_folds_handle_deep_nesting():

@@ -38,7 +38,7 @@ from roac0.prg import (
     smallbias_expand,
     wilson_interval,
 )
-from roac0.prg import _gf_mul_many, _gf_shifts, _iter_outputs, _seed_bytes
+from roac0.prg import _gf_mul_many, _gf_shifts, _seed_bytes
 
 
 # -- field arithmetic ---------------------------------------------------------
@@ -104,7 +104,7 @@ def test_expand_rejects_oversized_n():
 @pytest.mark.parametrize("chunk_bits", [3, 6, 11])  # below ell, between, above 2*ell
 def test_chunked_outputs_match_scalar(chunk_bits):
     gen = SmallBiasGen(5, 9)
-    seen = np.concatenate(list(_iter_outputs(gen, chunk_bits=chunk_bits)))
+    seen = np.concatenate(list(gen._output_chunks(chunk_bits=chunk_bits)))
     want = [gen.expand(s) for s in range(1 << gen.seed_bits)]
     assert seen.tolist() == want
 
@@ -145,8 +145,8 @@ def test_batched_layout_expansion_matches_scalar(gen):
 def test_restriction_chunks_agree_across_sub_steps():
     # a 2^21-seed chunk is filled in 2^20-seed steps
     gen = RestrictionPRG(21, a=1, rounds=1, ell_sel=2, ell_asn=4, ell_final=5)
-    wide = np.concatenate(list(_iter_outputs(gen, chunk_bits=21)))
-    narrow = np.concatenate(list(_iter_outputs(gen, chunk_bits=20)))
+    wide = np.concatenate(list(gen._output_chunks(chunk_bits=21)))
+    narrow = np.concatenate(list(gen._output_chunks(chunk_bits=20)))
     assert np.array_equal(wide, narrow)
     assert [int(v) for v in wide[[0, 12345, len(wide) - 1]]] == [
         gen.expand(s) for s in (0, 12345, len(wide) - 1)

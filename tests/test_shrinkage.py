@@ -110,6 +110,12 @@ def test_collapse_parameter_gates():
         collapse_probability(c, 0.25, 0.2, trials=0, enforce_bounds=False)
 
 
+def test_collapse_bound_overflow_is_a_circuit_error():
+    c = parse("(and " * 100 + "x0" + ")" * 100)
+    with pytest.raises(CircuitError, match="overflows"):
+        collapse_probability(c, 0.5, 0.5, trials=10, enforce_bounds=False)
+
+
 def test_collapse_bound_holds_at_legal_p():
     c = parse("(and x0 x1 x2 x3)")
     logterm = 9 * np.log2(4 * 4 / 0.1)
@@ -161,6 +167,9 @@ def test_sandwich_eps_gates():
 def test_sandwich_requires_nand_form():
     with pytest.raises(CircuitError, match="NAND form"):
         build_sandwich(parse("(and x0 x1)"), Fraction(1, 16))
+    nested_not = Circuit(Nand((Leaf(0), Not(Nand((Leaf(1), Leaf(2)))))), 3)
+    with pytest.raises(CircuitError, match=r"NAND form \(got Not\)"):
+        build_sandwich(nested_not, Fraction(1, 16))
 
 
 def test_sandwich_identity_when_masses_already_inside():
