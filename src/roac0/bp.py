@@ -39,6 +39,7 @@ from .circuit import (
     Not,
     Or,
     RestrictionMask,
+    _as_mask,
     simplify,
     trampoline,
 )
@@ -118,23 +119,13 @@ class OrderedBP:
 # -- evaluation and closure operations ---------------------------------------
 
 
-def _input_mask(x, var_order) -> int:
-    if isinstance(x, int):
-        return x
-    if isinstance(x, str):
-        bits = [int(b) for b in x]
-    else:
-        bits = list(x)
-    if var_order and len(bits) <= max(var_order):
-        raise BPError(f"input of length {len(bits)} does not cover {max(var_order)}")
-    return sum(b << i for i, b in enumerate(bits))
-
-
 def bp_evaluate(b: OrderedBP, x, start: int = 1) -> int:
     """Final state after running all layers from ``start``."""
     if not 1 <= start <= b.width:
         raise BPError(f"start state {start} outside [1,{b.width}]")
-    mask = _input_mask(x, b.var_order)
+    mask, length = _as_mask(x)
+    if length is not None and b.var_order and length <= max(b.var_order):
+        raise BPError(f"input of length {length} does not cover {max(b.var_order)}")
     state = start
     for v, (m0, m1) in zip(b.var_order, b.layers):
         state = (m1 if (mask >> v) & 1 else m0)[state - 1]

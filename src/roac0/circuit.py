@@ -79,12 +79,14 @@ Node = Union[Leaf, Const, Not, And, Or, Nand]
 _GATES = (And, Or, Nand)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Circuit:
     """A read-once formula together with its input arity ``n``.
 
     ``n`` is the number of input positions; variable indices used by the
-    leaves must lie in ``0..n-1`` but need not be contiguous.
+    leaves must lie in ``0..n-1`` but need not be contiguous.  Equality and
+    hashing are structural, as for the nodes, but run over the pre-order
+    node list instead of recursing.
     """
 
     root: Node
@@ -97,6 +99,20 @@ class Circuit:
         for v in variables:
             if v >= self.n:
                 raise CircuitError(f"leaf x{v} out of range for n={self.n}")
+
+    def _structure(self) -> tuple:
+        return self.n, tuple(map(_shape, iter_nodes(self.root)))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._structure() == other._structure()
+
+    def __hash__(self) -> int:
+        return hash(self._structure())
+
+    def __repr__(self) -> str:
+        return f"Circuit({render(self)!r}, n={self.n})"
 
     def __reduce__(self):
         # the default pickle recurses once per nesting level; the text does not
@@ -156,6 +172,19 @@ def iter_nodes(node: Node) -> Iterator[Node]:
             stack.extend(reversed(cur.children))
         elif isinstance(cur, Not):
             stack.append(cur.child)
+
+
+def _shape(node: Node) -> tuple:
+    """A node's type and own fields, with its children replaced by their count.
+
+    A pre-order list of shapes determines the tree, so it can stand in for
+    the tree in comparisons and hashes.
+    """
+    if isinstance(node, _GATES):
+        return type(node), len(node.children)
+    if isinstance(node, Not):
+        return (Not,)
+    return type(node), *vars(node).values()
 
 
 def trampoline(walk):
@@ -378,20 +407,18 @@ def evaluate(c: Circuit, x: int | Sequence[int] | str) -> int:
     ``x`` may be an int bitmask (bit ``i`` = variable ``i``), a bit sequence,
     or a '0101' string (position ``k`` = variable ``k``).
     """
-    mask = _as_mask(x, c.n)
+    mask, length = _as_mask(x)
+    if length not in (None, c.n):
+        raise CircuitError(f"assignment length {length} != n={c.n}")
     return trampoline(_eval_node(c.root, mask))
 
 
-def _as_mask(x, n: int) -> int:
+def _as_mask(x) -> tuple[int, int | None]:
+    """(bitmask, bit count) of an assignment; an int is a mask with no count."""
     if isinstance(x, int):
-        return x
-    if isinstance(x, str):
-        bits = [int(b) for b in x]
-    else:
-        bits = list(x)
-    if len(bits) != n:
-        raise CircuitError(f"assignment length {len(bits)} != n={n}")
-    return bits_to_int(bits)
+        return x, None
+    bits = [int(b) for b in x] if isinstance(x, str) else list(x)
+    return bits_to_int(bits), len(bits)
 
 
 def _eval_node(node: Node, mask: int) -> int:

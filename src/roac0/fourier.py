@@ -12,6 +12,12 @@ a leaf contributes +-1/2, so every subtree's quantities are integers over
 2^(leaf count) ((2b)^(leaf count) for damping p = a/b), with one
 ``Fraction`` built at the root and float modes rounding that value.
 
+The transform and its level sums run their inner stages as float64
+matmuls by +-1 and 0/1 matrices, exact because every partial sum is an
+integer below 2^53: the transform adds 2^12 terms +-v, and 2^12 * max|v|
+< 2^53 holds for 0/1 tables and for seed counts (2^EXHAUSTIVE_SEED_CAP =
+2^26 in total); level sums stay below 4^n <= 4^WHT_CAP = 2^48.
+
 Conventions, fixed once here and used everywhere:
   * characters chi_s(x) = (-1)^{s.x}; F_hat[s] = E_x[F(x) chi_s(x)]
   * L^k = sum of |F_hat[s]| over |s| = k;  A^k = sum of F_hat[s] over |s|=k
@@ -63,20 +69,6 @@ def truth_table(c: Circuit) -> np.ndarray:
     return evaluate_columns(c, lambda var: variable_pattern(var, c.n), 1 << c.n)
 
 
-def _wht_integers(values: np.ndarray) -> np.ndarray:
-    """In-place butterfly: returns h with h[s] = sum_x v[x]*(-1)^{s.x}."""
-    h = values.astype(np.int64)
-    step = 1
-    while step < h.size:
-        pairs = h.reshape(-1, 2, step)
-        a, b = pairs[:, 0], pairs[:, 1]
-        a += b  # a + b
-        b *= -2
-        b += a  # (a + b) - 2b = a - b
-        step *= 2
-    return h
-
-
 def popcounts(n: int) -> np.ndarray:
     """uint8 array: popcounts[s] = number of set bits of s, s < 2^n."""
     counts = np.zeros(1, dtype=np.uint8)
@@ -85,12 +77,76 @@ def popcounts(n: int) -> np.ndarray:
     return counts
 
 
+_EXACT_FLOAT = 1 << 53
+_MATMUL_BLOCK = 1 << 16  # entries per float64 block: two 512 KiB buffers
+_H64 = 1.0 - 2.0 * (popcounts(6)[np.bitwise_and.outer(*[np.arange(64)] * 2)] & 1)  # Sylvester
+_POP_BITS = 10
+_POP_ONEHOT = np.eye(_POP_BITS + 1)[popcounts(_POP_BITS)]  # [j, k] = (popcount(j) == k)
+
+
+def _row_blocks(rows: np.ndarray):
+    """Yield (row slice, float64 copy of those rows), about _MATMUL_BLOCK entries each.
+
+    One buffer is reused, so a caller must consume each block before the next.
+    """
+    step = max(1, _MATMUL_BLOCK // rows.shape[1])
+    buf = np.empty((min(step, rows.shape[0]), rows.shape[1]))
+    for r in range(0, rows.shape[0], step):
+        block = buf[: min(step, rows.shape[0] - r)]
+        np.copyto(block, rows[r : r + step])
+        yield slice(r, r + step), block
+
+
+def _butterfly(h: np.ndarray, step: int) -> None:
+    """In-place int64 butterfly over the index bits from log2(step) up."""
+    while step < h.size:
+        pairs = h.reshape(-1, 2, step)
+        a, b = pairs[:, 0], pairs[:, 1]
+        a += b  # a + b
+        b *= -2
+        b += a  # (a + b) - 2b = a - b
+        step *= 2
+
+
+def _wht_integers(values: np.ndarray) -> np.ndarray:
+    """New int64 array h with h[s] = sum_x v[x]*(-1)^{s.x}; ``values`` is untouched.
+
+    Each block of _MATMUL_BLOCK entries is copied to float64, its low 12
+    index bits are transformed by two matmuls with the Sylvester matrix
+    H_64, and its other bits by the int64 butterfly while it is in cache;
+    the bits above a block run the butterfly over the whole result.  Each
+    float output is a sum of 2^12 terms +-v, exact while 2^12 * max|v| <
+    2^53: 0/1 tables and seed counts (2^EXHAUSTIVE_SEED_CAP = 2^26 in total)
+    are far inside.  Larger int64 values raise ArithmeticError.
+    """
+    size = values.size
+    low = min(size, _H64.shape[0])  # index bits 0-5, by block @ H
+    high = min(size // low, _H64.shape[0])  # bits 6-11, by H @ block
+    group = low * high
+    if values.dtype.itemsize > 4 and size:
+        bound = max(int(values.max()), -int(values.min()))
+        if bound * group >= _EXACT_FLOAT:
+            raise ArithmeticError(f"|v| = {bound} too large for an exact transform of {size}")
+    h = np.empty(size, dtype=np.int64)
+    groups = h.reshape(-1, high, low)
+    h_low, h_high = (np.ascontiguousarray(_H64[:w, :w]) for w in (low, high))
+    for sl, block in _row_blocks(values.reshape(-1, group)):
+        cube = block.reshape(-1, high, low)
+        np.matmul(h_high, cube @ h_low, out=cube)
+        out = groups[sl]
+        out[...] = cube
+        _butterfly(out.reshape(-1), group)
+    _butterfly(h, min(size, _MATMUL_BLOCK))
+    return h
+
+
 @dataclass(frozen=True)
 class SpectralTable:
     """All 2^n Fourier coefficients, stored exactly.
 
     ``numerators[s]`` is the integer 2^n * F_hat[s]; the shared denominator
-    keeps the table exact in int64 (|numerator| <= 2^n <= 2^24).
+    keeps the table exact in int64 (|numerator| <= 2^n <= 2^WHT_CAP), and
+    its level sums exact in float64 (sum_s |numerator| <= 4^n <= 2^48).
     """
 
     n: int
@@ -100,15 +156,27 @@ class SpectralTable:
         return Fraction(int(self.numerators[s]), 1 << self.n)
 
     def level_sums(self) -> tuple[list[Fraction], list[Fraction]]:
-        """(abs sums L^0..L^n, signed sums A^0..A^n), exact."""
-        counts = popcounts(self.n)
-        # float64 holds these integer sums exactly: |sums| <= 4^n < 2^53
-        abs_i = np.bincount(counts, weights=np.abs(self.numerators), minlength=self.n + 1)
-        sgn_i = np.bincount(counts, weights=self.numerators, minlength=self.n + 1)
-        den = 1 << self.n
-        abs_f = [Fraction(int(v), den) for v in abs_i]
-        sgn_f = [Fraction(int(v), den) for v in sgn_i]
-        return abs_f, sgn_f
+        """(abs sums L^0..L^n, signed sums A^0..A^n), exact.
+
+        popcount(s) = popcount(s >> 10) + popcount(low 10 bits): rows of 2^10
+        numerators (and of their absolute values) times a one-hot popcount
+        matrix, binned by the row's popcount.
+        """
+        n = self.n
+        low = min(n, _POP_BITS)
+        onehot = _POP_ONEHOT[: 1 << low, : low + 1]
+        rows = self.numerators.reshape(-1, 1 << low)
+        sgn_rows = np.empty((rows.shape[0], low + 1))
+        abs_rows = np.empty_like(sgn_rows)
+        for sl, block in _row_blocks(rows):
+            sgn_rows[sl] = block @ onehot
+            abs_rows[sl] = np.abs(block, out=block) @ onehot
+        level = (popcounts(n - low)[:, None] + np.arange(low + 1)).ravel()
+        den = 1 << n
+        return tuple(
+            [Fraction(int(v), den) for v in np.bincount(level, weights=w.ravel(), minlength=n + 1)]
+            for w in (abs_rows, sgn_rows)
+        )
 
     def check_parseval(self) -> bool:
         """Exact check of sum_s F_hat[s]^2 = F_hat[0] for Boolean F."""

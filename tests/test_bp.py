@@ -76,6 +76,13 @@ def test_start_state_validated():
         bp_evaluate(b, 0, start=9)
 
 
+def test_input_must_cover_the_read_variables():
+    b = bp_from_circuit(parse("(and x0 x3)"))
+    assert bp_accepts(b, "1001") == bp_accepts(b, [1, 0, 0, 1]) == bp_accepts(b, 9) == 1
+    with pytest.raises(BPError, match="length 3 does not cover 3"):
+        bp_evaluate(b, "100")
+
+
 def _run_programs() -> dict:
     conv = bp_from_circuit(gen_random_read_once(8, 3, seed=5))
     rotate = list(range(2, conv.width + 1)) + [1]

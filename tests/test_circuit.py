@@ -14,6 +14,7 @@ from roac0 import (
     And,
     BiasVector,
     Circuit,
+    CircuitError,
     Const,
     Leaf,
     Nand,
@@ -267,7 +268,7 @@ def test_structure_walkers_handle_deep_nesting():
     c = deep_chain(1200)
     text = render(c)
     assert render(parse(text)) == text
-    assert render(pickle.loads(pickle.dumps(c))) == text  # == on deep trees recurses
+    assert pickle.loads(pickle.dumps(c)) == c
     nand, info = to_nand_form(c)
     assert info == {"depth_before": 1200, "depth_after": nand.depth}
     mono = strip_leaf_negations(push_nots_to_leaves(c))
@@ -283,6 +284,35 @@ def test_structure_walkers_handle_deep_nesting():
         assert evaluate(restricted, x) == evaluate(c, (x & t) | (fixed & ~t))
     assert gen_random_read_once(2000, 1200, seed=1).depth == 1200
     assert gen_recursive_tribes(1200, [2, 2] + [1] * 1198).size == 4
+
+
+def test_deep_circuits_compare_hash_and_repr_without_recursion():
+    c, same = deep_chain(1200), deep_chain(1200)
+    assert c == same and hash(c) == hash(same) and c is not same
+    assert repr(c) == f"Circuit({render(c)!r}, n=1201)"
+    assert c != Circuit(c.root, c.n + 1)
+    assert Circuit(And((c.root, Leaf(1201))), 1202) != Circuit(Or((c.root, Leaf(1201))), 1202)
+    assert {c: 1}[same] == 1
+
+
+def test_structural_equality_keeps_node_identity():
+    # a NOT over a leaf renders like a negated leaf but is a different tree
+    assert Circuit(Not(Leaf(0)), 1) != Circuit(Leaf(0, negated=True), 1)
+    assert Circuit(And((Leaf(0), Leaf(1))), 2) == parse("(and x0 x1)")
+    assert Circuit(And((Leaf(0), Leaf(1))), 2) != Circuit(And((Leaf(0),)), 2)
+    # same pre-order of node types and leaves, different arities
+    nested = Circuit(And((And((Leaf(0), Leaf(1))), Leaf(2))), 3)
+    assert nested != Circuit(And((And((Leaf(0),)), Leaf(1), Leaf(2))), 3)
+    assert Circuit(Nand((Leaf(0), Leaf(1))), 2) != Circuit(And((Leaf(0), Leaf(1))), 2)
+    assert Circuit(Const(1), 2) != Circuit(Const(0), 2)
+    assert parse("(and x0 x1)") != "(and x0 x1)"
+
+
+def test_evaluate_checks_assignment_length():
+    c = parse("(and x0 x1)")
+    assert evaluate(c, "11") == evaluate(c, [1, 1]) == evaluate(c, 3) == 1
+    with pytest.raises(CircuitError, match="length 3 != n=2"):
+        evaluate(c, "110")
 
 
 def test_pickle_goes_through_text():

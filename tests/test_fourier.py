@@ -3,6 +3,7 @@
 import math
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -30,6 +31,8 @@ from roac0.circuit import evaluate_columns
 from roac0.fourier import (
     BoundReport,
     CapExceeded,
+    SpectralTable,
+    _wht_integers,
     biased_gap,
     boundary_p,
     check_growth_corollary,
@@ -38,6 +41,7 @@ from roac0.fourier import (
     damped_mass,
     damped_mass_recursive,
     level_profile_recursive,
+    popcounts,
     total_mass,
     truth_table,
     wht_bruteforce,
@@ -89,6 +93,89 @@ def test_spectrum_sums_to_value_at_zero():
 def test_transform_cap_enforced():
     with pytest.raises(CapExceeded):
         wht_bruteforce(gen_random_read_once(30, 2, seed=1), cap=24)
+
+
+def wht_reference(values) -> list:
+    """h[s] = sum_x v[x] (-1)^{s.x} in Python ints, by H_2N = [[H_N, H_N], [H_N, -H_N]]."""
+    h = np.array([int(v) for v in values], dtype=object)
+
+    def split(h):
+        if len(h) == 1:
+            return h
+        lo, hi = split(h[: len(h) // 2]), split(h[len(h) // 2 :])
+        return np.concatenate([lo + hi, lo - hi])
+
+    return split(h).tolist()
+
+
+def test_wht_reference_is_the_definition():
+    rng = random.Random(5)
+    for n in range(7):
+        v = [rng.randrange(-50, 50) for _ in range(1 << n)]
+        want = [sum(v[x] * (-1) ** bin(s & x).count("1") for x in range(1 << n))
+                for s in range(1 << n)]
+        assert wht_reference(v) == want
+
+
+# below, at and above one matmul (2^6) and one matmul pair (2^12), and over
+# two float blocks (2^17)
+@pytest.mark.parametrize("n", list(range(14)) + [17])
+@pytest.mark.parametrize("kind", ["table", "counts", "wide"])
+def test_wht_integers_exact_against_reference(n, kind):
+    rng = np.random.default_rng(1000 * n + len(kind))
+    if kind == "table":  # truth tables and branching-program tables
+        values = rng.integers(0, 2, 1 << n).astype(np.uint8)
+    elif kind == "counts":  # seed counts under EXHAUSTIVE_SEED_CAP
+        values = rng.integers(0, 1 << 26, 1 << n, endpoint=True)
+    else:  # 2^12 * 2^40 = 2^52: the float stage is still exact
+        values = rng.integers(-(1 << 40), 1 << 40, 1 << n, endpoint=True)
+    before = values.copy()
+    values.setflags(write=False)
+    h = _wht_integers(values)
+    assert h.dtype == np.int64
+    assert h.tolist() == wht_reference(values)
+    assert np.array_equal(values, before)
+
+
+def test_wht_integers_leaves_a_writable_input_alone():
+    values = np.arange(1 << 10, dtype=np.int64)
+    _wht_integers(values)
+    assert values.tolist() == list(range(1 << 10))
+
+
+def test_wht_integers_rejects_inputs_past_the_exact_float_range():
+    ok = np.full(1 << 12, 1 << 40, dtype=np.int64)
+    assert _wht_integers(ok)[0] == 1 << 52
+    with pytest.raises(ArithmeticError):
+        _wht_integers(np.full(1 << 12, -(1 << 41), dtype=np.int64))
+
+
+def test_wht_integers_memory_peak_is_the_result_plus_small_buffers():
+    # a full-size float64 or int32 temporary at 2^20 would add 8 or 4 MiB
+    table = np.random.default_rng(3).integers(0, 2, 1 << 20).astype(np.uint8)
+    tracemalloc.start()
+    try:
+        h = _wht_integers(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= h.nbytes + (2 << 20)
+
+
+@pytest.mark.parametrize("n", range(15))
+def test_level_sums_match_per_popcount_python_sums(n):
+    rng = np.random.default_rng(n)
+    nums = rng.integers(-(1 << n), 1 << n, 1 << n, endpoint=True)
+    abs_ref, sgn_ref = [0] * (n + 1), [0] * (n + 1)
+    for s, v in enumerate(nums.tolist()):
+        k = bin(s).count("1")
+        abs_ref[k] += abs(v)
+        sgn_ref[k] += v
+    den = 1 << n
+    abs_l, sgn_l = SpectralTable(n, nums).level_sums()
+    assert abs_l == [Fraction(v, den) for v in abs_ref]
+    assert sgn_l == [Fraction(v, den) for v in sgn_ref]
+    assert popcounts(n).tolist() == [bin(s).count("1") for s in range(1 << n)]
 
 
 # -- level recursion ----------------------------------------------------------

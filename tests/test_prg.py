@@ -197,6 +197,16 @@ def test_measure_bias_reads_the_cached_distribution_without_changing_it():
         measure_bias(SmallBiasGen(14, 4))
 
 
+@pytest.mark.parametrize("n", [None, 4])
+def test_measure_bias_matches_seed_by_seed_reference(n):
+    gen = SmallBiasGen(4, 6)
+    bits = gen.n if n is None else n
+    outs = [gen.expand(seed) & ((1 << bits) - 1) for seed in range(1 << gen.seed_bits)]
+    top = max(abs(sum((-1) ** bin(t & out).count("1") for out in outs))
+              for t in range(1, 1 << bits))
+    assert measure_bias(gen, n) == Fraction(top, 1 << gen.seed_bits)
+
+
 def test_distribution_sums_to_seed_count():
     gen = SmallBiasGen(4, 6)
     dist = output_distribution(gen)
