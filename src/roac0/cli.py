@@ -5,7 +5,8 @@ spec, runs the corresponding library routines, prints a one-line summary
 per check, and (with ``--out``) writes JSON/CSV data files plus a
 ``run.json`` manifest that lists them.  Data files contain no timestamps
 or timings, so identical configuration and master seed reproduce them
-byte for byte; wall-clock time lives only in the manifest.
+byte for byte; wall-clock time lives only in the manifest, as the run's
+total and as the stages a subcommand times (wall time, items, rate).
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage or
 parse error.
@@ -23,6 +24,7 @@ import random
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -168,6 +170,7 @@ class RunManifest:
     checks_total: int = 0
     checks_failed: int = 0
     wall_time_s: float = 0.0
+    stages: list = field(default_factory=list)
 
     def as_dict(self) -> dict:
         return {
@@ -181,10 +184,13 @@ class RunManifest:
                 "failed": self.checks_failed,
             },
             "wall_time_s": round(self.wall_time_s, 3),
+            "stages": list(self.stages),
         }
 
 
 def _jsonable(obj):
+    if type(obj) in (int, float, str, bool):  # the common case, before the ABC checks
+        return obj
     if isinstance(obj, Fraction):
         return f"{obj.numerator}/{obj.denominator}"
     if isinstance(obj, (np.integer,)):
@@ -222,6 +228,19 @@ class Reporter:
         print(f"[{'PASS' if ok else 'FAIL'}] {label}")
         return ok
 
+    @contextmanager
+    def stage(self, name: str, items: int):
+        """Time the block; run.json records its wall time, item count and rate."""
+        t0 = time.perf_counter()
+        yield
+        wall = time.perf_counter() - t0
+        self.manifest.stages.append({
+            "name": name,
+            "wall_s": round(wall, 6),
+            "items": items,
+            "rate": round(items / wall, 1) if wall > 0 else None,
+        })
+
     def add_json(self, name: str, data) -> None:
         text = json.dumps(_jsonable(data), indent=2, sort_keys=True) + "\n"
         self._payloads.append((name, text))
@@ -230,8 +249,7 @@ class Reporter:
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(header)
-        for row in rows:
-            w.writerow([_jsonable(v) for v in row])
+        w.writerows([_jsonable(v) for v in row] for row in rows)
         self._payloads.append((name, buf.getvalue()))
 
     def finish(self) -> int:
@@ -476,20 +494,19 @@ def cmd_shrink(args) -> int:
     rep = Reporter(args)
     c = load_circuit(args.circuit)
     eps = _fraction(args.eps)
-    r = shmod.shrink_experiment(
-        c, args.p, eps, trials=args.trials, master_seed=args.seed,
-        threshold=args.threshold,
-    )
-    rep.add_json("shrink.json", r.as_dict())
-    rep.add_csv(
-        "sizes.csv",
-        ["trial", "size_lower", "size_upper", "size_max", "size_original", "fanin_max"],
-        (
-            (t, int(r.sizes_lower[t]), int(r.sizes_upper[t]),
-             int(r.sizes_max[t]), int(r.sizes_original[t]), int(r.fanin_max[t]))
-            for t in range(r.trials)
-        ),
-    )
+    with rep.stage("experiment", args.trials):
+        r = shmod.shrink_experiment(
+            c, args.p, eps, trials=args.trials, master_seed=args.seed,
+            threshold=args.threshold,
+        )
+    with rep.stage("report", r.trials):
+        rep.add_json("shrink.json", r.as_dict())
+        rep.add_csv(
+            "sizes.csv",
+            ["trial", "size_lower", "size_upper", "size_max", "size_original", "fanin_max"],
+            np.column_stack([np.arange(r.trials), r.sizes_lower, r.sizes_upper,
+                             r.sizes_max, r.sizes_original, r.fanin_max]).tolist(),
+        )
     print(
         f"quantile({r.quantile_level:.4g}) of restricted sandwich size = "
         f"{r.quantile_value} over {r.trials} trials"

@@ -4,7 +4,13 @@ A p-regular restriction keeps each position free independently with
 probability p (mask bit 1) and fixes the rest to uniform bits.  For a
 read-once circuit the restricted function is nonconstant exactly when
 constant propagation leaves a live leaf, so collapse statistics reduce to a
-three-state evaluation (0, 1, alive) that vectorizes across trials.
+three-state evaluation (0, 1, alive).  It is bit-sliced: the draws of a
+block come packed 64 trials to a uint64 word, one row per variable, and
+the fold carries two word planes per node (alive, and constant 1), so a
+gate costs a few word operations per child for 64 trials at once.  The
+seeded draw stream is fixed: block b of ``master_seed`` draws all its
+uniforms, trial-major, then all its bits, so every hit count and size
+reproduces for a given seed whatever the packing.
 
 The sandwich builder works on NAND-form circuits.  Writing rej(f) for
 Pr[f = 0], a NAND node rejects exactly when every child accepts, so child
@@ -43,62 +49,87 @@ from .circuit import (
     push_nots_to_leaves,
     simplify,
     strip_leaf_negations,
+    to_nand_form,
     trampoline,
 )
 from .fourier import biased_gap  # noqa: F401  (perfbench's tracer wraps this name here)
 from .fourier import growth_factor
 from .prg import wilson_interval
 
-_ALIVE = 2
+_WORD = np.dtype("<u8")  # 64 trials per word, trial t at bit t % 64 of word t // 64
 
 
-def _restricted(c: Circuit, free: np.ndarray, x: np.ndarray, stats: bool = False):
-    """Per-trial value of the restricted circuit: 0, 1, or 2 (alive).
+def _bits(planes: np.ndarray, size: int) -> np.ndarray:
+    """uint8 0/1 per trial of word planes: shape (..., W) to (..., size)."""
+    return np.unpackbits(planes.view(np.uint8), axis=-1, count=size, bitorder="little")
 
-    With ``stats`` the value is (state, live leaf count, max gate fan-in),
-    counted as simplify(restrict(.)) leaves them: neutral constants drop out,
-    absorbed gates vanish, single-child And/Or collapse, and a one-child NAND
-    survives as a gate only when its child keeps two or more live leaves (one
-    live leaf simplifies to a literal).
+
+def _restricted(c: Circuit, free: np.ndarray, x: np.ndarray, size: int, stats: bool = False):
+    """Bit planes of the restricted circuit over ``size`` trials at once.
+
+    ``free`` and ``x`` hold one row of words per variable, as
+    :func:`_restriction_blocks` yields them.  Every value of the fold is a
+    pair of planes (alive, one): a trial's bit is set in ``alive`` when the
+    restricted node is nonconstant and in ``one`` when it is the constant 1;
+    neither bit means the constant 0.  A leaf reads its variable's rows.  An
+    AND keeps ``one`` where every child is 1 and is alive where no child is 0
+    and not every child is 1; an OR is the dual.  Pad bits past ``size`` are
+    never alive.  Returns (alive, one).
+
+    With ``stats`` it returns (alive, one, live leaf count, max gate fan-in),
+    the last two per trial as int32 arrays, counted as
+    simplify(restrict(.)) leaves them: neutral constants drop out, absorbed
+    gates vanish, single-child And/Or collapse, and a one-child NAND survives
+    as a gate only when its child keeps two or more live leaves (one live
+    leaf simplifies to a literal).  Only gates alive in some trial count
+    them, from their children's unpacked ``alive`` planes; a leaf, or a gate
+    alive in no trial, carries None for both, meaning its live leaf count is
+    its ``alive`` bit and its fan-in 0.
     """
-    trials = free.shape[0]
-    zeros = np.zeros(trials, dtype=np.int32)
+    one_pos = x & ~free  # fixed to 1
+    one_neg = ~(x | free)  # fixed to 0, so the negated literal is 1
+    words = free.shape[1]
 
     def leaf(var, negated):
-        s = np.where(free[:, var], _ALIVE, x[:, var] ^ int(negated)).astype(np.int8)
-        return (s, (s == _ALIVE).astype(np.int32), zeros) if stats else s
+        return free[var], (one_neg if negated else one_pos)[var], None, None
 
     def const(value):
-        s = np.full(trials, value, dtype=np.int8)
-        return (s, zeros, zeros) if stats else s
+        zeros = np.zeros(words, _WORD)
+        return zeros, ~zeros if value else zeros, None, None
 
     def finish(children, is_and, nand):
-        # one absorbing child fixes the gate; otherwise an alive child keeps it alive
-        hit = 0 if is_and else 1
-        absorbed = np.zeros(trials, dtype=bool)
-        alive = np.zeros(trials, dtype=np.int32 if stats else bool)  # count, or any
-        for ch in children:
-            s = ch[0] if stats else ch
-            absorbed |= s == hit
-            alive += s == _ALIVE  # on bool, += is or
-        state = np.where(absorbed, hit, np.where(alive, _ALIVE, 1 - hit)).astype(np.int8)
-        if not stats:
-            return state
-        leaves = np.zeros(trials, dtype=np.int32)
-        fan = np.zeros(trials, dtype=np.int32)
-        for _, ch_leaves, ch_fan in children:
-            leaves += ch_leaves  # dead children carry 0
-            np.maximum(fan, ch_fan, out=fan)
-        own = np.where(alive >= 2, alive, 0)
-        if nand:  # NAND((child)) stays a gate unless the child is one live leaf
-            own[(alive == 1) & (leaves >= 2)] = 1
-        np.maximum(fan, own, out=fan)
-        dead = state != _ALIVE
-        leaves[dead] = 0
-        fan[dead] = 0
-        return state, leaves, fan
+        if not children:
+            return const(int(is_and))
+        alive = np.array([ch[0] for ch in children])
+        one = np.array([ch[1] for ch in children])
+        reduce = np.bitwise_and.reduce if is_and else np.bitwise_or.reduce
+        one_out = reduce(one, axis=0)  # AND: every child 1; OR: some child 1
+        # AND: no child 0; OR: some child not 0; either way it holds one_out
+        alive_out = reduce(alive | one, axis=0) ^ one_out
+        if not stats or not alive_out.any():
+            return alive_out, one_out, None, None
+        bits = _bits(alive, size)
+        count = bits.sum(axis=0, dtype=np.int32)  # live children
+        leaves = count.copy()
+        fan = np.zeros(size, dtype=np.int32)
+        for bit, (_, _, ch_leaves, ch_fan) in zip(bits, children):
+            if ch_leaves is not None:  # a live gate counts its leaves, not 1
+                leaves += ch_leaves
+                leaves -= bit
+                np.maximum(fan, ch_fan, out=fan)
+        # a gate with one live child simplifies away, or stays as a one-child
+        # NAND above two or more live leaves, whose nearest common gate has
+        # two live children: either way it adds nothing to the largest fan-in
+        np.maximum(fan, np.where(count >= 2, count, 0), out=fan)
+        live = _bits(alive_out, size)
+        return alive_out, one_out, leaves * live, fan * live
 
-    return fold(c, leaf, const, list, _collect, finish)
+    alive, one, leaves, fan = fold(c, leaf, const, list, _collect, finish)
+    if not stats:
+        return alive, one
+    if leaves is None:
+        leaves, fan = _bits(alive, size).astype(np.int32), np.zeros(size, dtype=np.int32)
+    return alive, one, leaves, fan
 
 
 def _exact_nonconstant_probability(c: Circuit, p) -> Fraction:
@@ -144,10 +175,33 @@ class CollapseReport:
         }
 
 
-_BLOCK = 1 << 14
+_BLOCK = 1 << 14  # trials per seeded block
+_CHUNK = 1 << 16  # draws per chunk, so a chunk's transpose stays in cache
+
+
+def _chunk_rows(n: int) -> int:
+    """Trials per chunk of draws: a multiple of 64, about ``_CHUNK`` draws."""
+    return max(64, _CHUNK // max(n, 1) // 64 * 64)
+
+
+def _pack_trials(words: np.ndarray, chunk: np.ndarray, start: int) -> None:
+    # a trial-major 0/1 chunk of trials start.. into variable-major word rows
+    words.view(np.uint8)[:, start // 8:(start + len(chunk) + 7) // 8] = np.packbits(
+        np.ascontiguousarray(chunk.T), axis=1, bitorder="little")
 
 
 def _restriction_blocks(n: int, p: float, trials: int, master_seed: int) -> Iterator:
+    """(size, free, x) per block of up to ``_BLOCK`` trials.
+
+    Block b draws from ``default_rng(SeedSequence([master_seed, b]))`` the
+    uniforms of ``rng.random((size, n))``, trial-major, then the bits of
+    ``rng.integers(0, 2, (size, n), uint8)``; a position is free when its
+    uniform is below p.  The uniforms are filled :func:`_chunk_rows` trials
+    at a time, which is the same stream without the whole float array.  Both
+    come back variable-major and packed along the trial axis, as
+    (n, ceil(size / 64)) arrays of little-endian uint64 words with zero pad
+    bits.
+    """
     # Draws are multiples of 2^-53, so u < p exactly when u < ceil(p 2^53) 2^-53,
     # a float threshold even for a Fraction p.
     threshold = ceil(Fraction(p) * 2**53) / 2**53
@@ -156,9 +210,18 @@ def _restriction_blocks(n: int, p: float, trials: int, master_seed: int) -> Iter
     while done < trials:
         size = min(_BLOCK, trials - done)
         rng = np.random.default_rng(np.random.SeedSequence([master_seed, b]))
-        free = rng.random((size, n)) < threshold
-        x = rng.integers(0, 2, (size, n), dtype=np.uint8)
-        yield free, x
+        free = np.zeros((n, -(-size // 64)), dtype=_WORD)
+        x = np.zeros_like(free)
+        rows = _chunk_rows(n)
+        buf = np.empty((min(rows, size), n))
+        for start in range(0, size, rows):
+            chunk = buf[:min(rows, size - start)]
+            rng.random(out=chunk)
+            _pack_trials(free, chunk < threshold, start)
+        draws = rng.integers(0, 2, (size, n), dtype=np.uint8)
+        for start in range(0, size, rows):
+            _pack_trials(x, draws[start:start + rows], start)
+        yield size, free, x
         done += size
         b += 1
 
@@ -195,8 +258,9 @@ def collapse_probability(
     if trials < 1:
         raise CircuitError("trials must be positive")
     hits = 0
-    for free, x in _restriction_blocks(n, p, trials, master_seed):
-        hits += int((_restricted(c, free, x) == _ALIVE).sum())
+    for size, free, x in _restriction_blocks(n, p, trials, master_seed):
+        alive, _ = _restricted(c, free, x, size)
+        hits += int(np.bitwise_count(alive).sum())
     estimate = hits / trials
     se = sqrt(max(estimate * (1 - estimate), 1e-300) / trials)
     f0 = acceptance_probability(c, BiasVector.uniform(n))
@@ -438,26 +502,22 @@ def shrink_experiment(
         raise CircuitError(f"p={p} outside [0,1]")
     if trials < 1:
         raise CircuitError("trials must be positive")
-    from .circuit import to_nand_form
-
     nand, _ = to_nand_form(c)
     pair = build_sandwich(nand, eps)
     n = c.n
     s_lo, s_up, s_or, fans = [], [], [], []
     alive_lo = alive_up = alive_or = 0
-    for free, x in _restriction_blocks(n, p, trials, master_seed):
-        st, lv, fn = _restricted(pair.lower, free, x, stats=True)
-        alive_lo += int((st == _ALIVE).sum())
+    for size, free, x in _restriction_blocks(n, p, trials, master_seed):
+        alive, _, lv, fan_lo = _restricted(pair.lower, free, x, size, stats=True)
+        alive_lo += int(np.bitwise_count(alive).sum())
         s_lo.append(lv)
-        fan_block = fn
-        st, lv, fn = _restricted(pair.upper, free, x, stats=True)
-        alive_up += int((st == _ALIVE).sum())
+        alive, _, lv, fan_up = _restricted(pair.upper, free, x, size, stats=True)
+        alive_up += int(np.bitwise_count(alive).sum())
         s_up.append(lv)
-        fan_block = np.maximum(fan_block, fn)
-        st, lv, _ = _restricted(c, free, x, stats=True)
-        alive_or += int((st == _ALIVE).sum())
+        alive, _, lv, _ = _restricted(c, free, x, size, stats=True)
+        alive_or += int(np.bitwise_count(alive).sum())
         s_or.append(lv)
-        fans.append(fan_block)
+        fans.append(np.maximum(fan_lo, fan_up))
     sizes_lower = np.concatenate(s_lo)
     sizes_upper = np.concatenate(s_up)
     sizes_original = np.concatenate(s_or)

@@ -1,12 +1,20 @@
 """Command-line interface: specs, exit codes, data files, worker independence."""
 
+import argparse
+import csv
+import hashlib
+import io
 import json
 import random
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from roac0.cli import _bp_planes, _default_jobs, load_circuit, load_corpus, main
+from roac0.cli import Reporter, _bp_planes, _default_jobs, load_circuit, load_corpus, main
 
 
 def run(args):
@@ -188,6 +196,102 @@ def test_shrink_writes_sizes(tmp_path):
     assert len(rows) == 51
     rep = json.loads((tmp_path / "shrink.json").read_text())
     assert rep["trials"] == 50 and "quantile_value" in rep
+
+
+def test_shrink_data_files_pinned(tmp_path):
+    args = ["shrink", "--circuit", "tribes:m=2,w=2", "--p", "0.3", "--eps", "1/10",
+            "--trials", "400", "--seed", "11", "--out", str(tmp_path)]
+    assert run(args) == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in ("shrink.json", "sizes.csv")}
+    assert digests == {
+        "shrink.json": "474c131981252c9c7a05913e7271d8d3471bbafd5292e8900399be6c85bdbbd8",
+        "sizes.csv": "36195e2547520f04ee394178610716feea243ec70458d1ec8b245c192abcac9b",
+    }
+
+
+def test_shrink_stages_stay_out_of_data_files(tmp_path):
+    args = ["shrink", "--circuit", "tribes:m=2,w=2", "--p", "0.3", "--eps", "1/10",
+            "--trials", "300", "--seed", "2"]
+    assert run(args + ["--out", str(tmp_path / "a")]) == 0
+    assert run(args + ["--out", str(tmp_path / "b")]) == 0
+    stages = json.loads((tmp_path / "a" / "run.json").read_text())["stages"]
+    assert [(s["name"], s["items"]) for s in stages] == [("experiment", 300), ("report", 300)]
+    assert all(set(s) == {"name", "wall_s", "items", "rate"} for s in stages)
+    for name in ("shrink.json", "sizes.csv"):
+        text = (tmp_path / "a" / name).read_text()
+        assert text == (tmp_path / "b" / name).read_text()
+        assert not any(word in text for word in ("wall", "rate", "stage", "time"))
+
+
+def _old_jsonable(obj):
+    # the report writer's conversion before plain values took a fast path
+    if isinstance(obj, Fraction):
+        return f"{obj.numerator}/{obj.denominator}"
+    if isinstance(obj, (np.integer,)):
+        return int(obj)
+    if isinstance(obj, (np.floating,)):
+        return float(obj)
+    if isinstance(obj, np.ndarray):
+        return [_old_jsonable(v) for v in obj.tolist()]
+    if isinstance(obj, dict):
+        return {str(k): _old_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_old_jsonable(v) for v in obj]
+    if isinstance(obj, Path):
+        return str(obj)
+    return obj
+
+
+def test_add_csv_matches_per_cell_writer(tmp_path):
+    header = ["a", "b", "c", "d", "e", "f", "g"]
+    rows = [
+        (Fraction(3, 7), np.int64(-5), np.float64(0.1), True, 7, 2.5, "x"),
+        (Fraction(-1, 3), np.int32(2**31 - 1), np.float64(1e300), False, -2**70, 1e-320, None),
+        (Fraction(4), np.uint8(255), np.float32(0.1), np.bool_(True), 0, float("inf"), Path("p")),
+        [Fraction(1, 2**80), np.int64(0), np.float64("nan"), bool(0), 10**20, -0.0, ""],
+    ]
+    rep = Reporter(argparse.Namespace(command="test", out=str(tmp_path)))
+    rep.add_csv("t.csv", header, rows)
+    assert rep.finish() == 0
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    for row in rows:
+        w.writerow([_old_jsonable(v) for v in row])
+    assert (tmp_path / "t.csv").read_text() == buf.getvalue()
+
+
+def _text(valid, odd, generated=st.nothing()):
+    """Well-formed values about two times in three, the rest odd or generated."""
+    return st.one_of(*[st.sampled_from(valid)] * 4, st.sampled_from(odd), generated)
+
+
+_ODD_NUMBERS = ["nan", "inf", "-inf", "1/0", "0/0", "-0", "0", "1.5", "-1/10", "1e400", "abc", ""]
+_SPECS = ["tribes:m=2,w=2", "and:k=3", "or:k=1", "(and x0 (or x1 x2))", "(nand x0 (not x1))",
+          "random:n=6,d=2,seed=1", "rectribes:d=2,widths=2-2"]
+_BAD_SPECS = ["1", "(and)", "tribes:m=2", "tribes:m=x,w=2", "tribes:m=0,w=2", "tribes:m=-1,w=2",
+              "and:k=0", "(and x0", "(and x0 x0)", "rectribes:widths=2-a", "rectribes:d=3,widths=",
+              "random:n=0,d=1", "random:n=3,d=-1", "random:n=2,d=1,seed=-3", "nosuch:k=1", ":"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    spec=_text(_SPECS, _BAD_SPECS),
+    p=_text(["0", "-0", "0.05", "0.3", "1"], _ODD_NUMBERS, st.floats().map(repr)),
+    eps=_text(["1/10", "1/16", "1/4", "0.2", "1e-3"], _ODD_NUMBERS, st.fractions().map(str)),
+    trials=st.integers(-2, 200),
+    seed=st.one_of(st.integers(0, 2**64 + 5), st.integers(0, 99), st.integers(-3, -1) | st.just("x")),
+)
+def test_shrink_argv_never_tracebacks(spec, p, eps, trials, seed):
+    # argparse exits 2 on text it cannot convert; any other exception fails here
+    argv = ["shrink", "--circuit", spec, "--p", p, "--eps", eps,
+            "--trials", str(trials), "--seed", str(seed)]
+    try:
+        code = main(argv)
+    except SystemExit as e:
+        code = e.code
+    assert code in (0, 1, 2)
 
 
 def test_prg_uniform_exhaustive_error_is_zero(tmp_path, capsys):

@@ -3,6 +3,7 @@
 import random
 import time
 from fractions import Fraction
+from math import ceil
 
 import numpy as np
 import pytest
@@ -24,10 +25,24 @@ from roac0 import (
     simplify,
     to_nand_form,
 )
-from roac0.circuit import And, Const, Leaf, Nand, Not, Or, RestrictionMask, iter_nodes
+from roac0.circuit import (
+    And,
+    Const,
+    Leaf,
+    Nand,
+    Not,
+    Or,
+    RestrictionMask,
+    _collect,
+    fold,
+    iter_nodes,
+)
+from roac0.cli import load_circuit
 from roac0.fourier import truth_table
 from roac0.shrinkage import (
+    _BLOCK,
     CollapseReport,
+    _chunk_rows,
     _exact_nonconstant_probability,
     _restricted,
     _restriction_blocks,
@@ -36,6 +51,78 @@ from roac0.shrinkage import (
     sandwich_condition_violations,
     shrink_experiment,
 )
+
+# -- trial-major references ------------------------------------------------------
+
+_ALIVE = 2
+
+
+def reference_blocks(n, p, trials, master_seed):
+    """Trial-major (free, x) per block: each drawn whole, then the bits."""
+    threshold = ceil(Fraction(p) * 2**53) / 2**53
+    for b, start in enumerate(range(0, trials, _BLOCK)):
+        size = min(_BLOCK, trials - start)
+        rng = np.random.default_rng(np.random.SeedSequence([master_seed, b]))
+        free = rng.random((size, n)) < threshold
+        x = rng.integers(0, 2, (size, n), dtype=np.uint8)
+        yield free, x
+
+
+def trial_major(words, size):
+    """(size, n) 0/1 uint8 of (n, W) word rows; the pad bits must be 0."""
+    bits = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
+    assert not bits[:, size:].any()
+    return bits[:, :size].T
+
+
+def uint8_restricted(c, free, x, stats=False):
+    """Per-trial state (0, 1 or 2 = alive) on trial-major draws, one uint8
+    column per node: the bit-sliced fold's oracle.  With ``stats`` the value
+    is (state, live leaf count, max gate fan-in)."""
+    trials = free.shape[0]
+    zeros = np.zeros(trials, dtype=np.int32)
+
+    def leaf(var, negated):
+        s = np.where(free[:, var], _ALIVE, x[:, var] ^ int(negated)).astype(np.int8)
+        return (s, (s == _ALIVE).astype(np.int32), zeros) if stats else s
+
+    def const(value):
+        s = np.full(trials, value, dtype=np.int8)
+        return (s, zeros, zeros) if stats else s
+
+    def finish(children, is_and, nand):
+        hit = 0 if is_and else 1
+        absorbed = np.zeros(trials, dtype=bool)
+        alive = np.zeros(trials, dtype=np.int32 if stats else bool)
+        for ch in children:
+            s = ch[0] if stats else ch
+            absorbed |= s == hit
+            alive += s == _ALIVE
+        state = np.where(absorbed, hit, np.where(alive, _ALIVE, 1 - hit)).astype(np.int8)
+        if not stats:
+            return state
+        leaves = np.zeros(trials, dtype=np.int32)
+        fan = np.zeros(trials, dtype=np.int32)
+        for _, ch_leaves, ch_fan in children:
+            leaves += ch_leaves
+            np.maximum(fan, ch_fan, out=fan)
+        own = np.where(alive >= 2, alive, 0)
+        if nand:
+            own[(alive == 1) & (leaves >= 2)] = 1
+        np.maximum(fan, own, out=fan)
+        dead = state != _ALIVE
+        leaves[dead] = 0
+        fan[dead] = 0
+        return state, leaves, fan
+
+    return fold(c, leaf, const, list, _collect, finish)
+
+
+def states(alive, one, size):
+    """Per-trial 0, 1 or 2 (alive) of the bit-sliced fold's planes."""
+    a, o = (np.unpackbits(w.view(np.uint8), count=size, bitorder="little") for w in (alive, one))
+    assert not (a & o).any()
+    return np.where(a == 1, _ALIVE, o).astype(np.int8)
 
 
 # -- collapse probability -------------------------------------------------------
@@ -80,10 +167,26 @@ def test_collapse_fraction_p_draws_like_its_float():
 
 def test_restriction_free_mask_is_exact_comparison_with_p():
     p = Fraction(1, 3)
-    (free, _), = _restriction_blocks(8, p, 500, 9)
+    (size, free, _), = _restriction_blocks(8, p, 500, 9)
     rng = np.random.default_rng(np.random.SeedSequence([9, 0]))
     draws = rng.random((500, 8))
-    assert free.tolist() == [[Fraction(u) < p for u in row] for row in draws.tolist()]
+    assert size == 500
+    assert trial_major(free, size).astype(bool).tolist() == [
+        [Fraction(u) < p for u in row] for row in draws.tolist()
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 7, 300])
+def test_restriction_blocks_are_the_whole_draws_transposed(n):
+    rows = _chunk_rows(n)
+    for trials in (1, 63, 65, 2 * rows + 5, _BLOCK + 3):
+        blocks = list(_restriction_blocks(n, 0.3, trials, 17))
+        want = list(reference_blocks(n, 0.3, trials, 17))
+        assert len(blocks) == len(want)
+        for (size, free, x), (ref_free, ref_x) in zip(blocks, want):
+            assert free.shape == x.shape == (n, -(-size // 64)) and size == len(ref_free)
+            assert np.array_equal(trial_major(free, size), ref_free)
+            assert np.array_equal(trial_major(x, size), ref_x)
 
 
 def test_collapse_non_dyadic_fraction_p_is_fast():
@@ -273,17 +376,58 @@ def simplified_stats(c: Circuit) -> tuple:
 
 
 def test_restricted_stats_match_simplify():
-    for c in random_corpus(30, 9, 4, seed=61):
+    # trial counts that are not multiples of 64 leave pad bits in the last word
+    for i, c in enumerate(random_corpus(30, 9, 4, seed=61)):
         nand, _ = to_nand_form(c)
         pair = build_sandwich(nand, Fraction(1, 16))
-        (free, x), = _restriction_blocks(c.n, 0.4, 64, c.n)
+        (size, free, x), = _restriction_blocks(c.n, 0.4, 37 + 5 * i, c.n)
+        free_t, x_t = trial_major(free, size), trial_major(x, size)
         for form in (c, Circuit(Not(c.root), c.n), nand, pair.lower, pair.upper):
-            state, leaves, fan = _restricted(form, free, x, stats=True)
-            assert np.array_equal(_restricted(form, free, x), state)  # collapse's path
-            for t in range(len(free)):
-                m = RestrictionMask.from_bits(free[t].astype(int).tolist(), x[t].tolist())
+            alive, one, leaves, fan = _restricted(form, free, x, size, stats=True)
+            planes = _restricted(form, free, x, size)  # collapse's path
+            assert np.array_equal(planes[0], alive) and np.array_equal(planes[1], one)
+            state = states(alive, one, size)
+            assert len(leaves) == len(fan) == size
+            for t in range(size):
+                m = RestrictionMask.from_bits(free_t[t].tolist(), x_t[t].tolist())
                 want = simplified_stats(simplify(restrict(form, m)))
                 assert (int(state[t]), int(leaves[t]), int(fan[t])) == want, (render(form), t)
+
+
+@pytest.mark.parametrize("p", [0.9, 0.97])
+def test_collapse_hits_match_uint8_oracle(p):
+    c = load_circuit("random:n=512,d=3,seed=5")
+    trials = 20_000
+    rep = collapse_probability(c, p, 0.5, trials=trials, master_seed=3, enforce_bounds=False)
+    want = sum(int((uint8_restricted(c, free, x) == _ALIVE).sum())
+               for free, x in reference_blocks(c.n, p, trials, 3))
+    assert want > 0
+    assert round(rep.estimate * trials) == want
+
+
+# at eps = 1/16 both halves of this tribes are constant, so it takes 1/300,
+# where they keep every leaf in NAND form
+@pytest.mark.parametrize("spec, eps", [("tribes:m=128,w=8", Fraction(1, 300)),
+                                       ("rectribes:d=3,widths=8-16-8", Fraction(1, 16))])
+def test_shrink_matches_uint8_oracle(spec, eps):
+    c = load_circuit(spec)
+    p, trials, seed = 0.2, 3000, 6
+    rep = shrink_experiment(c, p, eps, trials=trials, master_seed=seed)
+    nand, _ = to_nand_form(c)
+    pair = build_sandwich(nand, eps)
+    (free, x), = reference_blocks(c.n, p, trials, seed)
+    (st_lo, lv_lo, fn_lo), (st_up, lv_up, fn_up), (st_or, lv_or, _) = (
+        uint8_restricted(form, free, x, stats=True) for form in (pair.lower, pair.upper, c)
+    )
+    assert np.array_equal(rep.sizes_lower, lv_lo)
+    assert np.array_equal(rep.sizes_upper, lv_up)
+    assert np.array_equal(rep.sizes_original, lv_or)
+    assert np.array_equal(rep.fanin_max, np.maximum(fn_lo, fn_up))
+    assert rep.fanin_max.max() > 1 and rep.sizes_max.max() > 1
+    for rate, st in ((rep.nonconstant_lower, st_lo), (rep.nonconstant_upper, st_up),
+                     (rep.nonconstant_original, st_or)):
+        assert rate == int((st == _ALIVE).sum()) / trials
+    assert 0 < rep.nonconstant_upper < 1
 
 
 def test_shrink_p_zero_collapses_everything():
