@@ -36,6 +36,7 @@ from .circuit import (
     Const,
     Leaf,
     Nand,
+    Node,
     Not,
     Or,
     RestrictionMask,
@@ -77,7 +78,7 @@ class ChildSlot:
     meta: Union["GateBlock", LeafBlock]
     width: int
     absorbing: bool
-    circuit: Circuit  # the Boolean function this child block computes from 1 to 1
+    node: Node  # the Boolean function this child block computes from 1 to 1
 
 
 @dataclass(frozen=True)
@@ -239,11 +240,11 @@ def bp_from_circuit(c: Circuit) -> OrderedBP:
         if sc.root.value == 1:
             return OrderedBP(1, (), (), meta=ConstBlock(1))
         return OrderedBP(2, (0,), (((2, 2), (2, 2)),), meta=ConstBlock(0))
-    width, var_order, layers, meta, _ = trampoline(_build(sc.root, False, c.n))
+    width, var_order, layers, meta, _ = trampoline(_build(sc.root, False))
     return OrderedBP(width, tuple(var_order), tuple(layers), meta=meta)
 
 
-def _build(node, neg: bool, n: int):
+def _build(node, neg: bool):
     """Returns (width, var_order, layers, meta, absorbing) for node xor neg."""
     if isinstance(node, Leaf):
         sat = 1 ^ int(node.negated) ^ int(neg)
@@ -252,22 +253,22 @@ def _build(node, neg: bool, n: int):
             maps.append(((1 if bit == sat else 2), 2))
         return 2, [node.var], [tuple(maps)], LeafBlock(node.var, sat), True
     if isinstance(node, Not):
-        return (yield _build(node.child, not neg, n))
+        return (yield _build(node.child, not neg))
     if isinstance(node, And):
         pairs = [(ch, False) for ch in node.children]
-        return (yield _and_construction(pairs, n, swap=neg))
+        return (yield _and_construction(pairs, swap=neg))
     if isinstance(node, Or):
         # OR(cs) = NOT(AND(NOT cs)); negation toggles the final swap
         pairs = [(ch, True) for ch in node.children]
-        return (yield _and_construction(pairs, n, swap=not neg))
+        return (yield _and_construction(pairs, swap=not neg))
     if isinstance(node, Nand):
         pairs = [(ch, False) for ch in node.children]
-        return (yield _and_construction(pairs, n, swap=not neg))
+        return (yield _and_construction(pairs, swap=not neg))
     raise BPError(f"constant below the root; simplify first: {node}")
 
 
-def _and_construction(pairs, n: int, swap: bool):
-    built = yield [_build(ch, cneg, n) for ch, cneg in pairs]
+def _and_construction(pairs, swap: bool):
+    built = yield [_build(ch, cneg) for ch, cneg in pairs]
     width = max(2, max(w if ab else w + 1 for w, _, _, _, ab in built))
 
     var_order: list[int] = []
@@ -279,6 +280,9 @@ def _and_construction(pairs, n: int, swap: bool):
         embed = list(range(w + 1))  # embed[0] unused
         if absorbing:
             embed[w] = width
+        unembed = [0] * (width + 1)  # parent label -> child state, 0 for none
+        for cu in range(1, w + 1):
+            unembed[embed[cu]] = cu
         start = len(layers) + 1
         for t, (m0, m1) in enumerate(ly):
             last = t == len(ly) - 1
@@ -286,10 +290,7 @@ def _and_construction(pairs, n: int, swap: bool):
             for child_map in (m0, m1):
                 pm = []
                 for u in range(1, width + 1):
-                    try:
-                        cu = embed.index(u)
-                    except ValueError:
-                        cu = 0
+                    cu = unembed[u]
                     target = embed[child_map[cu - 1]] if cu else width
                     if last and target != 1:
                         target = width
@@ -297,9 +298,8 @@ def _and_construction(pairs, n: int, swap: bool):
                 parent_maps.append(tuple(pm))
             layers.append(tuple(parent_maps))
         var_order.extend(vo)
-        child_fn = Circuit(Not(ch) if cneg else ch, n)
         slots.append(
-            ChildSlot(start, len(layers), meta, w, absorbing, child_fn)
+            ChildSlot(start, len(layers), meta, w, absorbing, Not(ch) if cneg else ch)
         )
 
     if swap:
@@ -394,7 +394,7 @@ def _witness(meta: Meta, i: int, j: int, d1: int, d2: int):
     chain = [survive_first]
     for slot in meta.slots:
         if slot.start > first.end and slot.end < last.start:
-            chain.append(slot.circuit.root)
+            chain.append(slot.node)
 
     if j < last.end:
         j_local = j - last.start + 1
@@ -411,7 +411,7 @@ def _witness(meta: Meta, i: int, j: int, d1: int, d2: int):
         reach = yield _witness(last.meta, 1, j_local, 1, d2_local)
         return And(tuple(chain + [reach]))
 
-    alive = And(tuple(chain + [last.circuit.root]))
+    alive = And(tuple(chain + [last.node]))
     return _boundary_target(alive, d2, w, swapped)
 
 

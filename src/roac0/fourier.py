@@ -10,7 +10,9 @@ only AND and OR gates over possibly negated leaves, and need no recursion
 at any nesting depth.  The recursion is exact at any n, in dyadic integers:
 a leaf contributes +-1/2, so every subtree's quantities are integers over
 2^(leaf count) ((2b)^(leaf count) for damping p = a/b), with one
-``Fraction`` built at the root and float modes rounding that value.
+``Fraction`` built at the root and float modes rounding that value.  The
+bound checkers need only L_p and F_hat[0], which one O(size) scalar fold
+gives exactly; the level profile and the transform are the oracles.
 
 The transform and its level sums run their inner stages as float64
 matmuls by +-1 and 0/1 matrices, exact because every partial sum is an
@@ -285,14 +287,13 @@ def total_mass(lp: LevelProfile):
     return sum(lp.abs_mass[1:], lp.abs_mass[0] * 0)
 
 
-def damped_mass_recursive(c: Circuit, p, exact: bool = False):
-    """L_p by the scalar product recursion, O(size) with no polynomials.
+def _damped_fold(c: Circuit, p) -> tuple[int, int, int]:
+    """Dyadic integers (u, L, f0) with L_p = L / u and F_hat[0] = f0 / u.
 
     For an AND: L_p(F) = prod(L_p(F_i) + F_i_hat[0]) - prod(F_i_hat[0]).
     With p = a/b every subtree's L_p and F_hat[0] are integers over
-    (2b)^(leaf count), so the recursion is exact for any rational p (a
-    float p is a dyadic rational) and ``exact=False`` returns the correctly
-    rounded float of the exact value, with no cancellation.
+    u = (2b)^(leaf count), so the fold is exact for any rational p (a float
+    p is a dyadic rational), with no cancellation.
     """
     if not 0 <= p <= 1:
         raise CircuitError(f"p={p} outside [0,1]")
@@ -300,8 +301,7 @@ def damped_mass_recursive(c: Circuit, p, exact: bool = False):
     pf = Fraction(p)
     a, scale = pf.numerator, 2 * pf.denominator
 
-    # (u, L, f0): L_p = L / u and F_hat[0] = f0 / u, u = scale^leaves; a gate
-    # carries (u, prod(L_i + f0_i), prod(f0_i)) until it closes
+    # a gate carries (u, prod(L_i + f0_i), prod(f0_i)) until it closes
     def absorb(acc, child, is_and):
         u, prod_both, prod_f0 = acc
         cu, lp_c, f0_c = child
@@ -313,8 +313,17 @@ def damped_mass_recursive(c: Circuit, p, exact: bool = False):
         u, prod_both, prod_f0 = acc
         return u, prod_both - prod_f0, prod_f0 if is_and else u - prod_f0
 
-    u, num, _ = fold(c, lambda var, negated: (scale, a, scale // 2), lambda value: (1, 0, value),
-                     lambda: (1, 1, 1), absorb, finish)
+    return fold(c, lambda var, negated: (scale, a, scale // 2), lambda value: (1, 0, value),
+                lambda: (1, 1, 1), absorb, finish)
+
+
+def damped_mass_recursive(c: Circuit, p, exact: bool = False):
+    """L_p by the O(size) scalar fold, no polynomials.
+
+    Exact (a ``Fraction``) with ``exact=True``; otherwise the correctly
+    rounded float of the exact value.
+    """
+    u, num, _ = _damped_fold(c, p)
     return Fraction(num, u) if exact else num / u
 
 
@@ -379,6 +388,8 @@ def check_lp_sandwich(lp: LevelProfile, p, tolerance: float = 0.0) -> BoundRepor
 
 def growth_factor(n: int, depth: int, eps) -> float:
     """(9 log2(4^D n / eps))^D at D = ``depth``, or CircuitError past the float range."""
+    if n < 1 or not eps > 0:
+        raise CircuitError(f"growth factor needs n >= 1 and eps > 0, got n={n}, eps={eps}")
     try:
         factor = (9.0 * math.log2((4.0**depth) * n / eps)) ** depth
     except OverflowError:
@@ -402,9 +413,11 @@ def check_mainbound(
 
     Checked at the boundary p unless one is supplied.  Depth-0 circuits are
     treated as depth 1 (wrap in a unary AND, which changes nothing else).
-    The explicit constant is 9 and logs are base 2.
+    The explicit constant is 9 and logs are base 2.  Both L_p and F_hat[0]
+    come exactly from the O(size) damped fold; ``lhs`` is the correctly
+    rounded float of the exact L_p, and ``rhs`` is a float (it has a log2).
     """
-    if not 0 < Fraction(eps) <= Fraction(1, c.n):
+    if not 0 < Fraction(eps) * c.n <= 1:
         raise CircuitError(f"eps={eps} outside (0, 1/n] for n={c.n}")
     d = max(c.depth, 1)
     factor = growth_factor(c.n, d, eps)
@@ -413,13 +426,12 @@ def check_mainbound(
         p = p_max
     elif p > p_max * (1 + 1e-12):
         raise CircuitError(f"p={p} exceeds admissible maximum {p_max}")
-    lp = level_profile_recursive(c)
-    lhs = float(damped_mass(lp, p))
-    f0 = lp.signed_sum[0]  # F_hat[0] = E[F]
+    u, mass, f0 = _damped_fold(c, p)
+    f0 = Fraction(f0, u)  # F_hat[0] = E[F]
     minf0 = float(min(f0, 1 - f0))
     rhs = p * minf0 * factor + eps
     return _report(
-        lhs,
+        mass / u,
         rhs,
         {
             "p": p,
@@ -457,42 +469,17 @@ def check_growth_corollary(c: Circuit) -> dict:
     return {"g": g, "denominator": denom, "D": d, "n": c.n, "levels": per_level}
 
 
-def biased_gap(c: Circuit, p_coin, details: bool = False):
+def biased_gap(c: Circuit, p_coin):
     """|E_X[F] - E_U[F]| for the product coin distribution with bias p.
 
     Convention: bias p means E[(-1)^{x_i}] = p, so Pr[x_i = 1] = (1-p)/2
-    and the gap equals |sum_{k>=1} A^k p^k|.  Computed independently from
-    the signed profile, from acceptance probabilities, and (n <= 14) from
-    the brute-force table; the three paths must agree.
+    and the gap equals |sum_{k>=1} A^k p^k|.  Computed exactly as the
+    difference of two acceptance probabilities: a ``Fraction`` or int p
+    gives the exact ``Fraction``, any other p its correctly rounded float.
     """
     if not -1 <= p_coin <= 1:
         raise CircuitError(f"coin bias {p_coin} outside [-1,1]")
-    exact = isinstance(p_coin, (Fraction, int))
-    p = Fraction(p_coin) if exact else float(p_coin)
-    lp = level_profile_recursive(c, exact=exact)
-
-    signed = sum(
-        (p**k * lp.signed_sum[k] for k in range(1, c.n + 1)),
-        lp.signed_sum[0] * 0,
-    )
-    via_profile = abs(signed)
-
-    q = BiasVector.constant(c.n, (1 - p) / 2)
-    via_measure = abs(
-        acceptance_probability(c, q)
-        - acceptance_probability(c, BiasVector.uniform(c.n))
-    )
-
-    paths = {"profile": via_profile, "measure": via_measure}
-    if c.n <= 14:
-        _, sgn = wht_bruteforce(c).level_sums()
-        paths["table"] = abs(
-            sum((p**k * sgn[k] for k in range(1, c.n + 1)), sgn[0] * 0)
-        )
-
-    values = [float(v) for v in paths.values()]
-    if max(values) - min(values) > 1e-12:
-        raise ArithmeticError(f"gap computation paths disagree: {paths}")
-    if details:
-        return paths
-    return via_profile
+    biased = BiasVector.from_coin_bias(c.n, Fraction(p_coin))
+    gap = abs(acceptance_probability(c, biased)
+              - acceptance_probability(c, BiasVector.uniform(c.n)))
+    return gap if isinstance(p_coin, (Fraction, int)) else float(gap)

@@ -380,7 +380,7 @@ def default_rounds(n: int, eps: float, a: int) -> int:
     """
     if n < 1 or not 0 < eps < 1 or a < 0:
         raise CircuitError(f"bad parameters n={n} eps={eps} a={a}")
-    return max(1, ceil((1 << a) * (2 * log2(max(n, 2)) + log2(1 / eps))))
+    return max(1, ceil((1 << a) * (2 * log2(max(n, 2)) - log2(eps))))
 
 
 @dataclass(frozen=True)
@@ -441,8 +441,9 @@ class RestrictionPRG:
     @classmethod
     def standard(cls, n: int, eps: float, a: int = 1) -> "RestrictionPRG":
         """Pick ell so each block biases below eps, rounds to cover whp."""
-        ell = min(64, max(2, ceil(log2(max(n, 2) / eps))))
-        return cls(n=n, a=a, rounds=default_rounds(n, eps, a), ell_sel=ell, ell_asn=ell)
+        rounds = default_rounds(n, eps, a)  # validates n, eps and a first
+        ell = min(64, max(2, ceil(log2(max(n, 2)) - log2(eps))))
+        return cls(n=n, a=a, rounds=rounds, ell_sel=ell, ell_asn=ell)
 
     def _split(self, seed: int) -> list:
         vals = []

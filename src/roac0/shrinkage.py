@@ -247,7 +247,7 @@ def collapse_probability(
     n, D = c.n, c.depth
     if not 0 <= p <= 1:
         raise CircuitError(f"p={p} outside [0,1]")
-    if enforce_bounds and not 0 < Fraction(eps) < Fraction(1, n):
+    if enforce_bounds and not 0 < Fraction(eps) * n < 1:
         raise CircuitError(f"eps={eps} not inside (0, 1/{n})")
     if not 0 < eps < 1:
         raise CircuitError(f"eps={eps} outside (0,1)")

@@ -3,6 +3,7 @@
 import random
 
 from roac0 import And, Circuit, Leaf, Nand, Not, Or, gen_random_read_once
+from roac0.fourier import biased_gap, level_profile_recursive, wht_bruteforce
 
 
 def random_corpus(count, n_max, d_max, seed, n_min=2):
@@ -30,3 +31,19 @@ def deep_chain(depth: int) -> Circuit:
         if i % 5 == 0:
             node = Not(node)
     return Circuit(node, depth + 1)
+
+
+def gap_paths(c, p) -> dict:
+    """The coin-bias gap |sum_{k>=1} A^k p^k| three ways, for a float p.
+
+    ``measure`` is the library's exact acceptance difference; ``profile``
+    sums the float signed profile and ``table`` the transform's exact level
+    sums times p^k (n <= 14), both in float arithmetic.
+    """
+    sgn_f = level_profile_recursive(c, exact=False).signed_sum
+    _, sgn_w = wht_bruteforce(c, cap=14).level_sums()
+    return {
+        "measure": biased_gap(c, p),
+        "profile": abs(sum(p**k * sgn_f[k] for k in range(1, c.n + 1))),
+        "table": abs(sum(p**k * float(sgn_w[k]) for k in range(1, c.n + 1))),
+    }

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from roac0.cli import Reporter, _bp_planes, _default_jobs, load_circuit, load_corpus, main
+from roac0.fourier import damped_mass_recursive
 
 
 def run(args):
@@ -294,6 +295,67 @@ def test_shrink_argv_never_tracebacks(spec, p, eps, trials, seed):
     assert code in (0, 1, 2)
 
 
+_CORPORA = ["random:n=6,d=2,count=3,seed=1", "random:n=5,d=3,count=2", "tribes:m=2,w=2",
+            "(or x0 (and x1 x2))"]
+_BAD_CORPORA = ["random:n=1,d=1,count=2", "random:n=5,d=0,count=2", "random:n=5,d=2,count=0",
+                "random:n=5,d=2,count=x", "random:count=2"]
+_FLOATS = ["0", "-0", "0.05", "0.3", "1"]
+
+
+@st.composite
+def _argv(draw):
+    """argv for describe, fourier, bounds, bp or prg: small circuits, odd values mixed in."""
+    spec = draw(_text(_SPECS, _BAD_SPECS))
+    number = _text(_FLOATS, _ODD_NUMBERS, st.floats().map(repr))
+    small_int = st.one_of(st.integers(-2, 6).map(str), st.sampled_from(["2**70", "x", ""]))
+    command = draw(st.sampled_from(["describe", "fourier", "bounds", "bp", "prg"]))
+    if command == "describe":
+        return [command, "--circuit", spec]
+    if command == "fourier":
+        argv = [command, "--circuit", spec]
+        for p in draw(st.lists(number, max_size=3)):
+            argv += ["--p", p]
+        return argv + (["--check"] if draw(st.booleans()) else [])
+    if command in ("bounds", "bp"):
+        argv = [command, "--corpus", draw(_text(_CORPORA + _SPECS, _BAD_CORPORA + _BAD_SPECS)),
+                "--jobs", draw(st.sampled_from(["1", "0", "-1"]))]
+        if command == "bp":
+            return argv + ["--witnesses", draw(small_int), "--seed",
+                           draw(st.one_of(st.integers(-3, 2**64 + 5).map(str), st.just("x")))]
+        if draw(st.booleans()):
+            argv += ["--eps", draw(_text(["1/1000", "1/10", "0.01"], _ODD_NUMBERS,
+                                         st.fractions().map(str)))]
+        return argv + (["--p", draw(number)] if draw(st.booleans()) else [])
+    mode = draw(st.sampled_from(["smallbias", "restriction", "uniform", "other"]))
+    argv = [command, "--circuit", spec, "--mode", mode, "--trials", draw(small_int),
+            "--seed", draw(st.sampled_from(["0", "7", "-1", str(2**64)]))]
+    for flag, values in (("--ell", ["1", "2", "4", "6", "0", "65", "-3", "x"]),
+                         ("--a", ["0", "1", "2", "-1", "x"]),
+                         ("--rounds", ["0", "1", "3", "-2", "x"]),
+                         ("--eps", _FLOATS + _ODD_NUMBERS + ["1e-300", "5e-324"]),
+                         ("--max-error", _FLOATS + _ODD_NUMBERS)):
+        if draw(st.booleans()):
+            argv += [flag, draw(st.sampled_from(values))]
+    return argv + (["--exhaustive"] if draw(st.booleans()) else [])
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=_argv())
+def test_argv_never_tracebacks(argv):
+    try:
+        code = main(argv)
+    except SystemExit as e:
+        code = e.code
+    assert code in (0, 1, 2)
+
+
+def test_restriction_eps_outside_unit_interval_exits_2(capsys):
+    for eps in ("0", "-0", "1", "nan"):
+        argv = ["prg", "--circuit", "(and x0 x1)", "--mode", "restriction", "--eps", eps]
+        assert run(argv) == 2
+        assert "bad parameters" in capsys.readouterr().err
+
+
 def test_prg_uniform_exhaustive_error_is_zero(tmp_path, capsys):
     code = run([
         "prg", "--circuit", "(and x0 x1 x2)", "--mode", "uniform",
@@ -341,8 +403,19 @@ def test_bounds_csv_pinned(tmp_path):
         "5.616694372154248e-10,0.001\n"
         "3,34,3,1.0993866074259915e-07,0.2544761047572829,0.25447599481862215,True,"
         "1.4699927972736893e-07,0.001\n"
-        "4,3,2,3.190845688494102e-05,0.376,0.37596809154311506,True,5.10519672072808e-05,0.001\n"
+        "4,3,2,3.190845688494101e-05,0.376,0.37596809154311506,True,5.10519672072808e-05,0.001\n"
     )
+
+
+def test_bounds_lhs_is_rounded_exact_damped_mass(tmp_path):
+    spec = "random:n=64,d=4,count=60,seed=9"
+    assert run(["bounds", "--corpus", spec, "--out", str(tmp_path)]) == 0
+    rows = list(csv.DictReader(io.StringIO((tmp_path / "bounds.csv").read_text())))
+    circuits = load_corpus(spec)
+    assert len(rows) == len(circuits)
+    for c, row in zip(circuits, rows):
+        exact = damped_mass_recursive(c, float(row["p"]), exact=True)
+        assert float(row["lhs"]) == float(exact)
 
 
 def test_bp_outputs_identical_across_jobs(tmp_path):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import deep_chain, random_corpus
+from conftest import deep_chain, gap_paths, random_corpus
 from roac0 import (
     And,
     BiasVector,
@@ -401,9 +401,16 @@ def test_gap_and_two_full_bias():
 def test_gap_three_paths_agree():
     for c in random_corpus(25, 12, 3, seed=149):
         for p in (0.05, -0.05, 0.25, -0.25):
-            paths = biased_gap(c, p, details=True)
-            vals = [float(v) for v in paths.values()]
+            vals = list(gap_paths(c, p).values())
             assert max(vals) - min(vals) <= 1e-12
+
+
+def test_gap_float_is_rounded_exact():
+    for c in random_corpus(40, 14, 4, seed=151):
+        for x in (0.05, -0.05, 0.25, -0.3, 0.01):
+            exact = biased_gap(c, Fraction(x))
+            assert isinstance(exact, Fraction)
+            assert biased_gap(c, x) == float(exact)
 
 
 def test_gap_rejects_out_of_range():

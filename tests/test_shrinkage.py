@@ -38,7 +38,7 @@ from roac0.circuit import (
     iter_nodes,
 )
 from roac0.cli import load_circuit
-from roac0.fourier import truth_table
+from roac0.fourier import check_mainbound, growth_factor, truth_table
 from roac0.shrinkage import (
     _BLOCK,
     CollapseReport,
@@ -133,6 +133,18 @@ def test_collapse_constant_circuit_never_survives():
     assert rep.exact == 0
     assert rep.estimate == 0.0
     assert rep.passed
+
+
+def test_zero_variable_circuit_is_a_circuit_error():
+    # the bound's log2(4^D n / eps) and its eps <= 1/n need n >= 1
+    c = Circuit(Const(1), 0)
+    with pytest.raises(CircuitError):
+        growth_factor(0, 1, 0.5)
+    with pytest.raises(CircuitError):
+        check_mainbound(c, Fraction(1, 2))
+    for enforce in (False, True):
+        with pytest.raises(CircuitError):
+            collapse_probability(c, 0.1, 0.5, trials=10, enforce_bounds=enforce)
 
 
 def test_collapse_single_leaf_is_exactly_p():
