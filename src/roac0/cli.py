@@ -371,7 +371,8 @@ def cmd_bounds(args) -> int:
     eps = None if args.eps is None else _fraction(args.eps)
     circuits = load_corpus(args.corpus)
     items = [(i, c, eps, args.p) for i, c in enumerate(circuits)]
-    rows = _pmap(_bounds_task, items, args.jobs)
+    with rep.stage("bounds", len(items)):
+        rows = _pmap(_bounds_task, items, args.jobs)
     failures = sum(1 for row in rows if not row[6])
     rep.add_csv(
         "bounds.csv",
@@ -433,7 +434,8 @@ def cmd_bp(args) -> int:
         raise UsageError(f"--witnesses {args.witnesses} is negative")
     circuits = load_corpus(args.corpus)
     items = [(i, c, args.witnesses, args.seed + i) for i, c in enumerate(circuits)]
-    rows = _pmap(_bp_task, items, args.jobs)
+    with rep.stage("bp", len(items)):
+        rows = _pmap(_bp_task, items, args.jobs)
     rep.add_csv(
         "bp.csv",
         [
@@ -473,9 +475,11 @@ def cmd_prg(args) -> int:
     c = load_circuit(args.circuit)
     gen = _build_expander(args, c.n)
     mode = "exhaustive" if args.exhaustive else "mc"
-    fr = prgmod.fooling_error(
-        c, gen, mode=mode, trials=args.trials, master_seed=args.seed
-    )
+    seeds = 1 << gen.seed_bits if args.exhaustive else args.trials
+    with rep.stage("prg", seeds):
+        fr = prgmod.fooling_error(
+            c, gen, mode=mode, trials=args.trials, master_seed=args.seed
+        )
     data = fr.as_dict()
     data["seed_bits"] = gen.seed_bits
     if hasattr(gen, "bias_bound"):

@@ -178,22 +178,97 @@ def _xor_span(vectors: np.ndarray) -> np.ndarray:
     return table
 
 
-def _fields(bits: np.ndarray, offsets, width: int) -> np.ndarray:
-    """uint64 value of the width-bit field at each offset, shape (rows, offsets).
+def _frobenius_orbits(ell: int) -> tuple:
+    """(alphas, degree): the least element of each orbit {alpha^(2^k)} of
+    nonzero field elements, and the orbit's size.
 
-    ``bits`` holds one seed per row, bit k of the seed in column k.
+    The size d is also the degree of the smallest subfield holding alpha.
     """
-    cols = np.asarray(offsets)[:, None] + np.arange(width)
-    packed = np.packbits(bits[:, cols], axis=-1, bitorder="little")
-    words = np.zeros(packed.shape[:-1] + (8,), dtype=np.uint8)
-    words[..., : packed.shape[-1]] = packed
-    return words.view("<u8")[..., 0]
+    alphas = np.arange(1, 1 << ell, dtype=np.uint64)
+    degree = np.zeros(alphas.shape, dtype=np.int64)
+    least = alphas.copy()
+    x = alphas
+    for d in range(1, ell + 1):
+        x = _gf_mul_many(_gf_shifts(x, ell), x)
+        degree[(degree == 0) & (x == alphas)] = d
+        np.minimum(least, x, out=least)
+    first = least == alphas
+    return alphas[first], degree[first]
 
 
-def _expand_fields(bits: np.ndarray, ell: int, n: int, offsets) -> np.ndarray:
+def _power_coords(powers: np.ndarray, d: int) -> np.ndarray:
+    """coords[a, j] = d-bit coordinates of powers[a, d + j] in the basis powers[a, :d].
+
+    One batched GF(2) elimination over the rows: each basis vector in turn
+    takes its lowest set bit as pivot and is cleared from every other one,
+    while a tag records which original vectors it sums.  Reducing a power
+    by the pivots it holds then leaves 0 and its coordinates in the tag.
+    """
+    basis = powers[:, :d].copy()
+    tags = np.tile(1 << np.arange(d), (len(basis), 1))
+    pivots = np.empty_like(basis)
+    for i in range(d):
+        row, tag = basis[:, i : i + 1], tags[:, i : i + 1]
+        pivots[:, i : i + 1] = row & -row
+        hit = (basis & pivots[:, i : i + 1]) != 0
+        hit[:, i] = False
+        basis ^= row * hit
+        tags ^= tag * hit
+    rest = powers[:, d:].copy()
+    coords = np.zeros_like(rest)
+    for i in range(d):
+        hit = (rest & pivots[:, i : i + 1]) != 0
+        rest ^= basis[:, i : i + 1] * hit
+        coords ^= tags[:, i : i + 1] * hit
+    return coords
+
+
+def _count_kernels(roots: np.ndarray, coords: np.ndarray, d: int) -> None:
+    """roots[lo | hi << d] += d for each row of coords and each hi, where
+    lo is the XOR of the row's coords[j] over the set bits j of hi: each row
+    is one alpha of degree d, standing for its d conjugates.
+
+    Laid out hi-major, 2^b consecutive hi make one 2^16-entry slice of
+    ``roots`` (or 2^d entries for one hi): a span table over their low b
+    bits, XOR one base for the high bits, is counted by one bincount.
+    """
+    h = coords.shape[1]
+    b = min(h, max(0, 16 - d))
+    low = _xor_span(coords[:, :b].T)
+    offsets = (np.arange(1 << b, dtype=np.int64) << d)[:, None]
+    for hi in range(0, 1 << h, 1 << b):
+        high_bits = (hi >> np.arange(b, h)) & 1
+        block = low ^ np.bitwise_xor.reduce(coords[:, b:][:, high_bits == 1], axis=1)
+        block |= offsets
+        part = np.bincount(block.ravel(), minlength=(1 << b) << d)
+        part *= d
+        roots[hi << d : (hi + (1 << b)) << d] += part
+
+
+def _fields(seeds: np.ndarray, offsets, width: int) -> np.ndarray:
+    """uint64 value of the width-bit field at each bit offset, shape (rows, offsets).
+
+    ``seeds`` holds one seed per row as little-endian bytes (``_seed_bytes``),
+    so a field of up to 64 bits lies in the 9 bytes from its first one: read
+    them as a word plus a ninth byte and shift.  Gathers past the row's end
+    repeat its last byte, which lands above the field and is masked off.
+    """
+    offsets = np.asarray(offsets)
+    shift = (offsets % 8).astype(np.uint64)
+    index = np.minimum(offsets[:, None] // 8 + np.arange(9), seeds.shape[1] - 1)
+    grabbed = seeds[:, index]
+    value = np.ascontiguousarray(grabbed[..., :8]).view("<u8")[..., 0] >> shift
+    # the ninth byte's bits start at 64 - shift; at shift 0 they all fall off
+    value |= (grabbed[..., 8].astype(np.uint64) << np.uint64(56)) << (np.uint64(8) - shift)
+    if width < 64:
+        value &= np.uint64((1 << width) - 1)
+    return value
+
+
+def _expand_fields(seeds: np.ndarray, ell: int, n: int, offsets) -> np.ndarray:
     """SmallBiasGen(ell, n) outputs of the blocks at each offset, (rows, offsets) int64."""
-    alpha = _fields(bits, offsets, ell)
-    beta = _fields(bits, np.add(offsets, ell), ell)
+    alpha = _fields(seeds, offsets, ell)
+    beta = _fields(seeds, np.add(offsets, ell), ell)
     out = np.zeros(alpha.shape, dtype=np.uint64)
     for i, p in enumerate(_gf_powers(alpha, ell, n)):
         out |= (np.bitwise_count(p & beta) & 1).astype(np.uint64) << np.uint64(i)
@@ -259,8 +334,25 @@ class SmallBiasGen:
             base = np.bitwise_xor.reduce(cols[k:][high_bits == 1], axis=0)
             yield (highs[:, None, :] ^ (lows ^ base)[None, :, :]).reshape(-1)
 
-    def _expand_bits(self, bits: np.ndarray) -> np.ndarray:
-        return _expand_fields(bits, self.ell, self.n, [0])[:, 0]
+    def _expand_seeds(self, seeds: np.ndarray) -> np.ndarray:
+        return _expand_fields(seeds, self.ell, self.n, [0])[:, 0]
+
+    def _bias(self, n: int) -> Fraction:
+        # Character S sums to 2^ell * #{alpha : sum_{i in S} alpha^(i+1) = 0}
+        # over the seeds, so its bias is that root count over 2^ell.  Every
+        # S has the root 0.  For alpha of degree d, the smallest subfield
+        # holding it, alpha^1..alpha^d are a basis of the span of all its
+        # powers, so the S it is a root of are any bits above d together with
+        # the d low bits that cancel them.  The polynomial has coefficients
+        # in GF(2), so alpha^2 is a root whenever alpha is: the d conjugates
+        # of alpha share its S, and one of them stands for all d.
+        roots = np.zeros(1 << n, dtype=np.int32)
+        alphas, degree = _frobenius_orbits(self.ell)
+        powers = np.stack(list(_gf_powers(alphas, self.ell, n)), axis=1).view(np.int64)
+        for d in np.unique(degree).tolist():
+            if d < n:
+                _count_kernels(roots, _power_coords(powers[degree == d], d), d)
+        return Fraction(int(roots[1:].max()) + 1, 1 << self.ell)
 
 
 def smallbias_expand(seed, n: int, ell: int | None = None) -> int:
@@ -316,19 +408,27 @@ class UniformGen:
         for lo in range(0, total, step):
             yield np.arange(lo, min(lo + step, total), dtype=np.int64)
 
-    def _expand_bits(self, bits: np.ndarray) -> np.ndarray:
-        return _fields(bits, [0], self.n)[:, 0].view(np.int64)
+    def _expand_seeds(self, seeds: np.ndarray) -> np.ndarray:
+        return _fields(seeds, [0], self.n)[:, 0].view(np.int64)
+
+    def _bias(self, n: int) -> Fraction:
+        return _transform_bias(self, n)
 
 
-@lru_cache(maxsize=6)
-def _distribution_cached(gen) -> np.ndarray:
-    """Read-only counts of each n-bit output over the full seed space."""
+def _check_exhaustive(gen) -> None:
+    """The caps every full seed sweep and 2^n output table stays under."""
     if gen.seed_bits > EXHAUSTIVE_SEED_CAP:
         raise CapExceeded(
             f"{gen.seed_bits} seed bits exceed exhaustive cap {EXHAUSTIVE_SEED_CAP}"
         )
     if gen.n > WHT_CAP:
         raise CapExceeded(f"output distribution for n={gen.n} exceeds cap {WHT_CAP}")
+
+
+@lru_cache(maxsize=6)
+def _distribution_cached(gen) -> np.ndarray:
+    """Read-only counts of each n-bit output over the full seed space."""
+    _check_exhaustive(gen)
     # chunks of at least 2^n outputs, so each 2^n-bin bincount pays for itself
     counts = None
     for chunk in gen._output_chunks(chunk_bits=max(20, gen.n)):
@@ -351,24 +451,31 @@ def _accepted_seeds(gen, tt: np.ndarray) -> int:
     return int(_distribution_cached(gen).sum(where=tt.view(bool)))
 
 
+def _transform_bias(gen, n: int) -> Fraction:
+    """Bias of the first n output bits from the exact transform of the output distribution."""
+    counts = _distribution_cached(gen)  # read-only; the transform works on a copy
+    if n < gen.n:
+        counts = counts.reshape(-1, 1 << n).sum(axis=0)
+    rest = _wht_integers(counts)[1:]  # max |.| without a full-size np.abs temporary
+    return Fraction(max(int(rest.max()), -int(rest.min())), 1 << gen.seed_bits)
+
+
 def measure_bias(gen, n: int | None = None) -> Fraction:
     """Exact max over nonzero characters of |E_seed[(-1)^(s.output)]|.
 
-    Runs a full seed sweep (cap 2^26 seeds), accumulates the output
-    distribution, and transforms it; everything stays in integers.  A
-    small-bias sweep never multiplies field elements per seed: its outputs
-    are linear in beta, so each block of betas is one XOR of precomputed
-    tables.  With n < gen.n only the first n output bits are kept.
+    A small-bias generator counts roots: character S's signed sum over the
+    seeds is 2^ell times the number of alphas at which sum_{i in S}
+    alpha^(i+1) vanishes, and for each alpha those S form a kernel of a
+    GF(2)-linear map, so one 2^n table of root counts holds every
+    character.  Other generators sweep every seed into the output
+    distribution and transform it.  Both stay in integers and under the
+    same caps: 2^26 seeds (``EXHAUSTIVE_SEED_CAP``) and n <= ``WHT_CAP``.
+    With n < gen.n only the first n output bits are kept.
     """
     if n is not None and not 1 <= n <= gen.n:
         raise CircuitError(f"n={n} outside 1..{gen.n}")
-    counts = _distribution_cached(gen)  # read-only; the transform works on a copy
-    if n is not None and n < gen.n:
-        counts = counts.reshape(-1, 1 << n).sum(axis=0)
-    spectrum = _wht_integers(counts)
-    rest = spectrum[1:]  # max |.| without a full-size np.abs temporary
-    top = max(int(rest.max()), -int(rest.min())) if rest.size else 0
-    return Fraction(top, 1 << gen.seed_bits)
+    _check_exhaustive(gen)
+    return gen._bias(gen.n if n is None else n)
 
 
 def default_rounds(n: int, eps: float, a: int) -> int:
@@ -526,7 +633,7 @@ class RestrictionPRG:
                 )
             yield chunk
 
-    def _expand_bits(self, bits: np.ndarray) -> np.ndarray:
+    def _expand_seeds(self, seeds: np.ndarray) -> np.ndarray:
         # one batched expansion per distinct block degree
         strings = [None] * len(self.blocks)
         by_ell = {}
@@ -534,10 +641,13 @@ class RestrictionPRG:
             by_ell.setdefault(ell, []).append((i, off))
         for ell, members in by_ell.items():
             index, offsets = zip(*members)
-            outs = _expand_fields(bits, ell, self.n, offsets)
+            outs = _expand_fields(seeds, ell, self.n, offsets)
             for col, i in enumerate(index):
                 strings[i] = outs[:, col]
         return self._fold(strings)
+
+    def _bias(self, n: int) -> Fraction:
+        return _transform_bias(self, n)
 
 
 @lru_cache(maxsize=32)
@@ -673,16 +783,13 @@ def fooling_error(
         raise CircuitError("trials must be positive")
     block = 1 << 16
     bits = expander.seed_bits
-    step = max(1, (1 << 20) // bits)  # seeds unpacked to a bit matrix at once
+    step = max(1, (1 << 20) // bits)  # seeds expanded at once, about 2^20 seed bits
     accepted = 0
     for b, lo in enumerate(range(0, trials, block)):
         rng = np.random.default_rng(np.random.SeedSequence([master_seed, b]))
         draws = _seed_bytes(rng, bits, min(block, trials - lo))
         for s in range(0, len(draws), step):
-            seed_bits = np.unpackbits(
-                draws[s : s + step], axis=1, count=bits, bitorder="little"
-            )
-            accepted += int(tt[expander._expand_bits(seed_bits)].sum(dtype=np.int64))
+            accepted += int(tt[expander._expand_seeds(draws[s : s + step])].sum(dtype=np.int64))
     mean = accepted / trials
     ci = wilson_interval(accepted, trials)
     return FoolingReport(exact, mean, abs(mean - float(exact)), trials, "mc", ci)

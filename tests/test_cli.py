@@ -211,15 +211,27 @@ def test_shrink_data_files_pinned(tmp_path):
     }
 
 
-def test_shrink_stages_stay_out_of_data_files(tmp_path):
-    args = ["shrink", "--circuit", "tribes:m=2,w=2", "--p", "0.3", "--eps", "1/10",
-            "--trials", "300", "--seed", "2"]
+@pytest.mark.parametrize("args, again, stages, files", [
+    (["shrink", "--circuit", "tribes:m=2,w=2", "--p", "0.3", "--eps", "1/10",
+      "--trials", "300", "--seed", "2"], [],
+     [("experiment", 300), ("report", 300)], ("shrink.json", "sizes.csv")),
+    (["prg", "--circuit", "(and x0 x1 x2)", "--mode", "smallbias", "--ell", "4",
+      "--trials", "500"], [], [("prg", 500)], ("prg.json",)),
+    (["prg", "--circuit", "(and x0 x1 x2)", "--mode", "smallbias", "--ell", "4",
+      "--exhaustive"], [], [("prg", 256)], ("prg.json",)),
+    # the second run of a corpus command uses two workers
+    (["bounds", "--corpus", "random:n=10,d=3,count=5,seed=5", "--jobs", "1"],
+     ["--jobs", "2"], [("bounds", 5)], ("bounds.csv", "bounds.json")),
+    (["bp", "--corpus", "random:n=8,d=3,count=3,seed=6", "--witnesses", "2", "--jobs", "1"],
+     ["--jobs", "2"], [("bp", 3)], ("bp.csv", "bp.json")),
+], ids=["shrink", "prg_mc", "prg_exhaustive", "bounds", "bp"])
+def test_stages_stay_out_of_data_files(tmp_path, args, again, stages, files):
     assert run(args + ["--out", str(tmp_path / "a")]) == 0
-    assert run(args + ["--out", str(tmp_path / "b")]) == 0
-    stages = json.loads((tmp_path / "a" / "run.json").read_text())["stages"]
-    assert [(s["name"], s["items"]) for s in stages] == [("experiment", 300), ("report", 300)]
-    assert all(set(s) == {"name", "wall_s", "items", "rate"} for s in stages)
-    for name in ("shrink.json", "sizes.csv"):
+    assert run(args + again + ["--out", str(tmp_path / "b")]) == 0
+    recorded = json.loads((tmp_path / "a" / "run.json").read_text())["stages"]
+    assert [(s["name"], s["items"]) for s in recorded] == stages
+    assert all(set(s) == {"name", "wall_s", "items", "rate"} for s in recorded)
+    for name in files:
         text = (tmp_path / "a" / name).read_text()
         assert text == (tmp_path / "b" / name).read_text()
         assert not any(word in text for word in ("wall", "rate", "stage", "time"))

@@ -1,6 +1,7 @@
 """Expanders: field arithmetic, bias measurement, restriction schedule, fooling."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -38,7 +39,13 @@ from roac0.prg import (
     smallbias_expand,
     wilson_interval,
 )
-from roac0.prg import _gf_mul_many, _gf_shifts, _seed_bytes
+from roac0.prg import (
+    _distribution_cached,
+    _gf_mul_many,
+    _gf_shifts,
+    _seed_bytes,
+    _transform_bias,
+)
 
 
 # -- field arithmetic ---------------------------------------------------------
@@ -120,9 +127,8 @@ def _scalar_seeds(rng, bits: int, size: int) -> list:
 
 def _assert_batched_matches_scalar(gen, size=200, seed=5):
     draws = _seed_bytes(np.random.default_rng(seed), gen.seed_bits, size)
-    bits = np.unpackbits(draws, axis=1, count=gen.seed_bits, bitorder="little")
     want = [gen.expand(s) for s in _scalar_seeds(np.random.default_rng(seed), gen.seed_bits, size)]
-    assert gen._expand_bits(bits).tolist() == want
+    assert gen._expand_seeds(draws).tolist() == want
 
 
 @pytest.mark.parametrize("ell", [2, 3, 12, 13, 31, 32, 63, 64])
@@ -205,6 +211,32 @@ def test_measure_bias_matches_seed_by_seed_reference(n):
     top = max(abs(sum((-1) ** bin(t & out).count("1") for out in outs))
               for t in range(1, 1 << bits))
     assert measure_bias(gen, n) == Fraction(top, 1 << gen.seed_bits)
+
+
+@pytest.mark.parametrize("ell", range(2, 10))
+def test_root_count_matches_distribution_transform(ell):
+    # ell = 4, 6 and 8 have several proper subfields; ell = 2 runs past n = 2^ell
+    top = min(2 * ell + 2, 18)
+    gen = SmallBiasGen(ell, top)
+    for n in range(1, top + 1):
+        want = _transform_bias(gen, n)
+        assert measure_bias(gen, n) == measure_bias(SmallBiasGen(ell, n)) == want
+        if n >= 1 << ell:
+            assert want == 1  # alpha^(2^ell) = alpha, so bits 0 and 2^ell - 1 agree
+
+
+def test_root_count_memory_peak_is_the_counter_plus_small_buffers():
+    # the seed sweep would hold a 2^22-entry int64 distribution and transform
+    _distribution_cached.cache_clear()
+    tracemalloc.start()
+    try:
+        bias = measure_bias(SmallBiasGen(11, 22))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bias == Fraction(13, 2048)
+    assert peak <= np.dtype(np.int32).itemsize * (1 << 22) + (4 << 20)
+    assert _distribution_cached.cache_info().currsize == 0
 
 
 def test_distribution_sums_to_seed_count():
