@@ -193,14 +193,19 @@ def test_exhaustive_entry_points_share_seed_cap():
 
 
 def test_measure_bias_reads_the_cached_distribution_without_changing_it():
-    gen = SmallBiasGen(5, 7)
+    gen = RestrictionPRG(7, a=1, rounds=1, ell_sel=2, ell_asn=3, ell_final=2)  # 14 seed bits
     counts = output_distribution(gen)
     counts[:] = 0  # the caller's copy is its own
     first = measure_bias(gen)
     assert measure_bias(gen) == first == measure_bias(gen, n=7)
     assert output_distribution(gen).sum() == 1 << gen.seed_bits
-    with pytest.raises(CapExceeded, match=f"cap {EXHAUSTIVE_SEED_CAP}"):
+    # the root count keeps both caps and their messages
+    with pytest.raises(CapExceeded) as seeds:
         measure_bias(SmallBiasGen(14, 4))
+    with pytest.raises(CapExceeded) as width:
+        measure_bias(SmallBiasGen(12, WHT_CAP + 1))
+    assert str(seeds.value) == "28 seed bits exceed exhaustive cap 26"
+    assert str(width.value) == "output distribution for n=25 exceeds cap 24"
 
 
 @pytest.mark.parametrize("n", [None, 4])
