@@ -77,6 +77,7 @@ class Nand:
 Node = Union[Leaf, Const, Not, And, Or, Nand]
 
 _GATES = (And, Or, Nand)
+_WORD = np.dtype("<u8")  # 64 inputs per word, input t at bit t % 64 of word t // 64
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -446,12 +447,18 @@ def _eval_node(node: Node, mask: int) -> int:
     return 0
 
 
-def evaluate_columns(c: Circuit, column, size: int) -> np.ndarray:
-    """uint8 values of the circuit on ``size`` inputs at once.
+def _bits(planes: np.ndarray, size: int) -> np.ndarray:
+    """uint8 0/1 per input of ``_WORD`` planes: shape (..., W) to (..., size)."""
+    return np.unpackbits(planes.view(np.uint8), axis=-1, count=size, bitorder="little")
 
-    ``column(var)`` returns a fresh uint8 0/1 array of variable ``var``'s bits
-    over the inputs, which the fold may overwrite; each gate combines whole
-    columns.  :func:`evaluate` is the scalar reference.
+
+def evaluate_columns(c: Circuit, column, size: int, one=np.uint8(1)) -> np.ndarray:
+    """Values of the circuit on many inputs at once, planes of ``size`` entries.
+
+    ``column(var)`` returns a fresh plane of variable ``var``'s bits, which
+    the fold may overwrite; ``one`` is a true entry: 1 for uint8 byte planes,
+    all-ones for ``_WORD`` planes of 64 inputs.  :func:`evaluate` is the
+    scalar reference.
     """
 
     def absorb(acc, col, is_and):
@@ -462,9 +469,9 @@ def evaluate_columns(c: Circuit, column, size: int) -> np.ndarray:
         return np.bitwise_and(acc, col, out=acc) if is_and else np.bitwise_or(acc, col, out=acc)
 
     def const(value):
-        return np.full(size, value, dtype=np.uint8)
+        return np.full(size, one if value else 0, dtype=one.dtype)
 
-    return fold(c, lambda var, negated: column(var) ^ 1 if negated else column(var), const,
+    return fold(c, lambda var, negated: column(var) ^ one if negated else column(var), const,
                 lambda: None, absorb,
                 lambda acc, is_and, nand: const(int(is_and)) if acc is None else acc)
 

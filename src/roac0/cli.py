@@ -474,6 +474,8 @@ def cmd_prg(args) -> int:
     rep = Reporter(args)
     c = load_circuit(args.circuit)
     gen = _build_expander(args, c.n)
+    if gen.seed_bits > prgmod.MC_BATCH_BITS:  # each seed would expand alone
+        raise UsageError(f"{gen.seed_bits} seed bits exceed one batch, {prgmod.MC_BATCH_BITS}")
     mode = "exhaustive" if args.exhaustive else "mc"
     seeds = 1 << gen.seed_bits if args.exhaustive else args.trials
     with rep.stage("prg", seeds):

@@ -38,9 +38,11 @@ from fractions import Fraction
 import numpy as np
 
 from .circuit import (
+    _WORD,
     BiasVector,
     Circuit,
     CircuitError,
+    _bits,
     acceptance_probability,
     evaluate_columns,
     fold,
@@ -64,11 +66,25 @@ def variable_pattern(i: int, n: int) -> np.ndarray:
     return np.tile(block, 1 << (n - 1 - i))
 
 
+_LOW_WORDS = [sum(1 << t for t in range(64) if t >> v & 1) for v in range(6)]  # 0xAAAA...
+
+
 def truth_table(c: Circuit) -> np.ndarray:
-    """uint8 array of length 2^n with F evaluated on every assignment."""
+    """uint8 array of length 2^n with F evaluated on every assignment.
+
+    Folded on words of 64 assignments: variable v >= 6 is constant in a
+    word, laid out over the 2^(n-6) words as variable v - 6.
+    """
     if c.n > WHT_CAP:
         raise CapExceeded(f"truth table for n={c.n} exceeds cap {WHT_CAP}")
-    return evaluate_columns(c, lambda var: variable_pattern(var, c.n), 1 << c.n)
+    words = 1 << max(0, c.n - 6)
+
+    def column(var):
+        if var < 6:
+            return np.full(words, _LOW_WORDS[var], dtype=_WORD)
+        return -variable_pattern(var - 6, c.n - 6).astype(_WORD)  # 1 -> all-ones
+
+    return _bits(evaluate_columns(c, column, words, one=~_WORD.type(0)), 1 << c.n)
 
 
 def popcounts(n: int) -> np.ndarray:

@@ -11,6 +11,9 @@ The restriction expander spends one such string at a time.  Each round draws
 fixed exactly when all `a` selection bits read 1 (about a 2^-a fraction per
 round) and takes its value from the assignment string.  A final block fixes
 whatever survives every round, so expansion always covers all n positions.
+
+Batched expansion uses that a block's output is GF(2)-linear in beta: up to
+ell = 10 two gathers from ``_block_table``, above that a power chain.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, log2
+from math import ceil, ldexp, log2
 from typing import Iterator
 
 import numpy as np
@@ -36,6 +39,7 @@ from .fourier import (
 )
 
 EXHAUSTIVE_SEED_CAP = 26  # full seed sweeps stay below 2^26 expansions
+MC_BATCH_BITS = 1 << 20  # Monte-Carlo seed bits expanded in one batch
 
 # Lexicographically least irreducible polynomial of each degree over GF(2),
 # bit i = coefficient of x^i.  Degree 8 is the familiar 0x11b.
@@ -265,8 +269,39 @@ def _fields(seeds: np.ndarray, offsets, width: int) -> np.ndarray:
     return value
 
 
+@lru_cache(maxsize=32)
+def _block_table(ell: int, n: int) -> tuple:
+    """(T_0, T_1), T_j[t << ell | alpha] = output at alpha and beta = t << (j * c).
+
+    c = ceil(ell / 2).  Output bit i is <alpha^(i+1), beta>, GF(2)-linear in
+    beta: the XOR of cols[j][alpha], the output at beta = 2^j, over the set
+    bits j of beta.  For odd ell T_1 also spans one zero column, as padding.
+    """
+    rows = _alpha_power_rows(ell, n)
+    c = (ell + 1) // 2
+    cols = np.zeros((2 * c, 1 << ell), dtype=np.int64)
+    for i in range(n):
+        cols[:ell] |= ((rows[:, i] >> np.arange(ell)[:, None]) & 1) << i
+    tables = (_xor_span(cols[:c]).ravel(), _xor_span(cols[c:]).ravel())
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+def _block_outputs(fields: np.ndarray, ell: int, n: int) -> np.ndarray:
+    """SmallBiasGen(ell, n) outputs of int64 2*ell-bit seeds (alpha low, beta high)."""
+    low = ell + (ell + 1) // 2  # alpha and the low half of beta: T_0's index
+    t0, t1 = _block_table(ell, n)
+    return t0[fields & ((1 << low) - 1)] ^ t1[(fields >> low << ell) | (fields & ((1 << ell) - 1))]
+
+
 def _expand_fields(seeds: np.ndarray, ell: int, n: int, offsets) -> np.ndarray:
-    """SmallBiasGen(ell, n) outputs of the blocks at each offset, (rows, offsets) int64."""
+    """SmallBiasGen(ell, n) outputs of the blocks at each offset, (rows, offsets) int64.
+
+    Above ell = 10 a table build costs more than a batch's power chain.
+    """
+    if ell <= 10:
+        return _block_outputs(_fields(seeds, offsets, 2 * ell).view(np.int64), ell, n)
     alpha = _fields(seeds, offsets, ell)
     beta = _fields(seeds, np.add(offsets, ell), ell)
     out = np.zeros(alpha.shape, dtype=np.uint64)
@@ -316,23 +351,15 @@ class SmallBiasGen:
 
     def _output_chunks(self, chunk_bits: int = 20) -> Iterator[np.ndarray]:
         # Seed order: alpha in the low ell bits, beta above, so beta is the
-        # outer loop.  Output bit i is <alpha^(i+1), beta>, GF(2)-linear in
-        # beta: the outputs of beta XOR cols[j] over the set bits j of beta,
-        # where cols[j][alpha] is the output of beta = 2^j.  A chunk holds
-        # 2^k consecutive betas (about 2^chunk_bits seeds): a table over
-        # their low k bits, split in two halves so only the chunk itself is
-        # full size, XOR one base for the high bits.
-        rows = _alpha_power_rows(self.ell, self.n)
-        shifts = np.arange(self.ell, dtype=np.int64)[:, None]
-        cols = np.zeros((self.ell, rows.shape[0]), dtype=np.int64)
-        for i in range(self.n):
-            cols |= ((rows[:, i] >> shifts) & 1) << i
+        # outer loop.  A chunk holds 2^k consecutive betas (about 2^chunk_bits
+        # seeds): the XOR of their rows of both block tables, read as [t, alpha].
+        c = (self.ell + 1) // 2
+        t0, t1 = (t.reshape(1 << c, -1) for t in _block_table(self.ell, self.n))
         k = min(self.ell, max(0, chunk_bits - self.ell))
-        lows, highs = _xor_span(cols[: k // 2]), _xor_span(cols[k // 2 : k])
-        for hi in range(0, 1 << self.ell, 1 << k):
-            high_bits = (hi >> np.arange(k, self.ell)) & 1
-            base = np.bitwise_xor.reduce(cols[k:][high_bits == 1], axis=0)
-            yield (highs[:, None, :] ^ (lows ^ base)[None, :, :]).reshape(-1)
+        for beta in range(0, 1 << self.ell, 1 << k):
+            lo, hi = beta & ((1 << c) - 1), beta >> c
+            yield (t1[hi : hi + max(1, (1 << k) >> c), None]
+                   ^ t0[None, lo : lo + min(1 << k, 1 << c)]).reshape(-1)
 
     def _expand_seeds(self, seeds: np.ndarray) -> np.ndarray:
         return _expand_fields(seeds, self.ell, self.n, [0])[:, 0]
@@ -487,7 +514,10 @@ def default_rounds(n: int, eps: float, a: int) -> int:
     """
     if n < 1 or not 0 < eps < 1 or a < 0:
         raise CircuitError(f"bad parameters n={n} eps={eps} a={a}")
-    return max(1, ceil((1 << a) * (2 * log2(max(n, 2)) - log2(eps))))
+    try:
+        return max(1, ceil(ldexp(2 * log2(max(n, 2)) - log2(eps), a)))
+    except OverflowError:
+        raise CircuitError(f"a={a} needs more rounds than a float holds") from None
 
 
 @dataclass(frozen=True)
@@ -552,12 +582,6 @@ class RestrictionPRG:
         ell = min(64, max(2, ceil(log2(max(n, 2)) - log2(eps))))
         return cls(n=n, a=a, rounds=rounds, ell_sel=ell, ell_asn=ell)
 
-    def _split(self, seed: int) -> list:
-        vals = []
-        for _, ell, off in self.blocks:
-            vals.append((seed >> off) & ((1 << (2 * ell)) - 1))
-        return vals
-
     def expand(self, seed: int) -> int:
         if not 0 <= seed < (1 << self.seed_bits):
             raise CircuitError(f"seed {seed} outside {self.seed_bits} bits")
@@ -569,7 +593,7 @@ class RestrictionPRG:
         Returns output, the mask fixed in each round, the assignment string
         of each round, and the fallback mask/string.
         """
-        vals = self._split(seed)
+        vals = [(seed >> off) & ((1 << (2 * ell)) - 1) for _, ell, off in self.blocks]
         full = (1 << self.n) - 1
         free = full
         out = 0
@@ -619,8 +643,6 @@ class RestrictionPRG:
         return out
 
     def _output_chunks(self, chunk_bits: int = 20) -> Iterator[np.ndarray]:
-        tables = [(_block_table(ell, self.n), off, (1 << (2 * ell)) - 1)
-                  for _, ell, off in self.blocks]
         total = 1 << self.seed_bits
         step = 1 << min(chunk_bits, self.seed_bits)
         sub = min(step, 1 << 20)  # each block's strings stay at 2^20 seeds
@@ -629,7 +651,8 @@ class RestrictionPRG:
             for s in range(0, step, sub):
                 seeds = np.arange(lo + s, lo + s + sub, dtype=np.int64)
                 chunk[s : s + sub] = self._fold(
-                    table[(seeds >> off) & mask] for table, off, mask in tables
+                    _block_outputs((seeds >> off) & ((1 << (2 * ell)) - 1), ell, self.n)
+                    for _, ell, off in self.blocks
                 )
             yield chunk
 
@@ -648,16 +671,6 @@ class RestrictionPRG:
 
     def _bias(self, n: int) -> Fraction:
         return _transform_bias(self, n)
-
-
-@lru_cache(maxsize=32)
-def _block_table(ell: int, n: int) -> np.ndarray:
-    """Full expansion table of a single small-bias block (cap 2^20 seeds)."""
-    if 2 * ell > 20:
-        raise CapExceeded(f"block table for ell={ell} exceeds 2^20 seeds")
-    table = np.concatenate(list(SmallBiasGen(ell, n)._output_chunks()))
-    table.setflags(write=False)
-    return table
 
 
 def prg_expand(seed, cfg: RestrictionPRG) -> int:
@@ -766,8 +779,8 @@ def fooling_error(
     returns an exact rational error.  MC mode samples seeds in blocks with
     counter-based per-block RNG streams and attaches a Wilson 95% interval,
     so the result depends only on (master_seed, trials), not on scheduling.
-    It expands each block of seeds in numpy batches, any field degree up to
-    64 included.
+    It expands each block of seeds in numpy batches of about MC_BATCH_BITS
+    seed bits, any field degree up to 64 included.
     """
     if expander.n != c.n:
         raise CircuitError(f"expander emits {expander.n} bits, circuit reads {c.n}")
@@ -783,7 +796,7 @@ def fooling_error(
         raise CircuitError("trials must be positive")
     block = 1 << 16
     bits = expander.seed_bits
-    step = max(1, (1 << 20) // bits)  # seeds expanded at once, about 2^20 seed bits
+    step = max(1, MC_BATCH_BITS // bits)  # seeds expanded at once
     accepted = 0
     for b, lo in enumerate(range(0, trials, block)):
         rng = np.random.default_rng(np.random.SeedSequence([master_seed, b]))

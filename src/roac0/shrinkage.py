@@ -35,6 +35,7 @@ from typing import Iterator
 import numpy as np
 
 from .circuit import (
+    _WORD,
     BiasVector,
     Circuit,
     CircuitError,
@@ -42,6 +43,7 @@ from .circuit import (
     Leaf,
     Nand,
     Node,
+    _bits,
     _collect,
     acceptance_probability,
     fold,
@@ -55,13 +57,6 @@ from .circuit import (
 from .fourier import biased_gap  # noqa: F401  (perfbench's tracer wraps this name here)
 from .fourier import growth_factor
 from .prg import wilson_interval
-
-_WORD = np.dtype("<u8")  # 64 trials per word, trial t at bit t % 64 of word t // 64
-
-
-def _bits(planes: np.ndarray, size: int) -> np.ndarray:
-    """uint8 0/1 per trial of word planes: shape (..., W) to (..., size)."""
-    return np.unpackbits(planes.view(np.uint8), axis=-1, count=size, bitorder="little")
 
 
 def _restricted(c: Circuit, free: np.ndarray, x: np.ndarray, size: int, stats: bool = False):

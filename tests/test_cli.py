@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import random
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from roac0.cli import Reporter, _bp_planes, _default_jobs, load_circuit, load_corpus, main
 from roac0.fourier import damped_mass_recursive
+from roac0.prg import MC_BATCH_BITS, RestrictionPRG
 
 
 def run(args):
@@ -342,8 +344,8 @@ def _argv(draw):
     argv = [command, "--circuit", spec, "--mode", mode, "--trials", draw(small_int),
             "--seed", draw(st.sampled_from(["0", "7", "-1", str(2**64)]))]
     for flag, values in (("--ell", ["1", "2", "4", "6", "0", "65", "-3", "x"]),
-                         ("--a", ["0", "1", "2", "-1", "x"]),
-                         ("--rounds", ["0", "1", "3", "-2", "x"]),
+                         ("--a", ["0", "1", "2", "-1", "x", "40", "5000", "200000", "10**9"]),
+                         ("--rounds", ["0", "1", "3", "-2", "x", "200000", str(2**64)]),
                          ("--eps", _FLOATS + _ODD_NUMBERS + ["1e-300", "5e-324"]),
                          ("--max-error", _FLOATS + _ODD_NUMBERS)):
         if draw(st.booleans()):
@@ -359,6 +361,26 @@ def test_argv_never_tracebacks(argv):
     except SystemExit as e:
         code = e.code
     assert code in (0, 1, 2)
+
+
+def test_prg_layout_over_one_batch_exits_2_at_once(capsys):
+    # 1.4M seed bits; expanding seed by seed took 13 s before the check
+    start = time.perf_counter()
+    argv = ["prg", "--circuit", "(and x0 x1)", "--mode", "restriction", "--rounds", "100000"]
+    assert run(argv) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "1400008 seed bits" in capsys.readouterr().err
+    for a in ("40", "2000"):  # 2^40 rounds; 2^2000 rounds overflow a float
+        assert run(["prg", "--circuit", "(and x0 x1)", "--mode", "restriction",
+                    "--eps", "0.1", "--a", a]) == 2
+
+
+def test_prg_layout_just_under_one_batch_runs(tmp_path):
+    assert RestrictionPRG.standard(63, 1 / 63, a=7).seed_bits == 440_856 <= MC_BATCH_BITS
+    argv = ["prg", "--circuit", "(and x0 x1)", "--mode", "restriction", "--a", "0",
+            "--rounds", "131000", "--trials", "2", "--out", str(tmp_path)]
+    assert run(argv) == 0
+    assert json.loads((tmp_path / "prg.json").read_text())["seed_bits"] == 1_048_008
 
 
 def test_restriction_eps_outside_unit_interval_exits_2(capsys):

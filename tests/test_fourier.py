@@ -25,6 +25,7 @@ from roac0 import (
     gen_random_read_once,
     gen_tribes,
     parse,
+    render,
     to_nand_form,
 )
 from roac0.circuit import evaluate_columns
@@ -447,6 +448,45 @@ def test_truth_table_matches_evaluate(name):
     tt = truth_table(c)
     assert tt.dtype == np.uint8
     assert tt.tolist() == [evaluate(c, x) for x in range(1 << c.n)]
+
+
+def _word_corpus():
+    """Circuits on n = 0..8: one partial word (n < 6), the word boundary
+    (n = 6, 7) and beyond, with constants, NOT/NAND nestings and negated
+    low (0-5) and high (6, 7) variables."""
+    yield Circuit(Const(1), 0)
+    yield Circuit(Not(Const(1)), 0)
+    for n in range(1, 9):
+        top = n - 1
+        yield Circuit(Leaf(top, negated=True), n)
+        yield Circuit(Not(Leaf(0)), n)
+        yield Circuit(parse(f"(or 0 (and 1 (not x{top})))").root, n)
+        yield gen_random_read_once(n, 3, seed=n, neg_prob=0.5)
+        if n >= 2:
+            yield Circuit(parse(f"(nand (not x0) (not (nand x{top} 1)))").root, n)
+            yield to_nand_form(gen_random_read_once(n, 4, seed=20 + n, neg_prob=0.5))[0]
+        if n >= 3:
+            yield Circuit(parse(f"(not (nand (nand x1 (not x0)) (and x{top} 1)))").root, n)
+
+
+@pytest.mark.parametrize("c", list(_word_corpus()), ids=lambda c: f"n{c.n}-{render(c)}")
+def test_word_truth_table_matches_evaluate_across_word_sizes(c):
+    tt = truth_table(c)
+    assert tt.dtype == np.uint8 and tt.shape == (1 << c.n,)
+    assert tt.tolist() == [evaluate(c, x) for x in range(1 << c.n)]
+
+
+def test_truth_table_memory_peak_is_the_table_plus_word_planes():
+    # 2^20 one-byte entries, the fold holds 2^14-word planes (128 KiB each)
+    c = gen_random_read_once(20, 4, seed=3, neg_prob=0.5)
+    tracemalloc.start()
+    try:
+        tt = truth_table(c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tt.size == 1 << 20
+    assert peak < 1.5 * (1 << 20)
 
 
 SAMPLED_CORPUS = {

@@ -41,6 +41,7 @@ from roac0.prg import (
 )
 from roac0.prg import (
     _distribution_cached,
+    _expand_fields,
     _gf_mul_many,
     _gf_shifts,
     _seed_bytes,
@@ -146,6 +147,29 @@ def test_batched_smallbias_expansion_matches_scalar(ell):
 ], ids=lambda g: f"{type(g).__name__}-{g.seed_bits}bits")
 def test_batched_layout_expansion_matches_scalar(gen):
     _assert_batched_matches_scalar(gen)
+
+
+@pytest.mark.parametrize("ell", range(2, 13))  # two gathers up to ell = 10, the power chain above
+def test_expand_fields_matches_scalar_expand(ell):
+    rng = np.random.default_rng(ell)
+    seeds = rng.integers(0, 256, size=(30, 9), dtype=np.uint8)
+    offsets = [0, 3, 13, 45]  # 45 + 2 * 12 <= 72 bits per row
+    mask = (1 << (2 * ell)) - 1
+    for n in (1, 7, 16, 63, 64):
+        got = _expand_fields(seeds, ell, n, offsets).view(np.uint64)
+        gen = SmallBiasGen(ell, n)
+        for row, value in zip(got, (int.from_bytes(bytes(r), "little") for r in seeds)):
+            assert row.tolist() == [gen.expand((value >> off) & mask) for off in offsets]
+
+
+@pytest.mark.parametrize("gen", [
+    RestrictionPRG(6, a=1, rounds=1, ell_sel=3, ell_asn=2, ell_final=5),
+    RestrictionPRG(4, a=0, rounds=1, ell_asn=2, ell_final=11),  # a block past ell = 10
+], ids=lambda g: f"{g.seed_bits}bits")
+def test_restriction_chunks_match_scalar_with_odd_ell(gen):
+    chunk = next(gen._output_chunks(chunk_bits=20))
+    picks = np.random.default_rng(3).integers(0, len(chunk), 2000)
+    assert [int(chunk[s]) for s in picks] == [gen.expand(int(s)) for s in picks]
 
 
 def test_restriction_chunks_agree_across_sub_steps():
