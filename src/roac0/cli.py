@@ -249,7 +249,10 @@ class Reporter:
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(header)
-        w.writerows([_jsonable(v) for v in row] for row in rows)
+        if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype.kind in "iu":
+            w.writerows(rows.tolist())  # already plain ints
+        else:
+            w.writerows([_jsonable(v) for v in row] for row in rows)
         self._payloads.append((name, buf.getvalue()))
 
     def finish(self) -> int:
@@ -294,7 +297,8 @@ def _pmap(fn, items: list, jobs: int) -> list:
 def cmd_describe(args) -> int:
     rep = Reporter(args)
     c = load_circuit(args.circuit)
-    f0 = acceptance_probability(c, BiasVector.uniform(c.n))
+    with rep.stage("describe", c.size):
+        f0 = acceptance_probability(c, BiasVector.uniform(c.n))
     info = {
         "n": c.n,
         "depth": c.depth,
@@ -316,7 +320,8 @@ def cmd_describe(args) -> int:
 def cmd_fourier(args) -> int:
     rep = Reporter(args)
     c = load_circuit(args.circuit)
-    lp = fmod.level_profile_recursive(c)
+    with rep.stage("fourier", c.n + 1):
+        lp = fmod.level_profile_recursive(c)
     rows = [
         (k, str(lp.abs_mass[k]), str(lp.signed_sum[k]), float(lp.abs_mass[k]), float(lp.signed_sum[k]))
         for k in range(c.n + 1)
@@ -511,7 +516,7 @@ def cmd_shrink(args) -> int:
             "sizes.csv",
             ["trial", "size_lower", "size_upper", "size_max", "size_original", "fanin_max"],
             np.column_stack([np.arange(r.trials), r.sizes_lower, r.sizes_upper,
-                             r.sizes_max, r.sizes_original, r.fanin_max]).tolist(),
+                             r.sizes_max, r.sizes_original, r.fanin_max]),
         )
     print(
         f"quantile({r.quantile_level:.4g}) of restricted sandwich size = "

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import ceil, ldexp, log2
 from typing import Iterator
 
@@ -550,9 +550,9 @@ class RestrictionPRG:
     def final_ell(self) -> int:
         return self.ell_asn if self.ell_final is None else self.ell_final
 
-    @property
+    @cached_property
     def blocks(self) -> tuple:
-        """(kind, ell, bit offset) per block, in seed order."""
+        """(kind, ell, bit offset) per block, in seed order; built once."""
         out = []
         off = 0
         for _ in range(self.rounds):

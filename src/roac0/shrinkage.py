@@ -10,7 +10,9 @@ the fold carries two word planes per node (alive, and constant 1), so a
 gate costs a few word operations per child for 64 trials at once.  The
 seeded draw stream is fixed: block b of ``master_seed`` draws all its
 uniforms, trial-major, then all its bits, so every hit count and size
-reproduces for a given seed whatever the packing.
+reproduces for a given seed whatever the packing.  The bits are the top
+bits of the raw PCG64 output bytes, chunk by chunk: that is the stream of
+``rng.integers(0, 2, uint8)``, without its trials x n byte array.
 
 The sandwich builder works on NAND-form circuits.  Writing rej(f) for
 Pr[f = 0], a NAND node rejects exactly when every child accepts, so child
@@ -192,8 +194,13 @@ def _restriction_blocks(n: int, p: float, trials: int, master_seed: int) -> Iter
     uniforms of ``rng.random((size, n))``, trial-major, then the bits of
     ``rng.integers(0, 2, (size, n), uint8)``; a position is free when its
     uniform is below p.  The uniforms are filled :func:`_chunk_rows` trials
-    at a time, which is the same stream without the whole float array.  Both
-    come back variable-major and packed along the trial axis, as
+    at a time, which is the same stream without the whole float array.  The
+    bits come from ``rng.bit_generator.random_raw`` one chunk at a time: a
+    bit is bit 7 of one little-endian byte of the raw 64-bit words, in
+    order.  That is what ``integers`` draws for PCG64, because numpy's
+    bounded draw for range 2 has rejection threshold 0 and reads the bytes
+    of buffered 32-bit words low half first.  Both come back variable-major
+    and packed along the trial axis, as
     (n, ceil(size / 64)) arrays of little-endian uint64 words with zero pad
     bits.
     """
@@ -213,9 +220,11 @@ def _restriction_blocks(n: int, p: float, trials: int, master_seed: int) -> Iter
             chunk = buf[:min(rows, size - start)]
             rng.random(out=chunk)
             _pack_trials(free, chunk < threshold, start)
-        draws = rng.integers(0, 2, (size, n), dtype=np.uint8)
         for start in range(0, size, rows):
-            _pack_trials(x, draws[start:start + rows], start)
+            # only the last chunk can end inside a word, and nothing is drawn after it
+            count = min(rows, size - start) * n
+            raw = rng.bit_generator.random_raw(-(-count // 8)).astype("<u8", copy=False)
+            _pack_trials(x, (raw.view(np.uint8)[:count] >> 7).reshape(-1, n), start)
         yield size, free, x
         done += size
         b += 1

@@ -226,7 +226,10 @@ def test_shrink_data_files_pinned(tmp_path):
      ["--jobs", "2"], [("bounds", 5)], ("bounds.csv", "bounds.json")),
     (["bp", "--corpus", "random:n=8,d=3,count=3,seed=6", "--witnesses", "2", "--jobs", "1"],
      ["--jobs", "2"], [("bp", 3)], ("bp.csv", "bp.json")),
-], ids=["shrink", "prg_mc", "prg_exhaustive", "bounds", "bp"])
+    (["describe", "--circuit", "tribes:m=2,w=2"], [], [("describe", 4)], ("describe.json",)),
+    (["fourier", "--circuit", "tribes:m=2,w=2", "--check"], [], [("fourier", 5)],
+     ("fourier.json", "levels.csv")),
+], ids=["shrink", "prg_mc", "prg_exhaustive", "bounds", "bp", "describe", "fourier"])
 def test_stages_stay_out_of_data_files(tmp_path, args, again, stages, files):
     assert run(args + ["--out", str(tmp_path / "a")]) == 0
     assert run(args + again + ["--out", str(tmp_path / "b")]) == 0
@@ -266,15 +269,20 @@ def test_add_csv_matches_per_cell_writer(tmp_path):
         (Fraction(4), np.uint8(255), np.float32(0.1), np.bool_(True), 0, float("inf"), Path("p")),
         [Fraction(1, 2**80), np.int64(0), np.float64("nan"), bool(0), 10**20, -0.0, ""],
     ]
+    # a 2-D integer array takes the whole-array path
+    table = np.array([[-1, 2**31, -2**63], [0, 2**31 - 1, 2**63 - 1], [-2**31 - 1, 7, 2**40]],
+                     dtype=np.int64)
     rep = Reporter(argparse.Namespace(command="test", out=str(tmp_path)))
     rep.add_csv("t.csv", header, rows)
+    rep.add_csv("a.csv", header[:3], table)
     assert rep.finish() == 0
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    for row in rows:
-        w.writerow([_old_jsonable(v) for v in row])
-    assert (tmp_path / "t.csv").read_text() == buf.getvalue()
+    for name, head, body in (("t.csv", header, rows), ("a.csv", header[:3], list(table))):
+        buf = io.StringIO()
+        w = csv.writer(buf, lineterminator="\n")
+        w.writerow(head)
+        for row in body:
+            w.writerow([_old_jsonable(v) for v in row])
+        assert (tmp_path / name).read_text() == buf.getvalue()
 
 
 def _text(valid, odd, generated=st.nothing()):

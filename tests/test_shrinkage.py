@@ -2,6 +2,7 @@
 
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 from math import ceil
 
@@ -188,10 +189,30 @@ def test_restriction_free_mask_is_exact_comparison_with_p():
     ]
 
 
-@pytest.mark.parametrize("n", [1, 7, 300])
-def test_restriction_blocks_are_the_whole_draws_transposed(n):
+def _stream_trials(n):
     rows = _chunk_rows(n)
-    for trials in (1, 63, 65, 2 * rows + 5, _BLOCK + 3):
+    return (1, 63, 65, 2 * rows + 5, _BLOCK + 3)
+
+
+# n = 1, 2, 7 and 300 end the last chunk of some block at each byte 1..7 of a
+# raw 64-bit word; n = 1024 runs several chunks and two blocks
+_STREAM_NS = [1, 2, 7, 300, 1024]
+
+
+def test_stream_cases_end_inside_words_at_every_offset():
+    ends = set()
+    for n in _STREAM_NS:
+        rows = _chunk_rows(n)
+        for trials in _stream_trials(n):
+            for start in range(0, trials, _BLOCK):
+                size = min(_BLOCK, trials - start)
+                ends.add((size - (size - 1) // rows * rows) * n % 8)
+    assert ends == set(range(8))
+
+
+@pytest.mark.parametrize("n", _STREAM_NS)
+def test_restriction_blocks_are_the_whole_draws_transposed(n):
+    for trials in _stream_trials(n):
         blocks = list(_restriction_blocks(n, 0.3, trials, 17))
         want = list(reference_blocks(n, 0.3, trials, 17))
         assert len(blocks) == len(want)
@@ -199,6 +220,18 @@ def test_restriction_blocks_are_the_whole_draws_transposed(n):
             assert free.shape == x.shape == (n, -(-size // 64)) and size == len(ref_free)
             assert np.array_equal(trial_major(free, size), ref_free)
             assert np.array_equal(trial_major(x, size), ref_x)
+
+
+def test_restriction_bits_take_no_trials_by_n_byte_array():
+    # the (16384, 1024) uint8 array of ``integers`` alone took 16 MiB (peak
+    # 20.6 MiB with it); the two packed outputs are 4 MiB, the peak 4.7 MiB
+    tracemalloc.start()
+    try:
+        list(_restriction_blocks(1024, 0.025, 16384, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
 
 
 def test_collapse_non_dyadic_fraction_p_is_fast():
