@@ -18,7 +18,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import os
 import random
 import sys
@@ -527,58 +526,6 @@ def cmd_shrink(args) -> int:
     return rep.finish()
 
 
-def cmd_bench(args) -> int:
-    rep = Reporter(args)
-    results = {}
-
-    c = gen_random_read_once(args.wht_n, 3, seed=1)
-    t0 = time.time()
-    fmod.wht_bruteforce(c)
-    results["wht"] = {"n": args.wht_n, "wall_s": round(time.time() - t0, 4)}
-
-    big = gen_random_read_once(args.recursion_leaves, 3, seed=2)
-    t0 = time.time()
-    mass = fmod.damped_mass_recursive(big, 0.5)
-    dt = time.time() - t0
-    # the mass can lie below the float range (mass == 0.0); log2 of the exact value
-    exact = fmod.damped_mass_recursive(big, Fraction(1, 2), exact=True)
-    results["recursion"] = {
-        "leaves": big.size,
-        "wall_s": round(dt, 4),
-        "damped_mass_half": mass,
-        "damped_mass_half_log2": math.log2(exact.numerator) - math.log2(exact.denominator),
-    }
-
-    mc_circuit = gen_random_read_once(24, 3, seed=3)
-    t0 = time.time()
-    shmod.collapse_probability(
-        mc_circuit, 0.01, Fraction(1, 48), trials=args.mc_trials,
-        enforce_bounds=False,
-    )
-    dt = time.time() - t0
-    results["mc"] = {
-        "trials": args.mc_trials,
-        "wall_s": round(dt, 4),
-        "trials_per_s": round(args.mc_trials / max(dt, 1e-9)),
-    }
-
-    results["prg_mc"] = {"trials": args.mc_trials}
-    for kind, gen in (("smallbias", prgmod.SmallBiasGen(12, 20)),
-                      ("restriction", prgmod.RestrictionPRG.standard(16, Fraction(1, 16)))):
-        t0 = time.time()
-        prgmod.fooling_error(gen_random_read_once(gen.n, 3, seed=4), gen, mode="mc",
-                             trials=args.mc_trials)
-        dt = time.time() - t0
-        results["prg_mc"][f"{kind}_seeds_per_s"] = round(args.mc_trials / max(dt, 1e-9))
-
-    rep.add_json("bench.json", results)
-    for name, row in results.items():
-        print(f"{name}: {row}")
-    rep.check(f"transform at n={args.wht_n} under 5 s", results["wht"]["wall_s"] < 5)
-    rep.check("recursion on large circuit under 1 s", results["recursion"]["wall_s"] < 1)
-    return rep.finish()
-
-
 # -- argument parsing ---------------------------------------------------------
 
 
@@ -654,13 +601,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--threshold", type=float, default=None,
                     help="fail (exit 1) if the size quantile exceeds this")
     sp.set_defaults(fn=cmd_shrink)
-
-    sp = sub.add_parser("bench", help="timing table for the main kernels")
-    sp.add_argument("--out", default=None)
-    sp.add_argument("--wht-n", type=int, default=20)
-    sp.add_argument("--recursion-leaves", type=int, default=100_000)
-    sp.add_argument("--mc-trials", type=int, default=100_000)
-    sp.set_defaults(fn=cmd_bench)
 
     return ap
 

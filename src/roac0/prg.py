@@ -13,7 +13,11 @@ round) and takes its value from the assignment string.  A final block fixes
 whatever survives every round, so expansion always covers all n positions.
 
 Batched expansion uses that a block's output is GF(2)-linear in beta: up to
-ell = 10 two gathers from ``_block_table``, above that a power chain.
+ell = 10 two gathers from ``_block_table``, above that a power chain.  The
+restriction expander expands all blocks of one kind at once and folds them
+as arrays: a round fixes what its selections pick and no earlier round took
+(a prefix OR over the rounds).  Monte Carlo and exhaustive restriction
+sweeps both run this batched path.
 """
 
 from __future__ import annotations
@@ -250,20 +254,21 @@ def _count_kernels(roots: np.ndarray, coords: np.ndarray, d: int) -> None:
 
 
 def _fields(seeds: np.ndarray, offsets, width: int) -> np.ndarray:
-    """uint64 value of the width-bit field at each bit offset, shape (rows, offsets).
+    """uint64 value of the width-bit field at each bit offset, shape (offsets, rows).
 
     ``seeds`` holds one seed per row as little-endian bytes (``_seed_bytes``),
-    so a field of up to 64 bits lies in the 9 bytes from its first one: read
-    them as a word plus a ninth byte and shift.  Gathers past the row's end
-    repeat its last byte, which lands above the field and is masked off.
+    read as 64-bit words (the row zero-padded to whole words), so a field of
+    up to 64 bits lies in the word holding its first bit and the next one.
+    Gathers past the row's end repeat its last word, whose bits land above
+    the field and are masked off.
     """
-    offsets = np.asarray(offsets)
-    shift = (offsets % 8).astype(np.uint64)
-    index = np.minimum(offsets[:, None] // 8 + np.arange(9), seeds.shape[1] - 1)
-    grabbed = seeds[:, index]
-    value = np.ascontiguousarray(grabbed[..., :8]).view("<u8")[..., 0] >> shift
-    # the ninth byte's bits start at 64 - shift; at shift 0 they all fall off
-    value |= (grabbed[..., 8].astype(np.uint64) << np.uint64(56)) << (np.uint64(8) - shift)
+    offsets = np.asarray(offsets, dtype=np.int64)
+    words = np.pad(seeds, ((0, 0), (0, -seeds.shape[1] % 8))).view("<u8").T
+    shift = (offsets % 64).astype(np.uint64)[:, None]
+    index = offsets // 64
+    value = words[index] >> shift
+    # the next word's bits start at 64 - shift; at shift 0 they all fall off
+    value |= (words[np.minimum(index + 1, len(words) - 1)] << np.uint64(1)) << (np.uint64(63) - shift)
     if width < 64:
         value &= np.uint64((1 << width) - 1)
     return value
@@ -288,20 +293,18 @@ def _block_table(ell: int, n: int) -> tuple:
     return tables
 
 
-def _block_outputs(fields: np.ndarray, ell: int, n: int) -> np.ndarray:
-    """SmallBiasGen(ell, n) outputs of int64 2*ell-bit seeds (alpha low, beta high)."""
-    low = ell + (ell + 1) // 2  # alpha and the low half of beta: T_0's index
-    t0, t1 = _block_table(ell, n)
-    return t0[fields & ((1 << low) - 1)] ^ t1[(fields >> low << ell) | (fields & ((1 << ell) - 1))]
-
-
 def _expand_fields(seeds: np.ndarray, ell: int, n: int, offsets) -> np.ndarray:
-    """SmallBiasGen(ell, n) outputs of the blocks at each offset, (rows, offsets) int64.
+    """SmallBiasGen(ell, n) outputs of the blocks at each offset, (offsets, rows) int64.
 
-    Above ell = 10 a table build costs more than a batch's power chain.
+    Up to ell = 10 a block is two gathers, T_0 at alpha and the low half of
+    beta, T_1 at alpha and the high half; above that a table build costs
+    more than a batch's power chain.
     """
     if ell <= 10:
-        return _block_outputs(_fields(seeds, offsets, 2 * ell).view(np.int64), ell, n)
+        fields = _fields(seeds, offsets, 2 * ell).view(np.int64)
+        low = ell + (ell + 1) // 2  # alpha and the low half of beta: T_0's index
+        t0, t1 = _block_table(ell, n)
+        return t0[fields & ((1 << low) - 1)] ^ t1[(fields >> low << ell) | (fields & ((1 << ell) - 1))]
     alpha = _fields(seeds, offsets, ell)
     beta = _fields(seeds, np.add(offsets, ell), ell)
     out = np.zeros(alpha.shape, dtype=np.uint64)
@@ -362,7 +365,7 @@ class SmallBiasGen:
                    ^ t0[None, lo : lo + min(1 << k, 1 << c)]).reshape(-1)
 
     def _expand_seeds(self, seeds: np.ndarray) -> np.ndarray:
-        return _expand_fields(seeds, self.ell, self.n, [0])[:, 0]
+        return _expand_fields(seeds, self.ell, self.n, [0])[0]
 
     def _bias(self, n: int) -> Fraction:
         # Character S sums to 2^ell * #{alpha : sum_{i in S} alpha^(i+1) = 0}
@@ -380,34 +383,6 @@ class SmallBiasGen:
             if d < n:
                 _count_kernels(roots, _power_coords(powers[degree == d], d), d)
         return Fraction(int(roots[1:].max()) + 1, 1 << self.ell)
-
-
-def smallbias_expand(seed, n: int, ell: int | None = None) -> int:
-    """Stretch a 2*ell-bit seed to n bits; returns an int mask (bit i = x_i).
-
-    ``seed`` may be an int (requires ``ell``), a bit sequence, or a '01'
-    string; sequences carry their own length, ell = len(seed) // 2.
-    """
-    if isinstance(seed, int):
-        if ell is None:
-            raise CircuitError("integer seed needs an explicit ell")
-        seed_int = seed
-    else:
-        bits = [int(b) for b in seed]
-        if any(b not in (0, 1) for b in bits):
-            raise CircuitError("seed bits must be 0/1")
-        if len(bits) % 2:
-            raise CircuitError(f"seed length {len(bits)} is odd, expected 2*ell")
-        if ell is None:
-            ell = len(bits) // 2
-        elif 2 * ell != len(bits):
-            raise CircuitError(f"seed length {len(bits)} != 2*ell = {2 * ell}")
-        seed_int = sum(b << i for i, b in enumerate(bits))
-    if n > (1 << ell):
-        # past 2^ell the powers of alpha wrap around and positions repeat,
-        # so the bias guarantee is void; refuse rather than emit junk
-        raise CircuitError(f"n = {n} exceeds 2^ell = {1 << ell}; pick a larger ell")
-    return SmallBiasGen(ell, n).expand(seed_int)
 
 
 @dataclass(frozen=True)
@@ -436,7 +411,7 @@ class UniformGen:
             yield np.arange(lo, min(lo + step, total), dtype=np.int64)
 
     def _expand_seeds(self, seeds: np.ndarray) -> np.ndarray:
-        return _fields(seeds, [0], self.n)[:, 0].view(np.int64)
+        return _fields(seeds, [0], self.n)[0].view(np.int64)
 
     def _bias(self, n: int) -> Fraction:
         return _transform_bias(self, n)
@@ -551,18 +526,14 @@ class RestrictionPRG:
         return self.ell_asn if self.ell_final is None else self.ell_final
 
     @cached_property
-    def blocks(self) -> tuple:
-        """(kind, ell, bit offset) per block, in seed order; built once."""
-        out = []
-        off = 0
-        for _ in range(self.rounds):
-            for _ in range(self.a):
-                out.append(("sel", self.ell_sel, off))
-                off += 2 * self.ell_sel
-            out.append(("asn", self.ell_asn, off))
-            off += 2 * self.ell_asn
-        out.append(("final", self.final_ell, off))
-        return tuple(out)
+    def _offsets(self) -> tuple:
+        """Seed-bit offsets: (rounds, a) selection blocks, each round's
+        assignment block, and the final block."""
+        sel_bits = 2 * self.ell_sel
+        round_bits = self.a * sel_bits + 2 * self.ell_asn
+        starts = np.arange(self.rounds, dtype=np.int64) * round_bits
+        sel = starts[:, None] + np.arange(self.a, dtype=np.int64) * sel_bits
+        return sel, starts + self.a * sel_bits, self.rounds * round_bits
 
     @property
     def seed_bits(self) -> int:
@@ -593,25 +564,25 @@ class RestrictionPRG:
         Returns output, the mask fixed in each round, the assignment string
         of each round, and the fallback mask/string.
         """
-        vals = [(seed >> off) & ((1 << (2 * ell)) - 1) for _, ell, off in self.blocks]
+        def block(ell: int, off: int) -> int:
+            return SmallBiasGen(ell, self.n).expand((seed >> off) & ((1 << (2 * ell)) - 1))
+
+        sel_offsets, asn_offsets, final_offset = self._offsets
         full = (1 << self.n) - 1
         free = full
         out = 0
-        idx = 0
         fixed_masks, asn_strings = [], []
-        for _ in range(self.rounds):
+        for sel_round, asn_off in zip(sel_offsets.tolist(), asn_offsets.tolist()):
             sel = full
-            for _ in range(self.a):
-                sel &= SmallBiasGen(self.ell_sel, self.n).expand(vals[idx])
-                idx += 1
-            asn = SmallBiasGen(self.ell_asn, self.n).expand(vals[idx])
-            idx += 1
+            for off in sel_round:
+                sel &= block(self.ell_sel, off)
+            asn = block(self.ell_asn, asn_off)
             fix = free & sel
             out |= asn & fix
             free &= ~fix
             fixed_masks.append(fix)
             asn_strings.append(asn)
-        final = SmallBiasGen(self.final_ell, self.n).expand(vals[idx])
+        final = block(self.final_ell, final_offset)
         out |= final & free
         return {
             "output": out,
@@ -621,70 +592,36 @@ class RestrictionPRG:
             "fallback_values": final,
         }
 
-    def _fold(self, strings) -> np.ndarray:
-        """Outputs from each block's int64 strings, taken in block order.
-
-        The vectorized form of ``expand_trace``: selection strings AND
-        within a round, the assignment string fills the free positions they
-        select, and the final string fills whatever is still free.
-        """
-        full = np.int64((1 << self.n) - 1)
-        free, sel, out = full, full, np.int64(0)
-        for (kind, _, _), string in zip(self.blocks, strings):
-            if kind == "sel":
-                sel = sel & string
-            elif kind == "asn":
-                fix = free & sel
-                out = out | (string & fix)
-                free = free & ~fix
-                sel = full
-            else:
-                out = out | (string & free)
-        return out
-
     def _output_chunks(self, chunk_bits: int = 20) -> Iterator[np.ndarray]:
         total = 1 << self.seed_bits
         step = 1 << min(chunk_bits, self.seed_bits)
-        sub = min(step, 1 << 20)  # each block's strings stay at 2^20 seeds
+        sub = min(step, 1 << 15)  # cache-sized (blocks, seeds) arrays
         for lo in range(0, total, step):
             chunk = np.empty(step, dtype=np.int64)
             for s in range(0, step, sub):
-                seeds = np.arange(lo + s, lo + s + sub, dtype=np.int64)
-                chunk[s : s + sub] = self._fold(
-                    _block_outputs((seeds >> off) & ((1 << (2 * ell)) - 1), ell, self.n)
-                    for _, ell, off in self.blocks
-                )
+                seeds = np.arange(lo + s, lo + s + sub, dtype="<u8").view(np.uint8)
+                chunk[s : s + sub] = self._expand_seeds(seeds.reshape(sub, 8))
             yield chunk
 
     def _expand_seeds(self, seeds: np.ndarray) -> np.ndarray:
-        # one batched expansion per distinct block degree
-        strings = [None] * len(self.blocks)
-        by_ell = {}
-        for i, (_, ell, off) in enumerate(self.blocks):
-            by_ell.setdefault(ell, []).append((i, off))
-        for ell, members in by_ell.items():
-            index, offsets = zip(*members)
-            outs = _expand_fields(seeds, ell, self.n, offsets)
-            for col, i in enumerate(index):
-                strings[i] = outs[:, col]
-        return self._fold(strings)
+        """The vectorized form of ``expand_trace``, one expansion per block kind.
+
+        A round's selection strings AND together; the round fixes what they
+        select and no earlier round took (a prefix OR), and the final string
+        fills whatever no round took.  With a = 0 the empty AND is all ones.
+        """
+        sel_offsets, asn_offsets, final_offset = self._offsets
+        rows, n = len(seeds), self.n
+        sel = _expand_fields(seeds, self.ell_sel, n, sel_offsets.ravel())
+        sel = np.bitwise_and.reduce(sel.reshape(self.rounds, self.a, rows), axis=1)
+        taken = np.bitwise_or.accumulate(sel, axis=0)
+        sel[1:] &= ~taken[:-1]
+        out = np.bitwise_or.reduce(_expand_fields(seeds, self.ell_asn, n, asn_offsets) & sel, axis=0)
+        final = _expand_fields(seeds, self.final_ell, n, [final_offset])[0]
+        return out | (final & ~taken[-1])
 
     def _bias(self, n: int) -> Fraction:
         return _transform_bias(self, n)
-
-
-def prg_expand(seed, cfg: RestrictionPRG) -> int:
-    """Expand a seed through the restriction layout; int mask out.
-
-    ``seed`` may be an int, a bit sequence, or a '01' string whose length
-    must equal cfg.seed_bits.
-    """
-    if isinstance(seed, int):
-        return cfg.expand(seed)
-    bits = [int(b) for b in seed]
-    if len(bits) != cfg.seed_bits:
-        raise CircuitError(f"seed length {len(bits)} != layout {cfg.seed_bits}")
-    return cfg.expand(sum(b << i for i, b in enumerate(bits)))
 
 
 def seed_length_account(n: int, eps: float, D: int, c_b: float = 2.0, c_a: float = 2.0) -> dict:

@@ -155,6 +155,13 @@ def test_version_flag():
     assert e.value.code == 0
 
 
+def test_unknown_command_exits_2(capsys):
+    with pytest.raises(SystemExit) as e:
+        run(["bench"])  # timing lives in perfbench, not in the CLI
+    assert e.value.code == 2
+    assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+
 # -- data files -----------------------------------------------------------------
 
 

@@ -34,9 +34,7 @@ from roac0.prg import (
     gf_mul,
     measure_bias,
     output_distribution,
-    prg_expand,
     seed_length_account,
-    smallbias_expand,
     wilson_interval,
 )
 from roac0.prg import (
@@ -99,16 +97,6 @@ def test_expansion_deterministic():
     assert gen.expand(1234) == gen.expand(1234)
 
 
-def test_expand_accepts_bit_sequences():
-    out = smallbias_expand([1, 0, 1, 0, 0, 1, 1, 1], 8)  # infers ell = 4
-    assert out == smallbias_expand(0b11100101, 8, ell=4)
-
-
-def test_expand_rejects_oversized_n():
-    with pytest.raises(CircuitError):
-        smallbias_expand(0, 9, ell=3)  # n > 2^ell, powers of alpha wrap
-
-
 @pytest.mark.parametrize("chunk_bits", [3, 6, 11])  # below ell, between, above 2*ell
 def test_chunked_outputs_match_scalar(chunk_bits):
     gen = SmallBiasGen(5, 9)
@@ -143,6 +131,7 @@ def test_batched_smallbias_expansion_matches_scalar(ell):
     RestrictionPRG(10, a=2, rounds=3, ell_sel=5, ell_asn=7, ell_final=9),
     RestrictionPRG(12, a=1, rounds=2, ell_sel=31, ell_asn=64, ell_final=2),
     RestrictionPRG.standard(16, Fraction(1, 16)),
+    RestrictionPRG(9, a=2, rounds=40, ell_sel=3, ell_asn=5),  # the prefix OR over 40 rounds
     UniformGen(12),
 ], ids=lambda g: f"{type(g).__name__}-{g.seed_bits}bits")
 def test_batched_layout_expansion_matches_scalar(gen):
@@ -156,7 +145,7 @@ def test_expand_fields_matches_scalar_expand(ell):
     offsets = [0, 3, 13, 45]  # 45 + 2 * 12 <= 72 bits per row
     mask = (1 << (2 * ell)) - 1
     for n in (1, 7, 16, 63, 64):
-        got = _expand_fields(seeds, ell, n, offsets).view(np.uint64)
+        got = _expand_fields(seeds, ell, n, offsets).view(np.uint64).T
         gen = SmallBiasGen(ell, n)
         for row, value in zip(got, (int.from_bytes(bytes(r), "little") for r in seeds)):
             assert row.tolist() == [gen.expand((value >> off) & mask) for off in offsets]
@@ -165,6 +154,8 @@ def test_expand_fields_matches_scalar_expand(ell):
 @pytest.mark.parametrize("gen", [
     RestrictionPRG(6, a=1, rounds=1, ell_sel=3, ell_asn=2, ell_final=5),
     RestrictionPRG(4, a=0, rounds=1, ell_asn=2, ell_final=11),  # a block past ell = 10
+    pytest.param(RestrictionPRG(5, a=2, rounds=1, ell_sel=2, ell_asn=3, ell_final=3),
+                 id="20bits-a2"),
 ], ids=lambda g: f"{g.seed_bits}bits")
 def test_restriction_chunks_match_scalar_with_odd_ell(gen):
     chunk = next(gen._output_chunks(chunk_bits=20))
@@ -173,7 +164,7 @@ def test_restriction_chunks_match_scalar_with_odd_ell(gen):
 
 
 def test_restriction_chunks_agree_across_sub_steps():
-    # a 2^21-seed chunk is filled in 2^20-seed steps
+    # a chunk is filled in 2^15-seed steps
     gen = RestrictionPRG(21, a=1, rounds=1, ell_sel=2, ell_asn=4, ell_final=5)
     wide = np.concatenate(list(gen._output_chunks(chunk_bits=21)))
     narrow = np.concatenate(list(gen._output_chunks(chunk_bits=20)))
@@ -181,6 +172,16 @@ def test_restriction_chunks_agree_across_sub_steps():
     assert [int(v) for v in wide[[0, 12345, len(wide) - 1]]] == [
         gen.expand(s) for s in (0, 12345, len(wide) - 1)
     ]
+
+
+def test_near_cap_layout_expands_as_its_first_assignment_block():
+    # a = 0: round one fixes every position, so 131,000 rounds (1,048,008
+    # seed bits) read only the first block; the scalar reference is
+    # quadratic at this size
+    cfg = RestrictionPRG(2, a=0, rounds=131000)
+    seeds = _seed_bytes(np.random.default_rng(4), cfg.seed_bits, 2)
+    want = SmallBiasGen(cfg.ell_asn, 2)._expand_seeds(seeds)
+    assert cfg._expand_seeds(seeds).tolist() == want.tolist()
 
 
 def test_measured_bias_within_envelope():
@@ -286,10 +287,10 @@ def test_default_round_count():
 def test_layout_accounting():
     cfg = RestrictionPRG(6, a=0, rounds=1, ell_asn=4, ell_final=3)
     assert cfg.seed_bits == 14
-    kinds = [(kind, ell) for kind, ell, _ in cfg.blocks]
-    assert kinds == [("asn", 4), ("final", 3)]
-    offsets = [off for _, _, off in cfg.blocks]
-    assert offsets == [0, 8]
+    sel, asn, final = cfg._offsets
+    assert sel.shape == (1, 0)  # no selection blocks
+    assert asn.tolist() == [0]
+    assert final == 8
 
 
 def test_degenerate_schedule_copies_assignment_block():
@@ -313,7 +314,7 @@ def test_expansion_covers_every_position_once():
             assigned |= fixed
         assert assigned | trace["fallback_mask"] == (1 << 12) - 1
         assert assigned & trace["fallback_mask"] == 0
-        assert prg_expand(seed, cfg) == trace["output"]
+        assert cfg.expand(seed) == trace["output"]
 
 
 def test_residual_positions_rare_at_default_rounds():
