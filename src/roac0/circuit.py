@@ -54,23 +54,40 @@ class Const:
     value: int  # 0 or 1
 
 
-@dataclass(frozen=True)
-class Not:
+class _Tree:
+    """Structural equality and hashing over the pre-order shapes.
+
+    The dataclass defaults compare and hash a node's children by recursing
+    once per nesting level; the pre-order list of :func:`_shape` determines
+    the tree, so comparing it works at any depth.
+    """
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or _shapes(self) == _shapes(other)
+
+    def __hash__(self) -> int:
+        return hash(_shapes(self))
+
+
+@dataclass(frozen=True, eq=False)
+class Not(_Tree):
     child: "Node"
 
 
-@dataclass(frozen=True)
-class And:
+@dataclass(frozen=True, eq=False)
+class And(_Tree):
     children: tuple["Node", ...]
 
 
-@dataclass(frozen=True)
-class Or:
+@dataclass(frozen=True, eq=False)
+class Or(_Tree):
     children: tuple["Node", ...]
 
 
-@dataclass(frozen=True)
-class Nand:
+@dataclass(frozen=True, eq=False)
+class Nand(_Tree):
     children: tuple["Node", ...]
 
 
@@ -86,8 +103,8 @@ class Circuit:
 
     ``n`` is the number of input positions; variable indices used by the
     leaves must lie in ``0..n-1`` but need not be contiguous.  Equality and
-    hashing are structural, as for the nodes, but run over the pre-order
-    node list instead of recursing.
+    hashing are structural, over ``n`` and the pre-order node shapes, as
+    for the nodes.
     """
 
     root: Node
@@ -102,7 +119,7 @@ class Circuit:
                 raise CircuitError(f"leaf x{v} out of range for n={self.n}")
 
     def _structure(self) -> tuple:
-        return self.n, tuple(map(_shape, iter_nodes(self.root)))
+        return self.n, _shapes(self.root)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -186,6 +203,10 @@ def _shape(node: Node) -> tuple:
     if isinstance(node, Not):
         return (Not,)
     return type(node), *vars(node).values()
+
+
+def _shapes(node: Node) -> tuple:
+    return tuple(map(_shape, iter_nodes(node)))
 
 
 def trampoline(walk):

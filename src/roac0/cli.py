@@ -22,7 +22,6 @@ import os
 import random
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -286,6 +285,9 @@ def _pmap(fn, items: list, jobs: int) -> list:
     # order-preserving map; results never depend on the worker count
     if jobs <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    # imported here: it costs every process start some 20 ms, and one job needs no pool
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, items, chunksize=max(1, len(items) // (4 * jobs))))
 

@@ -8,9 +8,11 @@ three-state evaluation (0, 1, alive).  It is bit-sliced: the draws of a
 block come packed 64 trials to a uint64 word, one row per variable, and
 the fold carries two word planes per node (alive, and constant 1), so a
 gate costs a few word operations per child for 64 trials at once.  The
-seeded draw stream is fixed: block b of ``master_seed`` draws all its
-uniforms, trial-major, then all its bits, so every hit count and size
-reproduces for a given seed whatever the packing.  The bits are the top
+fold streams: a gate takes in each child as soon as it is done and keeps
+only its alive plane, so memory does not grow with fan-in beyond a bit
+per child and trial.  The seeded draw stream is fixed: block b of
+``master_seed`` draws all its uniforms, trial-major, then all its bits, so
+every hit count and size reproduces for a given seed whatever the packing.  The bits are the top
 bits of the raw PCG64 output bytes, chunk by chunk: that is the stream of
 ``rng.integers(0, 2, uint8)``, without its trials x n byte array.
 
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil, sqrt
+from math import ceil, isnan, sqrt
 from typing import Iterator
 
 import numpy as np
@@ -61,6 +63,25 @@ from .fourier import growth_factor
 from .prg import wilson_interval
 
 
+class _OpenGate:
+    """What an open gate of :func:`_restricted`'s fold keeps of its children.
+
+    ``one`` and ``nonzero`` are the running AND (for an AND) or OR (for an
+    OR) of the children's ``one`` and ``alive | one`` planes.  Of each child
+    only its alive plane stays, in ``leaf_planes`` for a leaf and in
+    ``gate_planes`` for a gate alive in some trial; such a gate's per-trial
+    live leaf count is added into ``leaves`` and its largest fan-in maxed into
+    ``fan`` as it arrives (both None before the first).
+    """
+
+    __slots__ = ("one", "nonzero", "leaf_planes", "gate_planes", "leaves", "fan")
+
+    def __init__(self, one, nonzero):
+        self.one, self.nonzero = one, nonzero
+        self.leaf_planes, self.gate_planes = [], []
+        self.leaves = self.fan = None
+
+
 def _restricted(c: Circuit, free: np.ndarray, x: np.ndarray, size: int, stats: bool = False):
     """Bit planes of the restricted circuit over ``size`` trials at once.
 
@@ -78,55 +99,84 @@ def _restricted(c: Circuit, free: np.ndarray, x: np.ndarray, size: int, stats: b
     simplify(restrict(.)) leaves them: neutral constants drop out, absorbed
     gates vanish, single-child And/Or collapse, and a one-child NAND survives
     as a gate only when its child keeps two or more live leaves (one live
-    leaf simplifies to a literal).  Only gates alive in some trial count
-    them, from their children's unpacked ``alive`` planes; a leaf, or a gate
-    alive in no trial, carries None for both, meaning its live leaf count is
-    its ``alive`` bit and its fan-in 0.
+    leaf simplifies to a literal).
+
+    The fold streams: a gate folds each child into an :class:`_OpenGate` as
+    soon as that child is done, so it never holds its children's per-trial
+    arrays, only their alive planes of one bit per trial.  Only a gate alive
+    in some trial counts its live children, when it closes, unpacking at
+    most 64 planes at a time; a leaf's count is its alive bit, and a gate
+    alive in no trial counts nothing.  So the fold's memory does not grow
+    with a gate's fan-in by more than a bit per child and trial.
     """
     one_pos = x & ~free  # fixed to 1
     one_neg = ~(x | free)  # fixed to 0, so the negated literal is 1
     words = free.shape[1]
 
+    # a value is (alive, one, counts): counts is None for a leaf, (leaves, fan)
+    # for a gate that counted, and () for a constant or any other gate
     def leaf(var, negated):
-        return free[var], (one_neg if negated else one_pos)[var], None, None
+        return free[var], (one_neg if negated else one_pos)[var], None
 
     def const(value):
         zeros = np.zeros(words, _WORD)
-        return zeros, ~zeros if value else zeros, None, None
+        return zeros, ~zeros if value else zeros, ()
 
-    def finish(children, is_and, nand):
-        if not children:
+    def absorb(gate, child, is_and):
+        alive, one, counts = child
+        nonzero = alive | one
+        if gate is None:  # a leaf's planes are views of its rows, so copy
+            gate = _OpenGate(one.copy(), nonzero)
+        elif is_and:  # no child 0 so far, every child 1 so far
+            gate.one &= one
+            gate.nonzero &= nonzero
+        else:  # some child not 0 so far, some child 1 so far
+            gate.one |= one
+            gate.nonzero |= nonzero
+        if counts is None:
+            gate.leaf_planes.append(alive)
+        elif counts:
+            leaves, fan = counts
+            gate.gate_planes.append(alive)
+            if gate.leaves is None:
+                gate.leaves, gate.fan = leaves, fan
+            else:
+                gate.leaves += leaves
+                np.maximum(gate.fan, fan, out=gate.fan)
+        return gate
+
+    def live_count(planes):
+        count = np.zeros(size, dtype=np.int32)
+        for i in range(0, len(planes), 64):
+            count += _bits(np.array(planes[i:i + 64]), size).sum(axis=0, dtype=np.int32)
+        return count
+
+    def finish(gate, is_and, nand):
+        if gate is None:
             return const(int(is_and))
-        alive = np.array([ch[0] for ch in children])
-        one = np.array([ch[1] for ch in children])
-        reduce = np.bitwise_and.reduce if is_and else np.bitwise_or.reduce
-        one_out = reduce(one, axis=0)  # AND: every child 1; OR: some child 1
-        # AND: no child 0; OR: some child not 0; either way it holds one_out
-        alive_out = reduce(alive | one, axis=0) ^ one_out
+        one_out = gate.one
+        # either way ``nonzero`` holds ``one``, and alive is the rest of it
+        alive_out = np.bitwise_xor(gate.nonzero, one_out, out=gate.nonzero)
         if not stats or not alive_out.any():
-            return alive_out, one_out, None, None
-        bits = _bits(alive, size)
-        count = bits.sum(axis=0, dtype=np.int32)  # live children
-        leaves = count.copy()
-        fan = np.zeros(size, dtype=np.int32)
-        for bit, (_, _, ch_leaves, ch_fan) in zip(bits, children):
-            if ch_leaves is not None:  # a live gate counts its leaves, not 1
-                leaves += ch_leaves
-                leaves -= bit
-                np.maximum(fan, ch_fan, out=fan)
+            return alive_out, one_out, ()
+        leaves = live_count(gate.leaf_planes)
+        count = leaves + live_count(gate.gate_planes)  # live children
         # a gate with one live child simplifies away, or stays as a one-child
         # NAND above two or more live leaves, whose nearest common gate has
         # two live children: either way it adds nothing to the largest fan-in
-        np.maximum(fan, np.where(count >= 2, count, 0), out=fan)
+        fan = np.where(count >= 2, count, 0)
+        if gate.leaves is not None:  # a live gate child counts its leaves, not 1
+            leaves += gate.leaves
+            np.maximum(fan, gate.fan, out=fan)
         live = _bits(alive_out, size)
-        return alive_out, one_out, leaves * live, fan * live
+        return alive_out, one_out, (leaves * live, fan * live)
 
-    alive, one, leaves, fan = fold(c, leaf, const, list, _collect, finish)
+    alive, one, counts = fold(c, leaf, const, lambda: None, absorb, finish)
     if not stats:
         return alive, one
-    if leaves is None:
-        leaves, fan = _bits(alive, size).astype(np.int32), np.zeros(size, dtype=np.int32)
-    return alive, one, leaves, fan
+    if counts:
+        return alive, one, *counts
+    return alive, one, _bits(alive, size).astype(np.int32), np.zeros(size, dtype=np.int32)
 
 
 def _exact_nonconstant_probability(c: Circuit, p) -> Fraction:
@@ -506,6 +556,8 @@ def shrink_experiment(
         raise CircuitError(f"p={p} outside [0,1]")
     if trials < 1:
         raise CircuitError("trials must be positive")
+    if threshold is not None and isnan(threshold):
+        raise CircuitError("threshold is not a number")
     nand, _ = to_nand_form(c)
     pair = build_sandwich(nand, eps)
     n = c.n

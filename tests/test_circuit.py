@@ -295,6 +295,18 @@ def test_deep_circuits_compare_hash_and_repr_without_recursion():
     assert {c: 1}[same] == 1
 
 
+def test_deep_nodes_compare_and_hash_without_recursion():
+    c, same = deep_chain(1200), deep_chain(1200)
+    assert c.root == same.root and hash(c.root) == hash(same.root) and c.root is not same.root
+    assert {c.root: 1}[same.root] == 1
+    assert And((c.root, Leaf(1201))) != Or((c.root, Leaf(1201)))
+    assert Not(c.root) != c.root and Not(c.root) == Not(same.root)
+    assert c.root != deep_chain(1199).root
+    assert Leaf(0) == Leaf(0) and Leaf(0) != Leaf(0, negated=True) and Const(1) != Const(0)
+    assert And((Leaf(0), Leaf(1))) == And((Leaf(0), Leaf(1))) != Nand((Leaf(0), Leaf(1)))
+    assert And((Leaf(0),)) != Leaf(0) and Not(Leaf(0)) != Leaf(0, negated=True)
+
+
 def test_structural_equality_keeps_node_identity():
     # a NOT over a leaf renders like a negated leaf but is a different tree
     assert Circuit(Not(Leaf(0)), 1) != Circuit(Leaf(0, negated=True), 1)

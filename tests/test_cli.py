@@ -143,7 +143,10 @@ def test_failing_threshold_exits_1(tmp_path):
     ["bounds", "--corpus", "random:n=8,d=3,count=2", "--eps", "0"],
     ["shrink", "--circuit", "tribes:m=2,w=2", "--p", "0.3", "--eps", "1/0"],
     ["bp", "--corpus", "random:n=8,d=3", "--witnesses", "-1"],
-], ids=["bounds-eps-1/0", "bounds-eps-0", "shrink-eps-1/0", "bp-witnesses--1"])
+    ["shrink", "--circuit", "(and x0 x1)", "--p", "0.5", "--eps", "1/16", "--trials", "10",
+     "--threshold", "nan"],
+], ids=["bounds-eps-1/0", "bounds-eps-0", "shrink-eps-1/0", "bp-witnesses--1",
+        "shrink-threshold-nan"])
 def test_bad_numbers_exit_2(args, capsys):
     assert run(args) == 2
     assert "error:" in capsys.readouterr().err
@@ -312,11 +315,14 @@ _BAD_SPECS = ["1", "(and)", "tribes:m=2", "tribes:m=x,w=2", "tribes:m=0,w=2", "t
     eps=_text(["1/10", "1/16", "1/4", "0.2", "1e-3"], _ODD_NUMBERS, st.fractions().map(str)),
     trials=st.integers(-2, 200),
     seed=st.one_of(st.integers(0, 2**64 + 5), st.integers(0, 99), st.integers(-3, -1) | st.just("x")),
+    threshold=st.none() | _text(["0", "2", "-1", "inf", "nan"], _ODD_NUMBERS, st.floats().map(repr)),
 )
-def test_shrink_argv_never_tracebacks(spec, p, eps, trials, seed):
+def test_shrink_argv_never_tracebacks(spec, p, eps, trials, seed, threshold):
     # argparse exits 2 on text it cannot convert; any other exception fails here
     argv = ["shrink", "--circuit", spec, "--p", p, "--eps", eps,
             "--trials", str(trials), "--seed", str(seed)]
+    if threshold is not None:
+        argv += ["--threshold", threshold]
     try:
         code = main(argv)
     except SystemExit as e:

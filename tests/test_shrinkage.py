@@ -234,6 +234,21 @@ def test_restriction_bits_take_no_trials_by_n_byte_array():
     assert peak < 8 << 20
 
 
+def test_restricted_stats_memory_does_not_grow_with_fan_in():
+    # holding the root OR's 128 children whole (a (128, 10000) byte unpack and
+    # two int32 arrays per child) peaked at 14.4 MiB; streamed, the peak is
+    # about 3.5 MiB, most of it the fixed-to-1 planes of the 1024 leaves
+    c = load_circuit("tribes:m=128,w=8")
+    (size, free, x), = _restriction_blocks(c.n, 0.2, 10_000, 1)
+    tracemalloc.start()
+    try:
+        _restricted(c, free, x, size, stats=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 << 20
+
+
 def test_collapse_non_dyadic_fraction_p_is_fast():
     c = gen_random_read_once(256, 3, seed=5)
     t0 = time.perf_counter()
@@ -439,6 +454,48 @@ def test_restricted_stats_match_simplify():
                 assert (int(state[t]), int(leaves[t]), int(fan[t])) == want, (render(form), t)
 
 
+def _wide(gate, items):
+    return f"({gate} {' '.join(items)})"
+
+
+# gates that are constant in every trial while their children and their
+# parents are alive in some, and gates with more than 64 leaf or gate
+# children, whose live children are counted 64 planes at a time
+_SKIP_RULE_CASES = [
+    ("(and 0 (or x0 x1))", 0.5),
+    ("(or 1 (and x0 x1) x2)", 0.5),
+    ("(or x3 (and 0 (or x0 x1)) (and x4 x5))", 0.5),
+    ("(and x3 (or 1 (and x0 x1) x2) (or x4 (nand x5 x6)))", 0.5),
+    (_wide("or", [f"x{i}" for i in range(130)]), 0.99),
+    (_wide("and", ["x130", _wide("or", [f"x{i}" for i in range(130)])]), 0.99),
+    (_wide("or", [f"(and x{2 * i} x{2 * i + 1})" for i in range(70)]), 0.9),
+]
+
+
+@pytest.mark.parametrize("text, p", _SKIP_RULE_CASES, ids=[
+    "and-0", "or-1", "or-over-and-0", "and-over-or-1", "or-130-leaves", "and-over-or-130-leaves",
+    "or-70-gates"])
+def test_restricted_stats_skip_dead_gates_and_count_wide_ones(text, p):
+    c = parse(text)
+    for trials in (37, 130):
+        (size, free, x), = _restriction_blocks(c.n, p, trials, 5)
+        free_t, x_t = trial_major(free, size), trial_major(x, size)
+        for form in (c, Circuit(Not(c.root), c.n), to_nand_form(c)[0]):
+            alive, one, leaves, fan = _restricted(form, free, x, size, stats=True)
+            planes = _restricted(form, free, x, size)
+            assert np.array_equal(planes[0], alive) and np.array_equal(planes[1], one)
+            state = states(alive, one, size)
+            want_state, want_leaves, want_fan = uint8_restricted(form, free_t, x_t, stats=True)
+            assert np.array_equal(state, want_state)
+            assert np.array_equal(leaves, want_leaves) and np.array_equal(fan, want_fan)
+            for t in range(size):
+                m = RestrictionMask.from_bits(free_t[t].tolist(), x_t[t].tolist())
+                want = simplified_stats(simplify(restrict(form, m)))
+                assert (int(state[t]), int(leaves[t]), int(fan[t])) == want, (text, t)
+        if c.size > 64:  # the wide gate is alive in some trial, so it counted
+            assert (state == _ALIVE).any()
+
+
 @pytest.mark.parametrize("p", [0.9, 0.97])
 def test_collapse_hits_match_uint8_oracle(p):
     c = load_circuit("random:n=512,d=3,seed=5")
@@ -522,6 +579,8 @@ def test_shrink_parameter_gates():
         shrink_experiment(c, 1.5, 0.1)
     with pytest.raises(CircuitError):
         shrink_experiment(c, 0.5, 0.1, trials=0)
+    with pytest.raises(CircuitError, match="not a number"):
+        shrink_experiment(c, 0.5, 0.1, threshold=float("nan"))
 
 
 def test_shrink_report_dict_uses_plain_types():
