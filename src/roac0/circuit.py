@@ -55,11 +55,12 @@ class Const:
 
 
 class _Tree:
-    """Structural equality and hashing over the pre-order shapes.
+    """Equality and hashing over the pre-order shapes, repr and pickle via the DSL text.
 
-    The dataclass defaults compare and hash a node's children by recursing
-    once per nesting level; the pre-order list of :func:`_shape` determines
-    the tree, so comparing it works at any depth.
+    The dataclass defaults and the default pickle recurse once per nesting
+    level; the pre-order list of :func:`_shape` determines the tree, and the
+    text is built and parsed on explicit stacks, so all four work at any
+    depth.  A pickled NOT over a leaf comes back as a negated leaf.
     """
 
     def __eq__(self, other):
@@ -70,23 +71,29 @@ class _Tree:
     def __hash__(self) -> int:
         return hash(_shapes(self))
 
+    def __repr__(self) -> str:
+        return f"<{type(self).__name__} {trampoline(_render_node(self))}>"
 
-@dataclass(frozen=True, eq=False)
+    def __reduce__(self):
+        return _parse_node, (trampoline(_render_node(self)),)
+
+
+@dataclass(frozen=True, eq=False, repr=False)
 class Not(_Tree):
     child: "Node"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class And(_Tree):
     children: tuple["Node", ...]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Or(_Tree):
     children: tuple["Node", ...]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Nand(_Tree):
     children: tuple["Node", ...]
 
@@ -131,10 +138,6 @@ class Circuit:
 
     def __repr__(self) -> str:
         return f"Circuit({render(self)!r}, n={self.n})"
-
-    def __reduce__(self):
-        # the default pickle recurses once per nesting level; the text does not
-        return _from_text, (render(self), self.n)
 
     # -- structural queries ------------------------------------------------
 
@@ -323,10 +326,6 @@ def _parse_node(text: str) -> Node:
     if rest != len(tokens):
         raise ParseError("trailing input after expression", tokens[rest][1])
     return node
-
-
-def _from_text(text: str, n: int) -> Circuit:
-    return Circuit(_parse_node(text), n)
 
 
 def _parse_expr(tokens: list[tuple[str, int]], i: int) -> tuple[Node, int]:

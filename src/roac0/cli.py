@@ -477,6 +477,8 @@ def _build_expander(args, n: int):
 
 
 def cmd_prg(args) -> int:
+    if args.max_error is not None and np.isnan(args.max_error):
+        raise UsageError("--max-error is not a number")
     rep = Reporter(args)
     c = load_circuit(args.circuit)
     gen = _build_expander(args, c.n)

@@ -18,6 +18,9 @@ restriction expander expands all blocks of one kind at once and folds them
 as arrays: a round fixes what its selections pick and no earlier round took
 (a prefix OR over the rounds).  Monte Carlo and exhaustive restriction
 sweeps both run this batched path.
+
+Small-bias root counts and exhaustive fooling counts run over 2^16-entry
+slices, so beside the truth table neither holds anything of size 2^n.
 """
 
 from __future__ import annotations
@@ -231,28 +234,6 @@ def _power_coords(powers: np.ndarray, d: int) -> np.ndarray:
     return coords
 
 
-def _count_kernels(roots: np.ndarray, coords: np.ndarray, d: int) -> None:
-    """roots[lo | hi << d] += d for each row of coords and each hi, where
-    lo is the XOR of the row's coords[j] over the set bits j of hi: each row
-    is one alpha of degree d, standing for its d conjugates.
-
-    Laid out hi-major, 2^b consecutive hi make one 2^16-entry slice of
-    ``roots`` (or 2^d entries for one hi): a span table over their low b
-    bits, XOR one base for the high bits, is counted by one bincount.
-    """
-    h = coords.shape[1]
-    b = min(h, max(0, 16 - d))
-    low = _xor_span(coords[:, :b].T)
-    offsets = (np.arange(1 << b, dtype=np.int64) << d)[:, None]
-    for hi in range(0, 1 << h, 1 << b):
-        high_bits = (hi >> np.arange(b, h)) & 1
-        block = low ^ np.bitwise_xor.reduce(coords[:, b:][:, high_bits == 1], axis=1)
-        block |= offsets
-        part = np.bincount(block.ravel(), minlength=(1 << b) << d)
-        part *= d
-        roots[hi << d : (hi + (1 << b)) << d] += part
-
-
 def _fields(seeds: np.ndarray, offsets, width: int) -> np.ndarray:
     """uint64 value of the width-bit field at each bit offset, shape (offsets, rows).
 
@@ -375,14 +356,29 @@ class SmallBiasGen:
         # powers, so the S it is a root of are any bits above d together with
         # the d low bits that cancel them.  The polynomial has coefficients
         # in GF(2), so alpha^2 is a root whenever alpha is: the d conjugates
-        # of alpha share its S, and one of them stands for all d.
-        roots = np.zeros(1 << n, dtype=np.int32)
+        # of alpha share its S, and one of them stands for all d.  The S run
+        # in slices of 2^w: a slice takes 2^(w - d) consecutive high parts of
+        # each degree, a span table over their low w - d bits XOR one base
+        # from the slice index, counted by one bincount (d < w, as d < n and
+        # d divides an ell of at most 13 under the seed cap).
         alphas, degree = _frobenius_orbits(self.ell)
         powers = np.stack(list(_gf_powers(alphas, self.ell, n)), axis=1).view(np.int64)
+        w, spans, best = min(16, n), [], 0
         for d in np.unique(degree).tolist():
             if d < n:
-                _count_kernels(roots, _power_coords(powers[degree == d], d), d)
-        return Fraction(int(roots[1:].max()) + 1, 1 << self.ell)
+                coords = _power_coords(powers[degree == d], d)
+                offsets = (np.arange(1 << (w - d), dtype=np.int64) << d)[:, None]
+                spans.append((d, _xor_span(coords[:, : w - d].T) | offsets, coords[:, w - d :]))
+        for s in range(1 << (n - w)):
+            high = ((s >> np.arange(n - w)) & 1).astype(bool)
+            counts = np.zeros(1 << w, dtype=np.int64)
+            for d, low, rest in spans:
+                part = np.bincount((low ^ np.bitwise_xor.reduce(rest[:, high], axis=1)).ravel(),
+                                   minlength=1 << w)
+                part *= d
+                counts += part
+            best = max(best, int(counts[1 if s == 0 else 0 :].max()))  # S = 0 is no character
+        return Fraction(best + 1, 1 << self.ell)
 
 
 @dataclass(frozen=True)
@@ -432,13 +428,9 @@ def _distribution_cached(gen) -> np.ndarray:
     """Read-only counts of each n-bit output over the full seed space."""
     _check_exhaustive(gen)
     # chunks of at least 2^n outputs, so each 2^n-bin bincount pays for itself
-    counts = None
+    counts = np.zeros(1 << gen.n, dtype=np.int64)
     for chunk in gen._output_chunks(chunk_bits=max(20, gen.n)):
-        part = np.bincount(chunk, minlength=1 << gen.n)
-        if counts is None:
-            counts = part
-        else:
-            counts += part
+        counts += np.bincount(chunk, minlength=1 << gen.n)
     counts.setflags(write=False)
     return counts
 
@@ -449,8 +441,9 @@ def output_distribution(gen) -> np.ndarray:
 
 
 def _accepted_seeds(gen, tt: np.ndarray) -> int:
-    """Seeds whose output the truth table accepts, summed in the cached counts."""
-    return int(_distribution_cached(gen).sum(where=tt.view(bool)))
+    """Seeds whose output the truth table accepts, counted 2^16 outputs at a time."""
+    _check_exhaustive(gen)
+    return sum(int(np.count_nonzero(tt[chunk])) for chunk in gen._output_chunks(chunk_bits=16))
 
 
 def _transform_bias(gen, n: int) -> Fraction:
@@ -468,10 +461,11 @@ def measure_bias(gen, n: int | None = None) -> Fraction:
     A small-bias generator counts roots: character S's signed sum over the
     seeds is 2^ell times the number of alphas at which sum_{i in S}
     alpha^(i+1) vanishes, and for each alpha those S form a kernel of a
-    GF(2)-linear map, so one 2^n table of root counts holds every
-    character.  Other generators sweep every seed into the output
-    distribution and transform it.  Both stay in integers and under the
-    same caps: 2^26 seeds (``EXHAUSTIVE_SEED_CAP``) and n <= ``WHT_CAP``.
+    GF(2)-linear map.  Slices of 2^16 characters keep only a running max,
+    so this takes a few MiB up to n = 24.  Other generators sweep every seed
+    into the output distribution and transform it.  Both stay in integers
+    and under the same caps: 2^26 seeds (``EXHAUSTIVE_SEED_CAP``) and
+    n <= ``WHT_CAP``.
     With n < gen.n only the first n output bits are kept.
     """
     if n is not None and not 1 <= n <= gen.n:

@@ -269,6 +269,8 @@ def test_structure_walkers_handle_deep_nesting():
     text = render(c)
     assert render(parse(text)) == text
     assert pickle.loads(pickle.dumps(c)) == c
+    assert repr(c.root) == f"<{type(c.root).__name__} {text}>"
+    assert pickle.loads(pickle.dumps(c.root)) == c.root
     nand, info = to_nand_form(c)
     assert info == {"depth_before": 1200, "depth_after": nand.depth}
     mono = strip_leaf_negations(push_nots_to_leaves(c))
@@ -334,6 +336,10 @@ def test_pickle_goes_through_text():
     assert pickle.loads(pickle.dumps(c)) == Circuit(And((Leaf(0, negated=True), Leaf(2))), 5)
     twice = Circuit(Or((Leaf(1), Leaf(1))), 2)
     assert pickle.loads(pickle.dumps(twice)) == twice
+    # a node on its own goes through its text too
+    assert pickle.loads(pickle.dumps(Not(Leaf(0)))) == Leaf(0, negated=True)
+    assert pickle.loads(pickle.dumps(twice.root)) == twice.root
+    assert repr(c.root) == "<And (and (not x0) x2)>"
 
 
 # -- exact acceptance ---------------------------------------------------------

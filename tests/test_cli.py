@@ -145,8 +145,10 @@ def test_failing_threshold_exits_1(tmp_path):
     ["bp", "--corpus", "random:n=8,d=3", "--witnesses", "-1"],
     ["shrink", "--circuit", "(and x0 x1)", "--p", "0.5", "--eps", "1/16", "--trials", "10",
      "--threshold", "nan"],
+    ["prg", "--circuit", "(and x0 x1)", "--mode", "uniform", "--trials", "10",
+     "--max-error", "nan"],
 ], ids=["bounds-eps-1/0", "bounds-eps-0", "shrink-eps-1/0", "bp-witnesses--1",
-        "shrink-threshold-nan"])
+        "shrink-threshold-nan", "prg-max-error-nan"])
 def test_bad_numbers_exit_2(args, capsys):
     assert run(args) == 2
     assert "error:" in capsys.readouterr().err
@@ -382,6 +384,8 @@ def test_argv_never_tracebacks(argv):
     except SystemExit as e:
         code = e.code
     assert code in (0, 1, 2)
+    if "--max-error" in argv and argv[argv.index("--max-error") + 1] == "nan":
+        assert code == 2  # a gate that no error can fail or pass is a usage error
 
 
 def test_prg_layout_over_one_batch_exits_2_at_once(capsys):

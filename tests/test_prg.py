@@ -22,7 +22,7 @@ from roac0 import (
     restrict,
 )
 from roac0.circuit import RestrictionMask
-from roac0.fourier import WHT_CAP, CapExceeded, level_profile_recursive, total_mass
+from roac0.fourier import WHT_CAP, CapExceeded, level_profile_recursive, total_mass, truth_table
 from roac0.prg import (
     EXHAUSTIVE_SEED_CAP,
     RestrictionPRG,
@@ -38,6 +38,9 @@ from roac0.prg import (
     wilson_interval,
 )
 from roac0.prg import (
+    _accepted_seeds,
+    _alpha_power_rows,
+    _block_table,
     _distribution_cached,
     _expand_fields,
     _gf_mul_many,
@@ -255,18 +258,50 @@ def test_root_count_matches_distribution_transform(ell):
             assert want == 1  # alpha^(2^ell) = alpha, so bits 0 and 2^ell - 1 agree
 
 
-def test_root_count_memory_peak_is_the_counter_plus_small_buffers():
-    # the seed sweep would hold a 2^22-entry int64 distribution and transform
-    _distribution_cached.cache_clear()
+def _traced_peak(call):
+    """(call(), tracemalloc peak of the call), every prg cache cold."""
+    for cache in (_distribution_cached, _block_table, _alpha_power_rows):
+        cache.cache_clear()
     tracemalloc.start()
     try:
-        bias = measure_bias(SmallBiasGen(11, 22))
-        peak = tracemalloc.get_traced_memory()[1]
+        return call(), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_root_count_memory_peak_stays_under_4_mib():
+    # a 2^22-entry table of root counts alone took 16 MiB; slices of 2^16 do not add up
+    bias, peak = _traced_peak(lambda: measure_bias(SmallBiasGen(11, 22)))
     assert bias == Fraction(13, 2048)
-    assert peak <= np.dtype(np.int32).itemsize * (1 << 22) + (4 << 20)
+    assert peak <= 4 << 20
     assert _distribution_cached.cache_info().currsize == 0
+
+
+def test_exhaustive_fooling_memory_peak_stays_under_4_mib():
+    # the 2^20-entry int64 output distribution alone took 8 MiB; the 1 MiB
+    # truth table is the one table of size 2^n left
+    c = load_circuit("random:n=20,d=3,seed=5")
+    r, peak = _traced_peak(lambda: fooling_error(c, SmallBiasGen(10, 20), mode="exhaustive"))
+    assert r.generator_expectation == Fraction(345883, 524288)
+    assert peak <= 4 << 20
+    assert _distribution_cached.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("gen", [
+    SmallBiasGen(5, 9),
+    SmallBiasGen(9, 12),  # 4 chunks of 2^7 betas: whole rows of the high block table
+    SmallBiasGen(11, 12),  # 64 chunks of 2^5 betas: part of a row of the low block table
+    UniformGen(12),
+    UniformGen(18),
+    RestrictionPRG(6, a=1, rounds=1, ell_sel=2, ell_asn=2, ell_final=2),
+    RestrictionPRG(9, a=1, rounds=1, ell_sel=3, ell_asn=3, ell_final=3),
+], ids=lambda g: f"{type(g).__name__}-{g.seed_bits}bits")
+def test_streamed_seed_count_matches_distribution(gen):
+    c = load_circuit(f"random:n={gen.n},d=3,seed=11")
+    tt = truth_table(c)
+    want = int(output_distribution(gen) @ tt.astype(np.int64))
+    assert _accepted_seeds(gen, tt) == want
+    assert fooling_error(c, gen).generator_expectation == Fraction(want, 1 << gen.seed_bits)
 
 
 def test_distribution_sums_to_seed_count():

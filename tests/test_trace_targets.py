@@ -1,16 +1,26 @@
-"""The benchmark tracer's wrap targets exist, so a traced run wraps every span."""
+"""The benchmark's hooks into roac0 exist: the tracer's wrap targets, so a
+traced run wraps every span, and the caches a pass clears before each step."""
 
+import ast
 import importlib
 import importlib.util
+import inspect
+import sys
 from pathlib import Path
 
-TRACE = Path(__file__).resolve().parents[1] / "perfbench" / "bench_trace.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_every_traced_name_resolves():
-    spec = importlib.util.spec_from_file_location("bench_trace", TRACE)
-    bench_trace = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench_trace)
+    bench_trace = _load("bench_trace")
     missing = []
     for _, _, _, targets in bench_trace.WRAPS:
         for module, path in targets:
@@ -20,3 +30,17 @@ def test_every_traced_name_resolves():
             if not callable(owner):
                 missing.append(f"{module}.{path}")
     assert not missing
+
+
+def test_every_cleared_cache_resolves():
+    # clear_caches looks each cache up by name and calls its cache_clear, so
+    # a renamed or uncached function fails here as it would fail every run
+    bench_workloads = _load("bench_workloads")
+    tree = ast.parse(inspect.getsource(bench_workloads.clear_caches))
+    names = [node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+             and isinstance(node.value, ast.Name) and node.value.id == "prg"]
+    assert len(names) >= 3
+    missing = [name for name in names
+               if not callable(getattr(getattr(bench_workloads.prg, name, None), "cache_clear", None))]
+    assert not missing
+    bench_workloads.clear_caches()
