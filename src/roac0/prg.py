@@ -377,7 +377,7 @@ class SmallBiasGen:
                                    minlength=1 << w)
                 part *= d
                 counts += part
-            best = max(best, int(counts[1 if s == 0 else 0 :].max()))  # S = 0 is no character
+            best = max(best, int(counts[1 if s == 0 else 0 :].max()))  # nonzero S only
         return Fraction(best + 1, 1 << self.ell)
 
 

@@ -289,8 +289,8 @@ def test_exhaustive_fooling_memory_peak_stays_under_4_mib():
 
 @pytest.mark.parametrize("gen", [
     SmallBiasGen(5, 9),
-    SmallBiasGen(9, 12),  # 4 chunks of 2^7 betas: whole rows of the high block table
-    SmallBiasGen(11, 12),  # 64 chunks of 2^5 betas: part of a row of the low block table
+    SmallBiasGen(9, 12),  # 4 chunks of 2^7 betas: 4 rows of T_1 against all of T_0
+    SmallBiasGen(11, 12),  # 64 chunks of 2^5 betas: one row of T_1 against part of T_0
     UniformGen(12),
     UniformGen(18),
     RestrictionPRG(6, a=1, rounds=1, ell_sel=2, ell_asn=2, ell_final=2),
