@@ -338,7 +338,8 @@ def cmd_fourier(args) -> int:
     if args.check:
         if c.n > fmod.WHT_CAP:
             raise UsageError(f"--check needs n <= {fmod.WHT_CAP}")
-        abs_w, sgn_w = fmod.wht_bruteforce(c).level_sums()
+        with rep.stage("transform", 1 << c.n):
+            abs_w, sgn_w = fmod.wht_bruteforce(c).level_sums()
         ok = all(
             lp.abs_mass[k] == abs_w[k] and lp.signed_sum[k] == sgn_w[k]
             for k in range(c.n + 1)

@@ -14,11 +14,11 @@ a leaf contributes +-1/2, so every subtree's quantities are integers over
 bound checkers need only L_p and F_hat[0], which one O(size) scalar fold
 gives exactly; the level profile and the transform are the oracles.
 
-The transform and its level sums run their inner stages as float64
-matmuls by +-1 and 0/1 matrices, exact because every partial sum is an
-integer below 2^53: the transform adds 2^12 terms +-v, and 2^12 * max|v|
-< 2^53 holds for 0/1 tables and for seed counts (2^EXHAUSTIVE_SEED_CAP =
-2^26 in total); level sums stay below 4^n <= 4^WHT_CAP = 2^48.
+The transform and its level sums run as float matmuls by +-1 and 0/1
+matrices, exact because every partial sum is an integer the float type
+holds: a transform partial sum is at most 2^n * max|v|, so 0/1 tables
+(n <= 24) run in float32 (to 2^24) and seed counts (2^EXHAUSTIVE_SEED_CAP
+= 2^26 in total) in float64 (to 2^53); level sums stay below 4^n <= 2^48.
 
 Conventions, fixed once here and used everywhere:
   * characters chi_s(x) = (-1)^{s.x}; F_hat[s] = E_x[F(x) chi_s(x)]
@@ -95,24 +95,12 @@ def popcounts(n: int) -> np.ndarray:
     return counts
 
 
-_EXACT_FLOAT = 1 << 53
-_MATMUL_BLOCK = 1 << 16  # entries per float64 block: two 512 KiB buffers
-_H64 = 1.0 - 2.0 * (popcounts(6)[np.bitwise_and.outer(*[np.arange(64)] * 2)] & 1)  # Sylvester
+_EXACT_FLOAT32, _EXACT_FLOAT = 1 << 24, 1 << 53  # float32, float64 hold every integer up to these
+_MATMUL_BLOCK = 1 << 16  # entries per float block: two 256 or 512 KiB buffers
+_H64 = {np.dtype(t): 1 - 2 * (popcounts(6)[np.bitwise_and.outer(*[np.arange(64)] * 2)] & 1).astype(t)
+        for t in (np.float32, np.float64)}  # Sylvester, in each float type
 _POP_BITS = 10
 _POP_ONEHOT = np.eye(_POP_BITS + 1)[popcounts(_POP_BITS)]  # [j, k] = (popcount(j) == k)
-
-
-def _row_blocks(rows: np.ndarray):
-    """Yield (row slice, float64 copy of those rows), about _MATMUL_BLOCK entries each.
-
-    One buffer is reused, so a caller must consume each block before the next.
-    """
-    step = max(1, _MATMUL_BLOCK // rows.shape[1])
-    buf = np.empty((min(step, rows.shape[0]), rows.shape[1]))
-    for r in range(0, rows.shape[0], step):
-        block = buf[: min(step, rows.shape[0] - r)]
-        np.copyto(block, rows[r : r + step])
-        yield slice(r, r + step), block
 
 
 def _butterfly(h: np.ndarray, step: int) -> None:
@@ -126,35 +114,63 @@ def _butterfly(h: np.ndarray, step: int) -> None:
         step *= 2
 
 
+def _hadamard_rows(m: np.ndarray, spare: np.ndarray) -> np.ndarray:
+    """H_R @ m for a float (R, C) array, R = 2^r: H_R itself up to 32 rows, else H_16 factors.
+
+    Overwrites m and ``spare`` and returns whichever holds the result.  Each
+    matmul is a batch of products of at most 2^18 multiply-adds, which the
+    BLAS runs on this thread (waking another costs ms on a busy machine).
+    """
+    shape, (outer, inner) = m.shape, m.shape
+    factor = outer if outer <= 32 else 16
+    while outer > 1:
+        b = min(outer, factor)
+        outer //= b
+        cols = min(inner, (1 << 18) // (b * b))
+        split = (outer, b, inner // cols, cols)
+        np.matmul(_H64[m.dtype][:b, :b], m.reshape(split).transpose(0, 2, 1, 3),
+                  out=spare.reshape(split).transpose(0, 2, 1, 3))
+        inner *= b
+        m, spare = spare, m
+    return m.reshape(shape)
+
+
 def _wht_integers(values: np.ndarray) -> np.ndarray:
     """New int64 array h with h[s] = sum_x v[x]*(-1)^{s.x}; ``values`` is untouched.
 
-    Each block of _MATMUL_BLOCK entries is copied to float64, its low 12
-    index bits are transformed by two matmuls with the Sylvester matrix
-    H_64, and its other bits by the int64 butterfly while it is in cache;
-    the bits above a block run the butterfly over the whole result.  Each
-    float output is a sum of 2^12 terms +-v, exact while 2^12 * max|v| <
-    2^53: 0/1 tables and seed counts (2^EXHAUSTIVE_SEED_CAP = 2^26 in total)
-    are far inside.  Larger int64 values raise ArithmeticError.
+    After k levels every partial sum is an integer of magnitude at most
+    2^k * max|v|, so levels run as float matmuls by Sylvester matrices where
+    that keeps them exact: float32 when 2^n * max|v| <= 2^24 (0/1 tables up to
+    n = 24), float64 below 2^53 (seed counts: 2^EXHAUSTIVE_SEED_CAP = 2^26).
+    Blocks of _MATMUL_BLOCK entries take the low index bits, then one pass
+    over column tiles of h the bits above.  Past both ranges, 2^12-entry
+    blocks run in float64 and the levels above as an int64 butterfly;
+    2^12 * max|v| >= 2^53 raises ArithmeticError.
     """
     size = values.size
-    low = min(size, _H64.shape[0])  # index bits 0-5, by block @ H
-    high = min(size // low, _H64.shape[0])  # bits 6-11, by H @ block
-    group = low * high
-    if values.dtype.itemsize > 4 and size:
-        bound = max(int(values.max()), -int(values.min()))
-        if bound * group >= _EXACT_FLOAT:
-            raise ArithmeticError(f"|v| = {bound} too large for an exact transform of {size}")
+    low = min(size, 64)  # index bits 0-5, by block @ H; the rest by H @ block
+    group = low * min(size // low, 64)  # bits 0-11
+    bound = max(int(values.max()), 0 if values.dtype.kind in "bu" else -int(values.min()))
+    if bound * group >= _EXACT_FLOAT:
+        raise ArithmeticError(f"|v| = {bound} too large for an exact transform of {size}")
+    span = size if bound * size < _EXACT_FLOAT else group  # entries transformed in float
+    block = min(span, _MATMUL_BLOCK)
+    ftype = np.float32 if bound * size <= _EXACT_FLOAT32 else np.float64
+    buf, spare = np.empty(block, ftype), np.empty(block, ftype)
     h = np.empty(size, dtype=np.int64)
-    groups = h.reshape(-1, high, low)
-    h_low, h_high = (np.ascontiguousarray(_H64[:w, :w]) for w in (low, high))
-    for sl, block in _row_blocks(values.reshape(-1, group)):
-        cube = block.reshape(-1, high, low)
-        np.matmul(h_high, cube @ h_low, out=cube)
-        out = groups[sl]
-        out[...] = cube
-        _butterfly(out.reshape(-1), group)
-    _butterfly(h, min(size, _MATMUL_BLOCK))
+    for r in range(0, size, block):
+        np.copyto(buf, values[r : r + block])
+        np.matmul(buf.reshape(-1, group // low, low), _H64[buf.dtype][:low, :low],
+                  out=spare.reshape(-1, group // low, low))
+        h[r : r + block] = _hadamard_rows(spare.reshape(-1, low), buf).ravel()
+    if span < size:
+        _butterfly(h, block)
+    elif size > block:  # the bits above a block: H @ each column tile of h's rows
+        tiles = h.reshape(size // block, -1, block * block // size)  # [row, tile, column]
+        tile = buf.reshape(len(tiles), -1)
+        for t in range(tiles.shape[1]):
+            np.copyto(tile, tiles[:, t])
+            tiles[:, t] = _hadamard_rows(tile, spare)
     return h
 
 
@@ -186,9 +202,12 @@ class SpectralTable:
         rows = self.numerators.reshape(-1, 1 << low)
         sgn_rows = np.empty((rows.shape[0], low + 1))
         abs_rows = np.empty_like(sgn_rows)
-        for sl, block in _row_blocks(rows):
-            sgn_rows[sl] = block @ onehot
-            abs_rows[sl] = np.abs(block, out=block) @ onehot
+        step = _MATMUL_BLOCK >> low  # rows per float64 block
+        buf = np.empty((min(step, len(rows)), 1 << low))
+        for r in range(0, len(rows), step):
+            np.copyto(buf, rows[r : r + step])
+            sgn_rows[r : r + step] = buf @ onehot
+            abs_rows[r : r + step] = np.abs(buf, out=buf) @ onehot
         level = (popcounts(n - low)[:, None] + np.arange(low + 1)).ravel()
         den = 1 << n
         return tuple(

@@ -294,6 +294,11 @@ def _expand_fields(seeds: np.ndarray, ell: int, n: int, offsets) -> np.ndarray:
     return out.view(np.int64)
 
 
+def _one_word(n: int) -> None:
+    if n > 64:  # every batched expander returns one 64-bit word per seed
+        raise CapExceeded(f"batched expansion of n={n} outputs exceeds one 64-bit word")
+
+
 @dataclass(frozen=True)
 class SmallBiasGen:
     """Field-powering expander: 2*ell seed bits stretch to n output bits.
@@ -346,6 +351,7 @@ class SmallBiasGen:
                    ^ t0[None, lo : lo + min(1 << k, 1 << c)]).reshape(-1)
 
     def _expand_seeds(self, seeds: np.ndarray) -> np.ndarray:
+        _one_word(self.n)
         return _expand_fields(seeds, self.ell, self.n, [0])[0]
 
     def _bias(self, n: int) -> Fraction:
@@ -407,6 +413,7 @@ class UniformGen:
             yield np.arange(lo, min(lo + step, total), dtype=np.int64)
 
     def _expand_seeds(self, seeds: np.ndarray) -> np.ndarray:
+        _one_word(self.n)
         return _fields(seeds, [0], self.n)[0].view(np.int64)
 
     def _bias(self, n: int) -> Fraction:
@@ -604,6 +611,7 @@ class RestrictionPRG:
         select and no earlier round took (a prefix OR), and the final string
         fills whatever no round took.  With a = 0 the empty AND is all ones.
         """
+        _one_word(self.n)
         sel_offsets, asn_offsets, final_offset = self._offsets
         rows, n = len(seeds), self.n
         sel = _expand_fields(seeds, self.ell_sel, n, sel_offsets.ravel())

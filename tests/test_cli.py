@@ -239,7 +239,7 @@ def test_shrink_data_files_pinned(tmp_path):
     (["bp", "--corpus", "random:n=8,d=3,count=3,seed=6", "--witnesses", "2", "--jobs", "1"],
      ["--jobs", "2"], [("bp", 3)], ("bp.csv", "bp.json")),
     (["describe", "--circuit", "tribes:m=2,w=2"], [], [("describe", 4)], ("describe.json",)),
-    (["fourier", "--circuit", "tribes:m=2,w=2", "--check"], [], [("fourier", 5)],
+    (["fourier", "--circuit", "tribes:m=2,w=2", "--check"], [], [("fourier", 5), ("transform", 16)],
      ("fourier.json", "levels.csv")),
 ], ids=["shrink", "prg_mc", "prg_exhaustive", "bounds", "bp", "describe", "fourier"])
 def test_stages_stay_out_of_data_files(tmp_path, args, again, stages, files):

@@ -138,6 +138,36 @@ def test_wht_integers_exact_against_reference(n, kind):
     assert np.array_equal(values, before)
 
 
+def butterfly_reference(values: np.ndarray) -> np.ndarray:
+    """The transform as n int64 butterfly levels over the whole array."""
+    h = values.astype(np.int64)
+    step = 1
+    while step < h.size:
+        pairs = h.reshape(-1, 2, step)
+        pairs[:] = np.stack([pairs[:, 0] + pairs[:, 1], pairs[:, 0] - pairs[:, 1]], axis=1)
+        step *= 2
+    return h
+
+
+def test_butterfly_reference_is_the_definition():
+    values = np.random.default_rng(9).integers(-50, 50, 1 << 9)
+    assert butterfly_reference(values).tolist() == wht_reference(values)
+
+
+# 0/1 tables run in float32 while 2^n * max|v| <= 2^24: across the float32
+# tiles above a 2^16-entry block, and at the edge of float32's integers
+@pytest.mark.parametrize("n", [18, 20, 22])
+def test_wht_integers_matches_butterfly_on_large_tables(n):
+    table = np.random.default_rng(n).integers(0, 2, 1 << n).astype(np.uint8)
+    assert np.array_equal(_wht_integers(table), butterfly_reference(table))
+
+
+def test_wht_integers_all_ones_at_n24_reaches_2_to_the_24():
+    h = _wht_integers(np.ones(1 << 24, dtype=np.uint8))
+    assert h[0] == 1 << 24
+    assert not h[1:].any()
+
+
 def test_wht_integers_leaves_a_writable_input_alone():
     values = np.arange(1 << 10, dtype=np.int64)
     _wht_integers(values)
@@ -154,6 +184,18 @@ def test_wht_integers_rejects_inputs_past_the_exact_float_range():
 def test_wht_integers_memory_peak_is_the_result_plus_small_buffers():
     # a full-size float64 or int32 temporary at 2^20 would add 8 or 4 MiB
     table = np.random.default_rng(3).integers(0, 2, 1 << 20).astype(np.uint8)
+    tracemalloc.start()
+    try:
+        h = _wht_integers(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= h.nbytes + (2 << 20)
+
+
+def test_wht_integers_memory_peak_at_2_22_is_the_result_plus_small_buffers():
+    # the tiles above a block: a full-size float32 temporary would add 16 MiB
+    table = np.random.default_rng(4).integers(0, 2, 1 << 22).astype(np.uint8)
     tracemalloc.start()
     try:
         h = _wht_integers(table)

@@ -141,6 +141,28 @@ def test_batched_layout_expansion_matches_scalar(gen):
     _assert_batched_matches_scalar(gen)
 
 
+def _word_generators(n: int) -> list:
+    return [SmallBiasGen(12, n), SmallBiasGen(7, n), UniformGen(n),
+            RestrictionPRG(n, a=1, rounds=2, ell_sel=7, ell_asn=12, ell_final=5)]
+
+
+@pytest.mark.parametrize("n", [63, 64])
+def test_batched_expansion_keeps_every_output_bit_up_to_64(n):
+    for gen in _word_generators(n):
+        draws = _seed_bytes(np.random.default_rng(n), gen.seed_bits, 200)
+        want = [gen.expand(s) for s in _scalar_seeds(np.random.default_rng(n), gen.seed_bits, 200)]
+        assert gen._expand_seeds(draws).view(np.uint64).tolist() == want
+        assert any(w >> (n - 1) for w in want)  # the top output bit is reached
+
+
+@pytest.mark.parametrize("n", [65, 70])
+def test_batched_expansion_refuses_outputs_past_one_word(n):
+    for gen in _word_generators(n):
+        draws = _seed_bytes(np.random.default_rng(n), gen.seed_bits, 4)
+        with pytest.raises(CapExceeded, match="64-bit word"):
+            gen._expand_seeds(draws)
+
+
 @pytest.mark.parametrize("ell", range(2, 13))  # two gathers up to ell = 10, the power chain above
 def test_expand_fields_matches_scalar_expand(ell):
     rng = np.random.default_rng(ell)
