@@ -44,7 +44,7 @@ from .circuit import (
     simplify,
     trampoline,
 )
-from .fourier import _wht_integers, popcounts, variable_pattern
+from .fourier import SpectralTable, _wht_integers, variable_pattern
 
 
 class BPError(CircuitError):
@@ -476,7 +476,6 @@ def bp_matrix_levelmass_upper(b: OrderedBP, k: int):
         raise BPError("level must be nonnegative")
     if k > b.length:
         return Fraction(0)
-    at_k = popcounts(b.length) == k
-    best = max(int(np.abs(_wht_integers(table))[at_k].sum())
+    best = max(SpectralTable(b.length, _wht_integers(table)).level_sums()[0][k]
                for table in bp_state_functions(b).values())
-    return b.width * Fraction(best, 1 << b.length)
+    return b.width * best

@@ -23,7 +23,6 @@ import random
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -150,42 +149,6 @@ def load_corpus(spec: str) -> list[Circuit]:
 # -- report plumbing ----------------------------------------------------------
 
 
-@dataclass
-class ExperimentConfig:
-    """Echo of one run's inputs; stored in every manifest."""
-
-    command: str
-    options: dict
-
-    def as_dict(self) -> dict:
-        return {"command": self.command, "options": _jsonable(self.options)}
-
-
-@dataclass
-class RunManifest:
-    config: ExperimentConfig
-    files: list = field(default_factory=list)
-    checks_total: int = 0
-    checks_failed: int = 0
-    wall_time_s: float = 0.0
-    stages: list = field(default_factory=list)
-
-    def as_dict(self) -> dict:
-        return {
-            "tool": "roac0",
-            "version": __version__,
-            "config": self.config.as_dict(),
-            "files": list(self.files),
-            "checks": {
-                "total": self.checks_total,
-                "passed": self.checks_total - self.checks_failed,
-                "failed": self.checks_failed,
-            },
-            "wall_time_s": round(self.wall_time_s, 3),
-            "stages": list(self.stages),
-        }
-
-
 def _jsonable(obj):
     if type(obj) in (int, float, str, bool):  # the common case, before the ABC checks
         return obj
@@ -209,20 +172,24 @@ def _jsonable(obj):
 class Reporter:
     """Collects data files and check results for one run.
 
-    The manifest echoes the parsed command line: every option but ``--out``.
+    ``run.json`` echoes the parsed command line (every option but ``--out``)
+    and lists the files written, the check counts, the wall time and the
+    timed stages.
     """
 
     def __init__(self, args):
-        options = {k: v for k, v in vars(args).items() if k not in ("command", "fn", "out")}
-        self.manifest = RunManifest(ExperimentConfig(args.command, options))
+        self.command = args.command
+        self.options = {k: v for k, v in vars(args).items() if k not in ("command", "fn", "out")}
         self.out_dir = Path(args.out) if args.out else None
+        self.checks_total = self.checks_failed = 0
+        self.stages: list[dict] = []
         self._payloads: list[tuple[str, str]] = []
         self._t0 = time.time()
 
     def check(self, label: str, ok: bool) -> bool:
-        self.manifest.checks_total += 1
+        self.checks_total += 1
         if not ok:
-            self.manifest.checks_failed += 1
+            self.checks_failed += 1
         print(f"[{'PASS' if ok else 'FAIL'}] {label}")
         return ok
 
@@ -232,7 +199,7 @@ class Reporter:
         t0 = time.perf_counter()
         yield
         wall = time.perf_counter() - t0
-        self.manifest.stages.append({
+        self.stages.append({
             "name": name,
             "wall_s": round(wall, 6),
             "items": items,
@@ -254,16 +221,28 @@ class Reporter:
         self._payloads.append((name, buf.getvalue()))
 
     def finish(self) -> int:
-        self.manifest.wall_time_s = time.time() - self._t0
+        wall = time.time() - self._t0
         if self.out_dir is not None:
             self.out_dir.mkdir(parents=True, exist_ok=True)
             for name, text in self._payloads:
                 (self.out_dir / name).write_text(text)
-                self.manifest.files.append(name)
+            manifest = {
+                "tool": "roac0",
+                "version": __version__,
+                "config": {"command": self.command, "options": _jsonable(self.options)},
+                "files": [name for name, _ in self._payloads],
+                "checks": {
+                    "total": self.checks_total,
+                    "passed": self.checks_total - self.checks_failed,
+                    "failed": self.checks_failed,
+                },
+                "wall_time_s": round(wall, 3),
+                "stages": self.stages,
+            }
             (self.out_dir / "run.json").write_text(
-                json.dumps(self.manifest.as_dict(), indent=2, sort_keys=True) + "\n"
+                json.dumps(manifest, indent=2, sort_keys=True) + "\n"
             )
-        return 1 if self.manifest.checks_failed else 0
+        return 1 if self.checks_failed else 0
 
 
 def _default_jobs() -> int:

@@ -18,7 +18,8 @@ The transform and its level sums run as float matmuls by +-1 and 0/1
 matrices, exact because every partial sum is an integer the float type
 holds: a transform partial sum is at most 2^n * max|v|, so 0/1 tables
 (n <= 24) run in float32 (to 2^24) and seed counts (2^EXHAUSTIVE_SEED_CAP
-= 2^26 in total) in float64 (to 2^53); level sums stay below 4^n <= 2^48.
+= 2^26 in total) in float64 (to 2^53); an input past 2^53 is refused, not
+transformed another way.  Level sums stay below 4^n <= 2^48.
 
 Conventions, fixed once here and used everywhere:
   * characters chi_s(x) = (-1)^{s.x}; F_hat[s] = E_x[F(x) chi_s(x)]
@@ -103,17 +104,6 @@ _POP_BITS = 10
 _POP_ONEHOT = np.eye(_POP_BITS + 1)[popcounts(_POP_BITS)]  # [j, k] = (popcount(j) == k)
 
 
-def _butterfly(h: np.ndarray, step: int) -> None:
-    """In-place int64 butterfly over the index bits from log2(step) up."""
-    while step < h.size:
-        pairs = h.reshape(-1, 2, step)
-        a, b = pairs[:, 0], pairs[:, 1]
-        a += b  # a + b
-        b *= -2
-        b += a  # (a + b) - 2b = a - b
-        step *= 2
-
-
 def _hadamard_rows(m: np.ndarray, spare: np.ndarray) -> np.ndarray:
     """H_R @ m for a float (R, C) array, R = 2^r: H_R itself up to 32 rows, else H_16 factors.
 
@@ -139,22 +129,20 @@ def _wht_integers(values: np.ndarray) -> np.ndarray:
     """New int64 array h with h[s] = sum_x v[x]*(-1)^{s.x}; ``values`` is untouched.
 
     After k levels every partial sum is an integer of magnitude at most
-    2^k * max|v|, so levels run as float matmuls by Sylvester matrices where
-    that keeps them exact: float32 when 2^n * max|v| <= 2^24 (0/1 tables up to
-    n = 24), float64 below 2^53 (seed counts: 2^EXHAUSTIVE_SEED_CAP = 2^26).
-    Blocks of _MATMUL_BLOCK entries take the low index bits, then one pass
-    over column tiles of h the bits above.  Past both ranges, 2^12-entry
-    blocks run in float64 and the levels above as an int64 butterfly;
-    2^12 * max|v| >= 2^53 raises ArithmeticError.
+    2^k * max|v|, so levels run as float matmuls by Sylvester matrices, exact
+    while 2^n * max|v| is an integer the float type holds: float32 to 2^24
+    (0/1 tables up to n = 24), else float64 below 2^53 (seed counts, at most
+    2^EXHAUSTIVE_SEED_CAP * 2^WHT_CAP = 2^50); 2^n * max|v| >= 2^53 raises
+    ArithmeticError.  Blocks of _MATMUL_BLOCK entries take the low index
+    bits, then one pass over column tiles of h the bits above.
     """
     size = values.size
     low = min(size, 64)  # index bits 0-5, by block @ H; the rest by H @ block
-    group = low * min(size // low, 64)  # bits 0-11
+    group = low * min(size // low, 64)  # bits 0-11: a batch of products of <= 2^18 multiply-adds
     bound = max(int(values.max()), 0 if values.dtype.kind in "bu" else -int(values.min()))
-    if bound * group >= _EXACT_FLOAT:
+    if bound * size >= _EXACT_FLOAT:
         raise ArithmeticError(f"|v| = {bound} too large for an exact transform of {size}")
-    span = size if bound * size < _EXACT_FLOAT else group  # entries transformed in float
-    block = min(span, _MATMUL_BLOCK)
+    block = min(size, _MATMUL_BLOCK)
     ftype = np.float32 if bound * size <= _EXACT_FLOAT32 else np.float64
     buf, spare = np.empty(block, ftype), np.empty(block, ftype)
     h = np.empty(size, dtype=np.int64)
@@ -163,9 +151,7 @@ def _wht_integers(values: np.ndarray) -> np.ndarray:
         np.matmul(buf.reshape(-1, group // low, low), _H64[buf.dtype][:low, :low],
                   out=spare.reshape(-1, group // low, low))
         h[r : r + block] = _hadamard_rows(spare.reshape(-1, low), buf).ravel()
-    if span < size:
-        _butterfly(h, block)
-    elif size > block:  # the bits above a block: H @ each column tile of h's rows
+    if size > block:  # the bits above a block: H @ each column tile of h's rows
         tiles = h.reshape(size // block, -1, block * block // size)  # [row, tile, column]
         tile = buf.reshape(len(tiles), -1)
         for t in range(tiles.shape[1]):
@@ -179,8 +165,9 @@ class SpectralTable:
     """All 2^n Fourier coefficients, stored exactly.
 
     ``numerators[s]`` is the integer 2^n * F_hat[s]; the shared denominator
-    keeps the table exact in int64 (|numerator| <= 2^n <= 2^WHT_CAP), and
-    its level sums exact in float64 (sum_s |numerator| <= 4^n <= 2^48).
+    keeps the table exact in int64 and the float32 transform of a 0/1 table
+    (|numerator| <= 2^n <= 2^WHT_CAP), and its level sums exact in float64
+    (sum_s |numerator| <= 4^n <= 2^48).
     """
 
     n: int
@@ -226,7 +213,7 @@ class SpectralTable:
 
 
 def wht_bruteforce(c: Circuit, cap: int = WHT_CAP) -> SpectralTable:
-    """Exact spectrum by butterfly transform of the full truth table."""
+    """Exact spectrum by Walsh-Hadamard transform of the full truth table."""
     if c.n > cap:
         raise CapExceeded(f"n={c.n} exceeds brute-force cap {cap}")
     return SpectralTable(c.n, _wht_integers(truth_table(c)))
@@ -386,12 +373,12 @@ class BoundReport:
         }
 
 
-def _report(lhs, rhs, params, tolerance=0.0) -> BoundReport:
+def _report(lhs, rhs, params) -> BoundReport:
     slack = rhs - lhs
-    return BoundReport(lhs, rhs, slack, slack >= -tolerance, params)
+    return BoundReport(lhs, rhs, slack, slack >= 0, params)
 
 
-def check_lp_sandwich(lp: LevelProfile, p, tolerance: float = 0.0) -> BoundReport:
+def check_lp_sandwich(lp: LevelProfile, p) -> BoundReport:
     """max_{k>=1} p^k L^k  <=  L_p  <=  n * max_{k>=1} p^k L^k.
 
     The max runs over the damped summands only (k >= 1); including level 0
@@ -405,7 +392,7 @@ def check_lp_sandwich(lp: LevelProfile, p, tolerance: float = 0.0) -> BoundRepor
     lpv = damped_mass(lp, p)
     lower_slack = lpv - peak
     upper_slack = lp.n * peak - lpv
-    passed = lower_slack >= -tolerance and upper_slack >= -tolerance
+    passed = lower_slack >= 0 and upper_slack >= 0
     return BoundReport(
         float(peak),
         float(lpv),
@@ -429,6 +416,8 @@ def growth_factor(n: int, depth: int, eps) -> float:
         factor = (9.0 * math.log2((4.0**depth) * n / eps)) ** depth
     except OverflowError:
         factor = math.inf
+    except ZeroDivisionError:  # a Fraction eps > 0 that rounds to the float 0.0
+        raise CircuitError("eps > 0 is below the float range: it rounds to 0.0") from None
     if math.isinf(factor):
         raise CircuitError(
             f"growth factor (9 log2(4^D n/eps))^D overflows a float at D={depth}, n={n}"
@@ -441,9 +430,7 @@ def boundary_p(n: int, depth: int, eps: float) -> float:
     return 1.0 / growth_factor(n, max(depth, 1), eps)
 
 
-def check_mainbound(
-    c: Circuit, eps, p: float | None = None, tolerance: float = 0.0
-) -> BoundReport:
+def check_mainbound(c: Circuit, eps, p: float | None = None) -> BoundReport:
     """L_p <= p * min(F_hat[0], 1-F_hat[0]) * (9 log2(4^D n/eps))^D + eps.
 
     Checked at the boundary p unless one is supplied.  Depth-0 circuits are
@@ -477,7 +464,6 @@ def check_mainbound(
             "log_base": 2,
             "constant": 9,
         },
-        tolerance,
     )
 
 

@@ -109,14 +109,14 @@ def _restricted(c: Circuit, free: np.ndarray, x: np.ndarray, size: int, stats: b
     alive in no trial counts nothing.  So the fold's memory does not grow
     with a gate's fan-in by more than a bit per child and trial.
     """
-    one_pos = x & ~free  # fixed to 1
-    one_neg = ~(x | free)  # fixed to 0, so the negated literal is 1
     words = free.shape[1]
 
     # a value is (alive, one, counts): counts is None for a leaf, (leaves, fan)
     # for a gate that counted, and () for a constant or any other gate
     def leaf(var, negated):
-        return free[var], (one_neg if negated else one_pos)[var], None
+        # fixed to 1, or fixed to 0 under a negation: a fresh plane a gate may keep
+        one = ~(x[var] | free[var]) if negated else x[var] & ~free[var]
+        return free[var], one, None
 
     def const(value):
         zeros = np.zeros(words, _WORD)
@@ -125,8 +125,8 @@ def _restricted(c: Circuit, free: np.ndarray, x: np.ndarray, size: int, stats: b
     def absorb(gate, child, is_and):
         alive, one, counts = child
         nonzero = alive | one
-        if gate is None:  # a leaf's planes are views of its rows, so copy
-            gate = _OpenGate(one.copy(), nonzero)
+        if gate is None:
+            gate = _OpenGate(one, nonzero)
         elif is_and:  # no child 0 so far, every child 1 so far
             gate.one &= one
             gate.nonzero &= nonzero

@@ -360,7 +360,7 @@ def _argv(draw):
             return argv + ["--witnesses", draw(small_int), "--seed",
                            draw(st.one_of(st.integers(-3, 2**64 + 5).map(str), st.just("x")))]
         if draw(st.booleans()):
-            argv += ["--eps", draw(_text(["1/1000", "1/10", "0.01"], _ODD_NUMBERS,
+            argv += ["--eps", draw(_text(["1/1000", "1/10", "0.01"], _ODD_NUMBERS + ["1e-400"],
                                          st.fractions().map(str)))]
         return argv + (["--p", draw(number)] if draw(st.booleans()) else [])
     mode = draw(st.sampled_from(["smallbias", "restriction", "uniform", "other"]))

@@ -30,6 +30,8 @@ from roac0 import (
 )
 from roac0.circuit import evaluate_columns
 from roac0.fourier import (
+    _EXACT_FLOAT,
+    WHT_CAP,
     BoundReport,
     CapExceeded,
     SpectralTable,
@@ -41,12 +43,15 @@ from roac0.fourier import (
     check_mainbound,
     damped_mass,
     damped_mass_recursive,
+    growth_factor,
     level_profile_recursive,
     popcounts,
     total_mass,
     truth_table,
     wht_bruteforce,
 )
+from roac0.prg import EXHAUSTIVE_SEED_CAP
+from roac0.shrinkage import collapse_probability
 
 
 def and_k(k: int) -> Circuit:
@@ -128,8 +133,8 @@ def test_wht_integers_exact_against_reference(n, kind):
         values = rng.integers(0, 2, 1 << n).astype(np.uint8)
     elif kind == "counts":  # seed counts under EXHAUSTIVE_SEED_CAP
         values = rng.integers(0, 1 << 26, 1 << n, endpoint=True)
-    else:  # 2^12 * 2^40 = 2^52: the float stage is still exact
-        values = rng.integers(-(1 << 40), 1 << 40, 1 << n, endpoint=True)
+    else:  # 2^n * max|v| <= 2^52: float64 is still exact
+        values = rng.integers(-(1 << (52 - n)), 1 << (52 - n), 1 << n, endpoint=True)
     before = values.copy()
     values.setflags(write=False)
     h = _wht_integers(values)
@@ -175,10 +180,18 @@ def test_wht_integers_leaves_a_writable_input_alone():
 
 
 def test_wht_integers_rejects_inputs_past_the_exact_float_range():
-    ok = np.full(1 << 12, 1 << 40, dtype=np.int64)
-    assert _wht_integers(ok)[0] == 1 << 52
-    with pytest.raises(ArithmeticError):
-        _wht_integers(np.full(1 << 12, -(1 << 41), dtype=np.int64))
+    for n in (12, 17):
+        edge = 1 << (53 - n)  # 2^n * edge = 2^53
+        ok = np.full(1 << n, edge - 1, dtype=np.int64)
+        assert _wht_integers(ok)[0] == (1 << 53) - (1 << n)
+        for v in (edge, -edge):
+            with pytest.raises(ArithmeticError):
+                _wht_integers(np.full(1 << n, v, dtype=np.int64))
+
+
+def test_seed_counts_under_the_caps_stay_in_the_exact_float_range():
+    # every seed count transform sums to at most 2^EXHAUSTIVE_SEED_CAP over n <= WHT_CAP
+    assert (1 << EXHAUSTIVE_SEED_CAP) << WHT_CAP < _EXACT_FLOAT
 
 
 def test_wht_integers_memory_peak_is_the_result_plus_small_buffers():
@@ -405,6 +418,18 @@ def test_growth_factor_overflow_is_a_circuit_error():
     with pytest.raises(CircuitError, match="overflows"):
         boundary_p(10, 600, 0.01)
     assert boundary_p(2, 0, 0.5) == pytest.approx(1 / 36)  # depth floor at 1
+
+
+def test_eps_below_the_float_range_is_a_circuit_error():
+    # float(Fraction("1e-400")) is 0.0, so 4^D n / eps would divide by zero
+    tiny = Fraction("1e-400")
+    with pytest.raises(CircuitError, match="float range"):
+        growth_factor(8, 2, tiny)
+    with pytest.raises(CircuitError, match="float range"):
+        check_mainbound(gen_tribes(2, 2), tiny)
+    with pytest.raises(CircuitError, match="float range"):
+        collapse_probability(gen_tribes(2, 2), 0.01, tiny, trials=10)
+    assert growth_factor(8, 2, Fraction(1, 10**300)) == (9.0 * math.log2(16.0 * 8 / 1e-300)) ** 2
 
 
 def test_growth_report_and_k():
