@@ -630,9 +630,9 @@ def strip_leaf_negations(c: Circuit) -> Circuit:
 class BiasVector:
     """Per-variable probabilities that the input bit equals 1.
 
-    Entries may be :class:`~fractions.Fraction` (exact mode) or floats;
-    :func:`acceptance_probability` computes in whichever arithmetic the
-    entries carry.
+    Entries may be ints and :class:`~fractions.Fraction` (exact mode) or
+    floats; :func:`acceptance_probability` computes exactly when every entry
+    is exact and in floats otherwise.
     """
 
     values: tuple
@@ -662,21 +662,43 @@ def acceptance_probability(c: Circuit, q: BiasVector):
     """Exact Pr[F = 1] when input bits are independent with Pr[x_i=1] = q_i.
 
     Valid for read-once circuits, where children of every gate depend on
-    disjoint variables.
+    disjoint variables.  A vector of ints and Fractions folds integer pairs
+    (:func:`_acceptance_pair`) and gives a Fraction.  A vector with any
+    other entry folds every entry as (float(q_i), 1.0), which runs exactly
+    the float operations of folding the floats themselves, and gives a float.
     """
     if len(q) != c.n:
         raise CircuitError(f"bias vector length {len(q)} != n={c.n}")
+    exact = all(isinstance(v, (int, Fraction)) for v in q.values)
+    num, den = _acceptance_pair(
+        c, [(v.numerator, v.denominator) if exact else (float(v), 1.0) for v in q.values])
+    return Fraction(num, den) if exact else num / den
+
+
+def _acceptance_pair(c: Circuit, pairs: list) -> tuple:
+    """Pr[F = 1] as an unnormalised (numerator, denominator) pair, when
+    Pr[x_i = 1] = pairs[i][0] / pairs[i][1].
+
+    The fold multiplies numerators and denominators and divides nowhere, so
+    integer pairs cost no gcd per gate.  The denominator depends only on the
+    tree and the leaves' denominators.
+    """
     c.check_read_once()
 
     def leaf(var, negated):
-        return 1 - q[var] if negated else q[var]
+        num, den = pairs[var]
+        return (den - num, den) if negated else (num, den)
 
     def absorb(prod, acc, is_and):
         # AND accepts when every child does, OR rejects when every child does
-        return prod * (acc if is_and else 1 - acc)
+        num, den = acc
+        return prod[0] * (num if is_and else den - num), prod[1] * den
 
-    return fold(c, leaf, lambda value: value, lambda: 1, absorb,
-                lambda prod, is_and, nand: prod if is_and else 1 - prod)
+    def finish(prod, is_and, nand):
+        num, den = prod
+        return prod if is_and else (den - num, den)
+
+    return fold(c, leaf, lambda value: (value, 1), lambda: (1, 1), absorb, finish)
 
 
 # ---------------------------------------------------------------------------

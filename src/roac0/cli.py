@@ -580,7 +580,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=float, required=True, help="free probability")
     sp.add_argument("--eps", type=str, required=True,
                     help="sandwich epsilon (fraction like 1/100 or float)")
-    sp.add_argument("--trials", type=int, default=10_000)
+    sp.add_argument("--trials", type=int, default=10_000,
+                    help="restrictions to draw, at most 2^22")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--threshold", type=float, default=None,
                     help="fail (exit 1) if the size quantile exceeds this")

@@ -12,9 +12,12 @@ fold streams: a gate takes in each child as soon as it is done and keeps
 only its alive plane, so memory does not grow with fan-in beyond a bit
 per child and trial.  The seeded draw stream is fixed: block b of
 ``master_seed`` draws all its uniforms, trial-major, then all its bits, so
-every hit count and size reproduces for a given seed whatever the packing.  The bits are the top
-bits of the raw PCG64 output bytes, chunk by chunk: that is the stream of
-``rng.integers(0, 2, uint8)``, without its trials x n byte array.
+every hit count and size reproduces for a given seed whatever the
+packing.  The bits are the top bits of the raw PCG64 output bytes, chunk by
+chunk: that is the stream of ``rng.integers(0, 2, uint8)``, without its
+trials x n byte array.  Each chunk's comparison or shift is written straight
+into a packing buffer; from ``_LANES_FROM`` variables up, 8 trials are ORed
+into each byte on uint64 lanes and only the packed bytes are transposed.
 
 The sandwich builder works on NAND-form circuits.  Writing rej(f) for
 Pr[f = 0], a NAND node rejects exactly when every child accepts, so child
@@ -25,8 +28,9 @@ rej(f) < eps take the constant 1 upper outright, and if the lower's
 rejection also fell below eps, children are pruned in index order until the
 rejection lands in [eps, sqrt(eps)]; when one pruning step would overshoot
 the window, the single child at the jump has acceptance in [eps, sqrt(eps)]
-and a one-child NAND of it serves as the lower half.  All rejection masses
-are exact rationals, so every case split is exact.
+and a one-child NAND of it serves as the lower half.  All masses are exact
+rationals, carried as unnormalised pairs of ints and compared with eps by
+cross-multiplying, so every case split is exact.
 """
 
 from __future__ import annotations
@@ -47,6 +51,7 @@ from .circuit import (
     Leaf,
     Nand,
     Node,
+    _acceptance_pair,
     _bits,
     _collect,
     acceptance_probability,
@@ -59,7 +64,7 @@ from .circuit import (
     trampoline,
 )
 from .fourier import biased_gap  # noqa: F401  (perfbench's tracer wraps this name here)
-from .fourier import growth_factor
+from .fourier import CapExceeded, growth_factor
 from .prg import wilson_interval
 
 
@@ -187,13 +192,15 @@ def _exact_nonconstant_probability(c: Circuit, p) -> Fraction:
     nonconstant exactly when setting free bits to all-1 accepts while all-0
     rejects.  Each bit is 1 with probability (1+p)/2 in the first event and
     (1-p)/2 in the second, and the first event contains the second, so the
-    probability is the difference of the two acceptance probabilities.
+    probability is the difference of the two acceptance probabilities.  For
+    p = a/b both folds run over leaf denominator 2b on the same tree, so
+    their denominators agree and one Fraction is built at the end.
     """
     mono = strip_leaf_negations(push_nots_to_leaves(c))
-    pf = Fraction(p)
-    hi = acceptance_probability(mono, BiasVector.constant(c.n, (1 + pf) / 2))
-    lo = acceptance_probability(mono, BiasVector.constant(c.n, (1 - pf) / 2))
-    return hi - lo
+    a, b = Fraction(p).as_integer_ratio()
+    hi, den = _acceptance_pair(mono, [(b + a, 2 * b)] * c.n)
+    lo, _ = _acceptance_pair(mono, [(b - a, 2 * b)] * c.n)
+    return Fraction(hi - lo, den)
 
 
 @dataclass(frozen=True)
@@ -223,7 +230,10 @@ class CollapseReport:
 
 
 _BLOCK = 1 << 14  # trials per seeded block
-_CHUNK = 1 << 16  # draws per chunk, so a chunk's transpose stays in cache
+SHRINK_TRIALS_CAP = 1 << 22  # a shrink run keeps about 225 B per trial, 0.95 GB at the cap
+_CHUNK = 1 << 16  # draws per chunk, so a chunk's buffers stay in cache
+_LANES_FROM = 32  # variables from which a chunk packs on uint64 lanes
+_LANE_SHIFTS = np.arange(8, dtype=_WORD)[:, None, None]
 
 
 def _chunk_rows(n: int) -> int:
@@ -231,10 +241,31 @@ def _chunk_rows(n: int) -> int:
     return max(64, _CHUNK // max(n, 1) // 64 * 64)
 
 
-def _pack_trials(words: np.ndarray, chunk: np.ndarray, start: int) -> None:
-    # a trial-major 0/1 chunk of trials start.. into variable-major word rows
-    words.view(np.uint8)[:, start // 8:(start + len(chunk) + 7) // 8] = np.packbits(
-        np.ascontiguousarray(chunk.T), axis=1, bitorder="little")
+def _pack_trials(words: np.ndarray, op, src: np.ndarray, arg, start: int) -> None:
+    """Pack ``op(src, arg)``, trial-major 0/1 for trials ``start..``, into word rows.
+
+    Below ``_LANES_FROM`` variables the chunk is transposed and run through
+    ``packbits``.  From there up, ``op`` writes trial 8g + k to row g of
+    plane k; read as uint64 lanes, each plane shifts left by its index and
+    the planes OR into 8 trials per byte.  Only those packed bytes are
+    transposed, 8x less data than the chunk, whose own byte transpose is
+    slow at power-of-two row strides.
+    """
+    n = len(words)
+    size = len(src)
+    dest = words.view(np.uint8)[:, start // 8:(start + size + 7) // 8]
+    if n < _LANES_FROM:
+        dest[...] = np.packbits(np.ascontiguousarray(op(src, arg).T), axis=1, bitorder="little")
+        return
+    full = size // 8
+    planes = np.empty((8, dest.shape[1], -(-n // 8) * 8), np.uint8)
+    op(src[:full * 8].reshape(full, 8, n), arg, out=planes[:, :full, :n].transpose(1, 0, 2))
+    if full < dest.shape[1]:  # a last chunk that ends inside a byte
+        planes[:, full] = 0
+        op(src[full * 8:], arg, out=planes[:size - full * 8, full, :n])
+    lanes = planes.view(_WORD)
+    lanes <<= _LANE_SHIFTS
+    dest[...] = np.bitwise_or.reduce(lanes, axis=0).view(np.uint8)[:, :n].T
 
 
 def _restriction_blocks(n: int, p: float, trials: int, master_seed: int) -> Iterator:
@@ -249,14 +280,17 @@ def _restriction_blocks(n: int, p: float, trials: int, master_seed: int) -> Iter
     bit is bit 7 of one little-endian byte of the raw 64-bit words, in
     order.  That is what ``integers`` draws for PCG64, because numpy's
     bounded draw for range 2 has rejection threshold 0 and reads the bytes
-    of buffered 32-bit words low half first.  Both come back variable-major
-    and packed along the trial axis, as
+    of buffered 32-bit words low half first.  :func:`_pack_trials` writes
+    each chunk's comparison or shift straight into its packing buffer, 8
+    trials to a byte on uint64 lanes from ``_LANES_FROM`` variables up.
+    Both come back variable-major and packed along the trial axis, as
     (n, ceil(size / 64)) arrays of little-endian uint64 words with zero pad
     bits.
     """
     # Draws are multiples of 2^-53, so u < p exactly when u < ceil(p 2^53) 2^-53,
     # a float threshold even for a Fraction p.
     threshold = ceil(Fraction(p) * 2**53) / 2**53
+    rows = _chunk_rows(n)
     done = 0
     b = 0
     while done < trials:
@@ -264,17 +298,16 @@ def _restriction_blocks(n: int, p: float, trials: int, master_seed: int) -> Iter
         rng = np.random.default_rng(np.random.SeedSequence([master_seed, b]))
         free = np.zeros((n, -(-size // 64)), dtype=_WORD)
         x = np.zeros_like(free)
-        rows = _chunk_rows(n)
         buf = np.empty((min(rows, size), n))
         for start in range(0, size, rows):
             chunk = buf[:min(rows, size - start)]
             rng.random(out=chunk)
-            _pack_trials(free, chunk < threshold, start)
+            _pack_trials(free, np.less, chunk, threshold, start)
         for start in range(0, size, rows):
             # only the last chunk can end inside a word, and nothing is drawn after it
             count = min(rows, size - start) * n
             raw = rng.bit_generator.random_raw(-(-count // 8)).astype("<u8", copy=False)
-            _pack_trials(x, (raw.view(np.uint8)[:count] >> 7).reshape(-1, n), start)
+            _pack_trials(x, np.right_shift, raw.view(np.uint8)[:count].reshape(-1, n), 7, start)
         yield size, free, x
         done += size
         b += 1
@@ -363,53 +396,59 @@ def _require_nand_form(node: Node) -> None:
 
 
 def _make_nand(nodes, accs):
-    """NAND with constant folding; returns (node, exact acceptance)."""
-    kept, kacc = [], []
-    for nd, a in zip(nodes, accs):
+    """NAND with constant folding; returns (node, exact acceptance pair)."""
+    kept = []
+    rn = rd = 1  # rejection: every kept child accepts
+    for nd, (an, ad) in zip(nodes, accs):
         if isinstance(nd, Const):
             if nd.value == 0:
-                return Const(1), Fraction(1)
+                return Const(1), (1, 1)
             continue
         kept.append(nd)
-        kacc.append(a)
+        rn *= an
+        rd *= ad
     if not kept:
-        return Const(0), Fraction(0)
-    rej = Fraction(1)
-    for a in kacc:
-        rej *= a
+        return Const(0), (0, 1)
     if len(kept) == 1 and isinstance(kept[0], Leaf):
         inner = kept[0]
-        return Leaf(inner.var, not inner.negated), 1 - rej
-    return Nand(tuple(kept)), 1 - rej
+        return Leaf(inner.var, not inner.negated), (rd - rn, rd)
+    return Nand(tuple(kept)), (rd - rn, rd)
 
 
-def _sandwich_node(node: Node, e: Fraction):
-    """Returns (lower, upper, acc_lower, acc_upper, acc_true)."""
+def _sandwich_node(node: Node, en: int, ed: int):
+    """Returns (lower, upper, acc_lower, acc_upper, acc_true) at eps = en/ed.
+
+    Each acceptance is an unnormalised (numerator, denominator) pair of ints
+    with a positive denominator, and each comparison with eps or its square
+    root cross-multiplies.
+    """
     if isinstance(node, Leaf):
-        h = Fraction(1, 2)
+        h = (1, 2)
         return node, node, h, h, h
     if isinstance(node, Const):
-        v = Fraction(node.value)
+        v = (node.value, 1)
         return node, node, v, v, v
-    parts = yield [_sandwich_node(ch, e) for ch in node.children]
+    parts = yield [_sandwich_node(ch, en, ed) for ch in node.children]
     lows = [p[0] for p in parts]
     ups = [p[1] for p in parts]
     alows = [p[2] for p in parts]
     aups = [p[3] for p in parts]
-    rej_true = Fraction(1)
-    for p_ in parts:
-        rej_true *= p_[4]
-    acc_true = 1 - rej_true
+    rn = rd = 1
+    for an, ad in (p[4] for p in parts):
+        rn *= an
+        rd *= ad
+    acc_true = (rd - rn, rd)
 
     low_node, acc_low = _make_nand(ups, aups)
-    if rej_true >= e:
-        up_cand, acc_upc = _make_nand(lows, alows)
-        if 1 - acc_upc >= e:
-            return low_node, up_cand, acc_low, acc_upc, acc_true
-        return low_node, Const(1), acc_low, Fraction(1), acc_true
+    if rn * ed >= en * rd:  # the node rejects with at least e
+        up_cand, (un, ud) = _make_nand(lows, alows)
+        if (ud - un) * ed >= en * ud:  # so does the candidate upper
+            return low_node, up_cand, acc_low, (un, ud), acc_true
+        return low_node, Const(1), acc_low, (1, 1), acc_true
 
-    up_node, acc_up = Const(1), Fraction(1)
-    if 1 - acc_low >= e:
+    up_node, acc_up = Const(1), (1, 1)
+    ln, ld = acc_low
+    if (ld - ln) * ed >= en * ld:  # the lower rejects with at least e
         return low_node, up_node, acc_low, acc_up, acc_true
     if isinstance(low_node, Const):
         # rejection below e forces the constant 1, so the node is identically 1
@@ -417,24 +456,24 @@ def _sandwich_node(node: Node, e: Fraction):
 
     # prune leading children until the suffix rejection reaches [e, sqrt(e)]
     alive = [(u, a) for u, a in zip(ups, aups) if not isinstance(u, Const)]
-    suffix = Fraction(1)
-    jstar, q = None, None
+    sn = sd = 1
+    jstar = None
     for j in range(len(alive) - 1, -1, -1):
-        nxt = suffix * alive[j][1]
-        if nxt < e:
+        an, ad = alive[j][1]
+        if sn * an * ed < en * sd * ad:  # the longer suffix rejects below e
             break
-        suffix = nxt
-        jstar, q = j, nxt
+        sn, sd = sn * an, sd * ad
+        jstar = j
     if jstar is None or jstar == 0:
         raise CircuitError("pruning scan broke an inductive rejection bound")
-    if q * q <= e:
+    if sn * sn * ed <= en * sd * sd:  # suffix rejection at most sqrt(e)
         kept = tuple(u for u, _ in alive[jstar:])
         low_node, acc_low = _make_nand(kept, [a for _, a in alive[jstar:]])
     else:
-        u, a = alive[jstar - 1]
-        if not (e <= a and a * a <= e):
+        u, (an, ad) = alive[jstar - 1]
+        if not (en * ad <= an * ed and an * an * ed <= en * ad * ad):
             raise CircuitError("pruning fallback child outside [eps, sqrt(eps)]")
-        low_node, acc_low = _make_nand([u], [a])
+        low_node, acc_low = _make_nand([u], [(an, ad)])
     return low_node, up_node, acc_low, acc_up, acc_true
 
 
@@ -450,7 +489,7 @@ def build_sandwich(c: Circuit, eps) -> SandwichPair:
         raise CircuitError(f"eps={eps} outside (0, 1/4]")
     _require_nand_form(c.root)
     base = simplify(c)
-    low, up, acc_low, acc_up, _ = trampoline(_sandwich_node(base.root, e))
+    low, up, acc_low, acc_up, _ = trampoline(_sandwich_node(base.root, e.numerator, e.denominator))
     lower = simplify(Circuit(low, c.n))
     upper = simplify(Circuit(up, c.n))
     for half in (lower, upper):
@@ -461,7 +500,7 @@ def build_sandwich(c: Circuit, eps) -> SandwichPair:
         lower=lower,
         upper=upper,
         eps=e,
-        gap=acc_up - acc_low,
+        gap=Fraction(*acc_up) - Fraction(*acc_low),
         source_leaves=base.size,
     )
 
@@ -470,28 +509,32 @@ def sandwich_condition_violations(c: Circuit, eps) -> list:
     """Nonconstant nodes whose exact rejection mass leaves [eps, 1-eps].
 
     Needs NAND form, as the sandwich does.  A NAND rejects exactly when every
-    child accepts, so one bottom-up pass gives every node's rejection mass;
-    the offending nodes come back in pre-order.
+    child accepts, so one bottom-up pass gives every node's rejection mass,
+    as an unnormalised (numerator, denominator) pair of ints; the offending
+    nodes come back in pre-order.
     """
-    e = Fraction(eps)
+    en, ed = Fraction(eps).as_integer_ratio()
     _require_nand_form(c.root)
     nodes = list(iter_nodes(c.root))
     rej = {}
     for node in reversed(nodes):  # every child before its parent
         if isinstance(node, Nand):
-            r = Fraction(1)
+            rn = rd = 1
             for ch in node.children:
-                r *= 1 - rej[id(ch)]
+                cn, cd = rej[id(ch)]
+                rn *= cd - cn
+                rd *= cd
         elif isinstance(node, Leaf):
-            r = Fraction(1, 2)
+            rn, rd = 1, 2
         else:
-            r = Fraction(1 - node.value)
-        rej[id(node)] = r
-    return [
-        (type(node).__name__, float(rej[id(node)]))
-        for node in nodes
-        if not isinstance(node, Const) and not e <= rej[id(node)] <= 1 - e
-    ]
+            rn, rd = 1 - node.value, 1
+        rej[id(node)] = rn, rd
+    bad = []
+    for node in nodes:
+        rn, rd = rej[id(node)]
+        if not isinstance(node, Const) and not en * rd <= rn * ed <= (ed - en) * rd:
+            bad.append((type(node).__name__, rn / rd))
+    return bad
 
 
 @dataclass(frozen=True)
@@ -550,12 +593,15 @@ def shrink_experiment(
     half, and the original circuit.  Size = live leaves after constant
     propagation; gate fan-in is tracked separately.  The (1 - 2*eps)
     quantile of the per-trial max over both halves is compared against
-    ``threshold`` when one is given.
+    ``threshold`` when one is given.  More than ``SHRINK_TRIALS_CAP``
+    trials raise :class:`CapExceeded` before anything is drawn.
     """
     if not 0 <= p <= 1:
         raise CircuitError(f"p={p} outside [0,1]")
     if trials < 1:
         raise CircuitError("trials must be positive")
+    if trials > SHRINK_TRIALS_CAP:
+        raise CapExceeded(f"trials={trials} exceeds shrink cap {SHRINK_TRIALS_CAP}")
     if threshold is not None and isnan(threshold):
         raise CircuitError("threshold is not a number")
     nand, _ = to_nand_form(c)

@@ -1,8 +1,10 @@
 """Shared corpus builders for the test suite."""
 
 import random
+from fractions import Fraction
 
 from roac0 import And, Circuit, Leaf, Nand, Not, Or, gen_random_read_once
+from roac0.circuit import fold
 from roac0.fourier import biased_gap, level_profile_recursive, wht_bruteforce
 
 
@@ -47,3 +49,24 @@ def gap_paths(c, p) -> dict:
         "profile": abs(sum(p**k * sgn_f[k] for k in range(1, c.n + 1))),
         "table": abs(sum(p**k * float(sgn_w[k]) for k in range(1, c.n + 1))),
     }
+
+
+def reference_acceptance(c, q):
+    """Pr[F = 1] folded in the entries' own arithmetic: the oracle for
+    ``acceptance_probability``'s integer-pair fold.
+
+    An exact vector (ints and Fractions) folds Fractions, any other folds
+    floats, so the two must agree in value and type, and bit for bit in
+    floats.
+    """
+    num = Fraction if all(isinstance(v, (int, Fraction)) for v in q.values) else float
+
+    def leaf(var, negated):
+        v = num(q[var])
+        return 1 - v if negated else v
+
+    def absorb(prod, acc, is_and):
+        return prod * (acc if is_and else 1 - acc)
+
+    return fold(c, leaf, num, lambda: num(1), absorb,
+                lambda prod, is_and, nand: prod if is_and else 1 - prod)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import deep_chain, random_corpus
+from conftest import deep_chain, random_corpus, reference_acceptance
 from roac0 import (
     And,
     BiasVector,
@@ -369,6 +369,34 @@ def test_acceptance_matches_truth_table_average():
     for c in random_corpus(15, 10, 3, seed=61):
         got = acceptance_probability(c, BiasVector.uniform(c.n))
         assert got == Fraction(int(truth_table(c).sum()), 1 << c.n)
+
+
+def _oracle_circuits():
+    yield from random_corpus(40, 40, 4, seed=83)
+    yield deep_chain(30)
+    yield gen_tribes(16, 4)
+    yield parse("(nand (not (or x0 x1)) (and x2 (nand x3 (not x4))))")
+    yield Circuit(Const(1), 3)
+
+
+def test_acceptance_pairs_match_the_fraction_fold():
+    rng = random.Random(5)
+    choices = (Fraction(1, 2), Fraction(0.01), Fraction(1, 3), 0, 1)
+    for c in _oracle_circuits():
+        for q in (BiasVector(tuple(rng.choice(choices) for _ in range(c.n))),
+                  BiasVector.constant(c.n, Fraction(0.01)), BiasVector.uniform(c.n)):
+            got, want = acceptance_probability(c, q), reference_acceptance(c, q)
+            assert got == want and type(got) is type(want) is Fraction
+
+
+def test_acceptance_floats_bit_identical_to_the_float_fold():
+    rng = random.Random(6)
+    for c in _oracle_circuits():
+        for q in (BiasVector(tuple(rng.random() for _ in range(c.n))),
+                  BiasVector(tuple(rng.choice((0.01, 0.5, 1 / 3, 0.0, 1.0)) for _ in range(c.n))),
+                  BiasVector.from_coin_bias(c.n, 0.02)):
+            got, want = acceptance_probability(c, q), reference_acceptance(c, q)
+            assert type(got) is type(want) is float and got.hex() == want.hex()
 
 
 # -- generators ---------------------------------------------------------------

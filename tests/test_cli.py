@@ -147,8 +147,10 @@ def test_failing_threshold_exits_1(tmp_path):
      "--threshold", "nan"],
     ["prg", "--circuit", "(and x0 x1)", "--mode", "uniform", "--trials", "10",
      "--max-error", "nan"],
+    ["shrink", "--circuit", "tribes:m=8,w=4", "--p", "0.3", "--eps", "1/16",
+     "--trials", "4194305"],
 ], ids=["bounds-eps-1/0", "bounds-eps-0", "shrink-eps-1/0", "bp-witnesses--1",
-        "shrink-threshold-nan", "prg-max-error-nan"])
+        "shrink-threshold-nan", "prg-max-error-nan", "shrink-trials-above-cap"])
 def test_bad_numbers_exit_2(args, capsys):
     assert run(args) == 2
     assert "error:" in capsys.readouterr().err

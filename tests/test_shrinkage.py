@@ -37,11 +37,14 @@ from roac0.circuit import (
     _collect,
     fold,
     iter_nodes,
+    trampoline,
 )
 from roac0.cli import load_circuit
 from roac0.fourier import check_mainbound, growth_factor, truth_table
+from roac0.fourier import CapExceeded
 from roac0.shrinkage import (
     _BLOCK,
+    SHRINK_TRIALS_CAP,
     CollapseReport,
     _chunk_rows,
     _exact_nonconstant_probability,
@@ -195,8 +198,10 @@ def _stream_trials(n):
 
 
 # n = 1, 2, 7 and 300 end the last chunk of some block at each byte 1..7 of a
-# raw 64-bit word; n = 1024 runs several chunks and two blocks
-_STREAM_NS = [1, 2, 7, 300, 1024]
+# raw 64-bit word; n = 1024 runs several chunks and two blocks.  n = 1, 2 and
+# 7 pack through packbits, n = 64 and up on uint64 lanes, and n = 64, 512 and
+# 1024 have power-of-two row strides
+_STREAM_NS = [1, 2, 7, 64, 300, 512, 1024]
 
 
 def test_stream_cases_end_inside_words_at_every_offset():
@@ -381,6 +386,158 @@ def test_sandwich_random_battery():
             pair.lower, uni
         )
         assert gap == pair.gap
+
+
+def _reference_nand(nodes, accs):
+    kept, kacc = [], []
+    for nd, a in zip(nodes, accs):
+        if isinstance(nd, Const):
+            if nd.value == 0:
+                return Const(1), Fraction(1)
+            continue
+        kept.append(nd)
+        kacc.append(a)
+    if not kept:
+        return Const(0), Fraction(0)
+    rej = Fraction(1)
+    for a in kacc:
+        rej *= a
+    if len(kept) == 1 and isinstance(kept[0], Leaf):
+        inner = kept[0]
+        return Leaf(inner.var, not inner.negated), 1 - rej
+    return Nand(tuple(kept)), 1 - rej
+
+
+def _reference_sandwich_node(node, e):
+    """The sandwich recursion in Fraction arithmetic: (lower, upper, acc_lower,
+    acc_upper, acc_true)."""
+    if isinstance(node, Leaf):
+        h = Fraction(1, 2)
+        return node, node, h, h, h
+    if isinstance(node, Const):
+        v = Fraction(node.value)
+        return node, node, v, v, v
+    parts = yield [_reference_sandwich_node(ch, e) for ch in node.children]
+    lows = [p[0] for p in parts]
+    ups = [p[1] for p in parts]
+    alows = [p[2] for p in parts]
+    aups = [p[3] for p in parts]
+    rej_true = Fraction(1)
+    for p_ in parts:
+        rej_true *= p_[4]
+    acc_true = 1 - rej_true
+
+    low_node, acc_low = _reference_nand(ups, aups)
+    if rej_true >= e:
+        up_cand, acc_upc = _reference_nand(lows, alows)
+        if 1 - acc_upc >= e:
+            return low_node, up_cand, acc_low, acc_upc, acc_true
+        return low_node, Const(1), acc_low, Fraction(1), acc_true
+
+    up_node, acc_up = Const(1), Fraction(1)
+    if 1 - acc_low >= e:
+        return low_node, up_node, acc_low, acc_up, acc_true
+    if isinstance(low_node, Const):
+        return low_node, up_node, acc_low, acc_up, acc_true
+
+    alive = [(u, a) for u, a in zip(ups, aups) if not isinstance(u, Const)]
+    suffix = Fraction(1)
+    jstar, q = None, None
+    for j in range(len(alive) - 1, -1, -1):
+        nxt = suffix * alive[j][1]
+        if nxt < e:
+            break
+        suffix = nxt
+        jstar, q = j, nxt
+    if jstar is None or jstar == 0:
+        raise CircuitError("pruning scan broke an inductive rejection bound")
+    if q * q <= e:
+        kept = tuple(u for u, _ in alive[jstar:])
+        low_node, acc_low = _reference_nand(kept, [a for _, a in alive[jstar:]])
+    else:
+        u, a = alive[jstar - 1]
+        if not (e <= a and a * a <= e):
+            raise CircuitError("pruning fallback child outside [eps, sqrt(eps)]")
+        low_node, acc_low = _reference_nand([u], [a])
+    return low_node, up_node, acc_low, acc_up, acc_true
+
+
+def _reference_violations(c, e):
+    rej = {}
+    nodes = list(iter_nodes(c.root))
+    for node in reversed(nodes):
+        if isinstance(node, Nand):
+            r = Fraction(1)
+            for ch in node.children:
+                r *= 1 - rej[id(ch)]
+        elif isinstance(node, Leaf):
+            r = Fraction(1, 2)
+        else:
+            r = Fraction(1 - node.value)
+        rej[id(node)] = r
+    return [(type(node).__name__, float(rej[id(node)])) for node in nodes
+            if not isinstance(node, Const) and not e <= rej[id(node)] <= 1 - e]
+
+
+def reference_sandwich(c, eps):
+    """(lower, upper, gap) of the Fraction recursion, through the same
+    simplify steps and Fraction condition check as ``build_sandwich``."""
+    base = simplify(c)
+    low, up, acc_low, acc_up, _ = trampoline(_reference_sandwich_node(base.root, eps))
+    halves = simplify(Circuit(low, c.n)), simplify(Circuit(up, c.n))
+    for half in halves:
+        bad = _reference_violations(half, eps)
+        if bad:
+            raise CircuitError(f"sandwich output violates node conditions: {bad[0]}")
+    return *halves, acc_up - acc_low
+
+
+def random_nand_tree(rng, leaves):
+    """A NAND-form read-once circuit with fan-ins 1-6, some negated leaves
+    and a few constant leaves."""
+    count = 0
+
+    def build(budget, depth):
+        nonlocal count
+        if budget == 1 or depth == 0:
+            if rng.random() < 0.05:
+                return Const(rng.randint(0, 1))
+            count += 1
+            return Leaf(count - 1, rng.random() < 0.3)
+        sizes = [1] * rng.randint(1, min(6, budget))
+        for _ in range(budget - len(sizes)):
+            sizes[rng.randrange(len(sizes))] += 1
+        return Nand(tuple(build(size, depth - 1) for size in sizes))
+
+    root = build(leaves, rng.randint(1, 6))
+    return Circuit(root, max(count, 1))
+
+
+def _sandwich_outcome(build, c, eps):
+    try:
+        return build(c, eps)
+    except CircuitError as err:
+        return str(err)
+
+
+@pytest.mark.parametrize("eps", [Fraction(1, 4), Fraction(1, 16), Fraction(1, 300), Fraction(2, 9)],
+                         ids=["1/4", "1/16", "1/300", "2/9"])
+def test_sandwich_pairs_match_the_fraction_recursion(eps):
+    circuits = [load_circuit(spec) for spec in (
+        "tribes:m=128,w=8", "tribes:m=6,w=3", "tribes:m=40,w=5",
+        "rectribes:d=3,widths=8-16-8", "rectribes:d=3,widths=2-4-2", "rectribes:d=4,widths=3-2-4-2")]
+    circuits += random_corpus(30, 24, 4, seed=409)
+    circuits = [to_nand_form(c)[0] for c in circuits]
+    rng = random.Random(410)
+    circuits += [random_nand_tree(rng, rng.randint(1, 40)) for _ in range(60)]
+    for nand in circuits:
+        want = _sandwich_outcome(reference_sandwich, nand, eps)
+        got = _sandwich_outcome(build_sandwich, nand, eps)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert (got.lower, got.upper, got.gap) == want
+            assert type(got.gap) is type(got.eps) is Fraction and got.eps == eps
 
 
 @settings(max_examples=25, deadline=None)
@@ -582,6 +739,17 @@ def test_shrink_parameter_gates():
         shrink_experiment(c, 0.5, 0.1, trials=0)
     with pytest.raises(CircuitError, match="not a number"):
         shrink_experiment(c, 0.5, 0.1, threshold=float("nan"))
+
+
+def test_shrink_trials_cap_raises_before_drawing():
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded, match="exceeds shrink cap"):
+            shrink_experiment(gen_tribes(8, 4), 0.3, 0.1, trials=SHRINK_TRIALS_CAP + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_shrink_report_dict_uses_plain_types():
