@@ -15,8 +15,8 @@ per child and trial.  The seeded draw stream is fixed: block b of
 every hit count and size reproduces for a given seed whatever the
 packing.  The bits are the top bits of the raw PCG64 output bytes, chunk by
 chunk: that is the stream of ``rng.integers(0, 2, uint8)``, without its
-trials x n byte array.  Each chunk's comparison or shift is written straight
-into a packing buffer; from ``_LANES_FROM`` variables up, 8 trials are ORed
+trials x n byte array.  Each chunk's comparisons (u < p, byte >= 128) are
+written straight into a packing buffer; from ``_LANES_FROM`` variables up, 8 trials are ORed
 into each byte on uint64 lanes and only the packed bytes are transposed.
 
 The sandwich builder works on NAND-form circuits.  Writing rej(f) for
@@ -242,7 +242,7 @@ def _chunk_rows(n: int) -> int:
 
 
 def _pack_trials(words: np.ndarray, op, src: np.ndarray, arg, start: int) -> None:
-    """Pack ``op(src, arg)``, trial-major 0/1 for trials ``start..``, into word rows.
+    """Pack the comparison ``op(src, arg)``, trial-major for trials ``start..``, into word rows.
 
     Below ``_LANES_FROM`` variables the chunk is transposed and run through
     ``packbits``.  From there up, ``op`` writes trial 8g + k to row g of
@@ -258,11 +258,12 @@ def _pack_trials(words: np.ndarray, op, src: np.ndarray, arg, start: int) -> Non
         dest[...] = np.packbits(np.ascontiguousarray(op(src, arg).T), axis=1, bitorder="little")
         return
     full = size // 8
-    planes = np.empty((8, dest.shape[1], -(-n // 8) * 8), np.uint8)
+    planes = np.empty((8, dest.shape[1], -(-n // 8) * 8), np.bool_)
     op(src[:full * 8].reshape(full, 8, n), arg, out=planes[:, :full, :n].transpose(1, 0, 2))
     if full < dest.shape[1]:  # a last chunk that ends inside a byte
         planes[:, full] = 0
         op(src[full * 8:], arg, out=planes[:size - full * 8, full, :n])
+    # bytes past n hold garbage; a shift carries it only into higher pad bytes
     lanes = planes.view(_WORD)
     lanes <<= _LANE_SHIFTS
     dest[...] = np.bitwise_or.reduce(lanes, axis=0).view(np.uint8)[:, :n].T
@@ -278,14 +279,14 @@ def _restriction_blocks(n: int, p: float, trials: int, master_seed: int) -> Iter
     at a time, which is the same stream without the whole float array.  The
     bits come from ``rng.bit_generator.random_raw`` one chunk at a time: a
     bit is bit 7 of one little-endian byte of the raw 64-bit words, in
-    order.  That is what ``integers`` draws for PCG64, because numpy's
-    bounded draw for range 2 has rejection threshold 0 and reads the bytes
-    of buffered 32-bit words low half first.  :func:`_pack_trials` writes
-    each chunk's comparison or shift straight into its packing buffer, 8
-    trials to a byte on uint64 lanes from ``_LANES_FROM`` variables up.
-    Both come back variable-major and packed along the trial axis, as
-    (n, ceil(size / 64)) arrays of little-endian uint64 words with zero pad
-    bits.
+    order, so it is set when the byte is at least 128.  That is what
+    ``integers`` draws for PCG64, because numpy's bounded draw for range 2
+    has rejection threshold 0 and reads the bytes of buffered 32-bit words
+    low half first.  :func:`_pack_trials` writes each chunk's comparisons
+    straight into its packing buffer, 8 trials to a byte on uint64 lanes
+    from ``_LANES_FROM`` variables up.  Both come back variable-major and
+    packed along the trial axis, as (n, ceil(size / 64)) arrays of
+    little-endian uint64 words with zero pad bits.
     """
     # Draws are multiples of 2^-53, so u < p exactly when u < ceil(p 2^53) 2^-53,
     # a float threshold even for a Fraction p.
@@ -307,7 +308,7 @@ def _restriction_blocks(n: int, p: float, trials: int, master_seed: int) -> Iter
             # only the last chunk can end inside a word, and nothing is drawn after it
             count = min(rows, size - start) * n
             raw = rng.bit_generator.random_raw(-(-count // 8)).astype("<u8", copy=False)
-            _pack_trials(x, np.right_shift, raw.view(np.uint8)[:count].reshape(-1, n), 7, start)
+            _pack_trials(x, np.greater_equal, raw.view(np.uint8)[:count].reshape(-1, n), 128, start)
         yield size, free, x
         done += size
         b += 1
