@@ -630,9 +630,9 @@ def strip_leaf_negations(c: Circuit) -> Circuit:
 class BiasVector:
     """Per-variable probabilities that the input bit equals 1.
 
-    Entries may be ints and :class:`~fractions.Fraction` (exact mode) or
-    floats; :func:`acceptance_probability` computes exactly when every entry
-    is exact and in floats otherwise.
+    Entries may be :class:`~fractions.Fraction` and int (exact mode) or
+    floats; :func:`acceptance_probability` computes exactly when no entry
+    is a float.
     """
 
     values: tuple
@@ -662,17 +662,26 @@ def acceptance_probability(c: Circuit, q: BiasVector):
     """Exact Pr[F = 1] when input bits are independent with Pr[x_i=1] = q_i.
 
     Valid for read-once circuits, where children of every gate depend on
-    disjoint variables.  A vector of ints and Fractions folds integer pairs
-    (:func:`_acceptance_pair`) and gives a Fraction.  A vector with any
-    other entry folds every entry as (float(q_i), 1.0), which runs exactly
-    the float operations of folding the floats themselves, and gives a float.
+    disjoint variables.  The fold runs on (numerator, denominator) pairs
+    (:func:`_acceptance_pair`): a Fraction or int entry as its two ints, so
+    exact vectors pay no gcd per gate.  When any entry is neither, ints stay
+    (v, 1) and every other entry is read as (float(q_i), 1.0), which runs
+    exactly the float operations of folding the entries themselves.  The
+    result has the type that plain arithmetic on the entries read gives: a
+    float if a float was read, else a Fraction if a Fraction was, else an
+    int (a constant circuit gives its value).
     """
     if len(q) != c.n:
         raise CircuitError(f"bias vector length {len(q)} != n={c.n}")
     exact = all(isinstance(v, (int, Fraction)) for v in q.values)
-    num, den = _acceptance_pair(
-        c, [(v.numerator, v.denominator) if exact else (float(v), 1.0) for v in q.values])
-    return Fraction(num, den) if exact else num / den
+    num, den = _acceptance_pair(c, [
+        (v.numerator, v.denominator) if exact or type(v) is int else (float(v), 1.0)
+        for v in q.values])
+    if isinstance(den, float):
+        return num / den
+    if den == 1 and not any(isinstance(q[v], Fraction) for v in c.variables()):
+        return num
+    return Fraction(num, den)
 
 
 def _acceptance_pair(c: Circuit, pairs: list) -> tuple:

@@ -152,8 +152,8 @@ def _restricted(c: Circuit, free: np.ndarray, x: np.ndarray, size: int, stats: b
 
     def live_count(planes):
         count = np.zeros(size, dtype=np.int32)
-        for i in range(0, len(planes), 64):
-            count += _bits(np.array(planes[i:i + 64]), size).sum(axis=0, dtype=np.int32)
+        for i in range(0, len(planes), 64):  # 64 planes sum to at most 64 in uint8
+            count += _bits(np.array(planes[i:i + 64]), size).sum(axis=0, dtype=np.uint8)
         return count
 
     def finish(gate, is_and, nand):

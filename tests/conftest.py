@@ -1,7 +1,6 @@
 """Shared corpus builders for the test suite."""
 
 import random
-from fractions import Fraction
 
 from roac0 import And, Circuit, Leaf, Nand, Not, Or, gen_random_read_once
 from roac0.circuit import fold
@@ -52,21 +51,16 @@ def gap_paths(c, p) -> dict:
 
 
 def reference_acceptance(c, q):
-    """Pr[F = 1] folded in the entries' own arithmetic: the oracle for
-    ``acceptance_probability``'s integer-pair fold.
-
-    An exact vector (ints and Fractions) folds Fractions, any other folds
-    floats, so the two must agree in value and type, and bit for bit in
-    floats.
-    """
-    num = Fraction if all(isinstance(v, (int, Fraction)) for v in q.values) else float
+    """Pr[F = 1] folded in the entries' own arithmetic (Fractions, ints or
+    floats, as given): the oracle for ``acceptance_probability``'s
+    integer-pair fold, which must agree in value and type, and bit for bit
+    in floats."""
 
     def leaf(var, negated):
-        v = num(q[var])
-        return 1 - v if negated else v
+        return 1 - q[var] if negated else q[var]
 
     def absorb(prod, acc, is_and):
         return prod * (acc if is_and else 1 - acc)
 
-    return fold(c, leaf, num, lambda: num(1), absorb,
+    return fold(c, leaf, lambda value: value, lambda: 1, absorb,
                 lambda prod, is_and, nand: prod if is_and else 1 - prod)

@@ -384,19 +384,24 @@ def test_acceptance_pairs_match_the_fraction_fold():
     choices = (Fraction(1, 2), Fraction(0.01), Fraction(1, 3), 0, 1)
     for c in _oracle_circuits():
         for q in (BiasVector(tuple(rng.choice(choices) for _ in range(c.n))),
+                  BiasVector(tuple(rng.choice((0, 1, Fraction(1))) for _ in range(c.n))),
+                  BiasVector(tuple(rng.choice((0, 1)) for _ in range(c.n))),
                   BiasVector.constant(c.n, Fraction(0.01)), BiasVector.uniform(c.n)):
             got, want = acceptance_probability(c, q), reference_acceptance(c, q)
-            assert got == want and type(got) is type(want) is Fraction
+            assert got == want and type(got) is type(want)
 
 
 def test_acceptance_floats_bit_identical_to_the_float_fold():
     rng = random.Random(6)
     for c in _oracle_circuits():
         for q in (BiasVector(tuple(rng.random() for _ in range(c.n))),
-                  BiasVector(tuple(rng.choice((0.01, 0.5, 1 / 3, 0.0, 1.0)) for _ in range(c.n))),
+                  BiasVector(tuple(rng.choice((0.01, 0.5, 1 / 3, 0.0, 1.0, 0, 1))
+                                   for _ in range(c.n))),
                   BiasVector.from_coin_bias(c.n, 0.02)):
             got, want = acceptance_probability(c, q), reference_acceptance(c, q)
-            assert type(got) is type(want) is float and got.hex() == want.hex()
+            assert type(got) is type(want) and got == want
+            if type(got) is float:
+                assert got.hex() == want.hex()
 
 
 # -- generators ---------------------------------------------------------------
