@@ -40,8 +40,7 @@ from roac0.circuit import (
     trampoline,
 )
 from roac0.cli import load_circuit
-from roac0.fourier import check_mainbound, growth_factor, truth_table
-from roac0.fourier import CapExceeded
+from roac0.fourier import CapExceeded, check_mainbound, growth_factor, truth_table
 from roac0.shrinkage import (
     _BLOCK,
     SHRINK_TRIALS_CAP,
@@ -524,13 +523,14 @@ def _sandwich_outcome(build, c, eps):
                          ids=["1/4", "1/16", "1/300", "2/9"])
 def test_sandwich_pairs_match_the_fraction_recursion(eps):
     circuits = [load_circuit(spec) for spec in (
-        "tribes:m=128,w=8", "tribes:m=6,w=3", "tribes:m=40,w=5",
-        "rectribes:d=3,widths=8-16-8", "rectribes:d=3,widths=2-4-2", "rectribes:d=4,widths=3-2-4-2")]
+        "tribes:m=128,w=8", "tribes:m=6,w=3", "tribes:m=40,w=5", "rectribes:d=3,widths=8-16-8",
+        "rectribes:d=3,widths=2-4-2", "rectribes:d=4,widths=3-2-4-2")]
     circuits += random_corpus(30, 24, 4, seed=409)
     circuits = [to_nand_form(c)[0] for c in circuits]
     rng = random.Random(410)
     circuits += [random_nand_tree(rng, rng.randint(1, 40)) for _ in range(60)]
     for nand in circuits:
+        assert sandwich_condition_violations(nand, eps) == _reference_violations(nand, eps)
         want = _sandwich_outcome(reference_sandwich, nand, eps)
         got = _sandwich_outcome(build_sandwich, nand, eps)
         if isinstance(want, str):
