@@ -631,8 +631,8 @@ class BiasVector:
     """Per-variable probabilities that the input bit equals 1.
 
     Entries may be :class:`~fractions.Fraction` and int (exact mode) or
-    floats; :func:`acceptance_probability` computes exactly when no entry
-    is a float.
+    floats; :func:`acceptance_probability` computes exactly when every
+    entry is a Fraction or an int.
     """
 
     values: tuple
