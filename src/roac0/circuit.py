@@ -18,6 +18,7 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterator, Sequence, Union
 
 import numpy as np
@@ -111,19 +112,35 @@ class Circuit:
     ``n`` is the number of input positions; variable indices used by the
     leaves must lie in ``0..n-1`` but need not be contiguous.  Equality and
     hashing are structural, over ``n`` and the pre-order node shapes, as
-    for the nodes.
+    for the nodes.  Construction walks the leaves once and records their
+    count and the first repeated variable, so ``size`` and the read-once
+    checks cost no walk; ``depth`` is folded on first use and kept.
     """
 
     root: Node
     n: int
 
     def __post_init__(self):
-        variables = self.variables()
-        if self.n <= 0 and variables:
-            raise CircuitError("variable count must be positive")
-        for v in variables:
-            if v >= self.n:
-                raise CircuitError(f"leaf x{v} out of range for n={self.n}")
+        # the one leaf walk: it checks the range and records the leaf count
+        # and the first variable, in leaf order, that an earlier leaf read
+        seen: set[int] = set()
+        leaves, repeat = 0, None
+        for node in iter_nodes(self.root):
+            if isinstance(node, Leaf):
+                if self.n <= 0:
+                    raise CircuitError("variable count must be positive")
+                if node.var >= self.n:
+                    raise CircuitError(f"leaf x{node.var} out of range for n={self.n}")
+                if repeat is None and node.var in seen:
+                    repeat = node.var
+                seen.add(node.var)
+                leaves += 1
+        object.__setattr__(self, "_leaves", leaves)
+        object.__setattr__(self, "_repeat", repeat)
+
+    def __reduce__(self):
+        # the record is rebuilt on load, so a pickle holds the fields only
+        return Circuit, (self.root, self.n)
 
     def _structure(self) -> tuple:
         return self.n, _shapes(self.root)
@@ -141,7 +158,7 @@ class Circuit:
 
     # -- structural queries ------------------------------------------------
 
-    @property
+    @cached_property
     def depth(self) -> int:
         """Number of AND/OR/NAND gates on the deepest root-to-leaf path."""
         return fold(self, lambda var, negated: 0, lambda value: 0, lambda: 0,
@@ -150,25 +167,18 @@ class Circuit:
     @property
     def size(self) -> int:
         """Number of leaves."""
-        return sum(1 for node in iter_nodes(self.root) if isinstance(node, Leaf))
+        return self._leaves
 
     def variables(self) -> list[int]:
         """Variable indices in leaf (DFS) order."""
         return [node.var for node in iter_nodes(self.root) if isinstance(node, Leaf)]
 
     def check_read_once(self) -> None:
-        seen: set[int] = set()
-        for v in self.variables():
-            if v in seen:
-                raise ReadOnceViolation(f"variable x{v} appears in more than one leaf")
-            seen.add(v)
+        if self._repeat is not None:
+            raise ReadOnceViolation(f"variable x{self._repeat} appears in more than one leaf")
 
     def is_read_once(self) -> bool:
-        try:
-            self.check_read_once()
-        except ReadOnceViolation:
-            return False
-        return True
+        return self._repeat is None
 
     def is_monotone(self) -> bool:
         """True when no NOT gates or negated leaves remain (NANDs count as negations)."""
@@ -684,19 +694,21 @@ def acceptance_probability(c: Circuit, q: BiasVector):
     return Fraction(num, den)
 
 
-def _acceptance_pair(c: Circuit, pairs: list) -> tuple:
+def _acceptance_pair(c: Circuit, pairs: list, negations: bool = True) -> tuple:
     """Pr[F = 1] as an unnormalised (numerator, denominator) pair, when
     Pr[x_i = 1] = pairs[i][0] / pairs[i][1].
 
     The fold multiplies numerators and denominators and divides nowhere, so
     integer pairs cost no gcd per gate.  The denominator depends only on the
-    tree and the leaves' denominators.
+    tree and the leaves' denominators.  With ``negations=False`` every leaf
+    reads as unnegated: the value for the monotone circuit left when the
+    de Morgan form's leaf flags are dropped.
     """
     c.check_read_once()
 
     def leaf(var, negated):
         num, den = pairs[var]
-        return (den - num, den) if negated else (num, den)
+        return (den - num, den) if negated and negations else (num, den)
 
     def absorb(prod, acc, is_and):
         # AND accepts when every child does, OR rejects when every child does

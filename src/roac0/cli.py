@@ -24,6 +24,7 @@ import sys
 import time
 from contextlib import contextmanager
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -516,13 +517,20 @@ def cmd_shrink(args) -> int:
 def _add_common(sp, corpus: bool = False):
     if corpus:
         sp.add_argument("--corpus", required=True, help="circuit or corpus spec")
-        sp.add_argument("--jobs", type=int, default=_default_jobs())
+        sp.add_argument("--jobs", type=int, default=None)
     else:
         sp.add_argument("--circuit", required=True, help="circuit spec or file")
     sp.add_argument("--out", default=None, help="directory for data files + run.json")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every call.
+
+    Parsing leaves it unchanged, so one parser serves every ``main`` call in
+    a process.  ``--jobs`` defaults to None, which ``main`` replaces with
+    ``RO_AC0_JOBS`` at each call.
+    """
     ap = argparse.ArgumentParser(
         prog="roac0",
         description="Read-once AC0 spectra, bounds, programs, and generators",
@@ -592,6 +600,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if getattr(args, "jobs", 0) is None:
+        args.jobs = _default_jobs()
     try:
         return args.fn(args)
     except (CircuitError, ValueError, OSError) as e:  # UsageError is a CircuitError

@@ -57,9 +57,9 @@ from .circuit import (
     acceptance_probability,
     fold,
     iter_nodes,
-    push_nots_to_leaves,
+    push_nots_to_leaves,  # noqa: F401  (perfbench's tracer wraps this name here)
     simplify,
-    strip_leaf_negations,
+    strip_leaf_negations,  # noqa: F401  (perfbench's tracer wraps this name here)
     to_nand_form,
     trampoline,
 )
@@ -187,19 +187,20 @@ def _restricted(c: Circuit, free: np.ndarray, x: np.ndarray, size: int, stats: b
 def _exact_nonconstant_probability(c: Circuit, p) -> Fraction:
     """Pr over (t, x) that the restricted circuit stays nonconstant.
 
-    Leaf values are uniform, so negations shift nothing; after pushing and
-    stripping them the circuit is monotone and the restriction is
-    nonconstant exactly when setting free bits to all-1 accepts while all-0
-    rejects.  Each bit is 1 with probability (1+p)/2 in the first event and
-    (1-p)/2 in the second, and the first event contains the second, so the
-    probability is the difference of the two acceptance probabilities.  For
-    p = a/b both folds run over leaf denominator 2b on the same tree, so
-    their denominators agree and one Fraction is built at the end.
+    Leaf values are uniform, so negations shift nothing: with the NOTs
+    pushed to the leaves (as ``fold`` does) and the leaf flags dropped, the
+    circuit is monotone, and the restriction is nonconstant exactly when
+    setting free bits to all-1 accepts while all-0 rejects.  Each bit is 1
+    with probability (1+p)/2 in the first event and (1-p)/2 in the second,
+    and the first event contains the second, so the probability is the
+    difference of the two acceptance probabilities.  Both folds read ``c``
+    itself with its leaf flags ignored.  For p = a/b they run over leaf
+    denominator 2b on the same tree, so their denominators agree and one
+    Fraction is built at the end.
     """
-    mono = strip_leaf_negations(push_nots_to_leaves(c))
     a, b = Fraction(p).as_integer_ratio()
-    hi, den = _acceptance_pair(mono, [(b + a, 2 * b)] * c.n)
-    lo, _ = _acceptance_pair(mono, [(b - a, 2 * b)] * c.n)
+    hi, den = _acceptance_pair(c, [(b + a, 2 * b)] * c.n, negations=False)
+    lo, _ = _acceptance_pair(c, [(b - a, 2 * b)] * c.n, negations=False)
     return Fraction(hi - lo, den)
 
 

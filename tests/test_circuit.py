@@ -36,7 +36,8 @@ from roac0 import (
     to_nand_form,
 )
 from roac0.circuit import evaluate_columns, strip_leaf_negations, trampoline
-from roac0.fourier import truth_table
+from roac0.bp import bp_from_circuit
+from roac0.fourier import check_mainbound, level_profile_recursive, truth_table
 
 
 # -- parsing ------------------------------------------------------------------
@@ -59,6 +60,20 @@ def test_parse_nested_structure():
 def test_parse_rejects_duplicate_variable():
     with pytest.raises(ReadOnceViolation):
         parse("(and x0 x0)")
+    # the construction walk records the verdict; every reader of it still raises
+    c = Circuit(And((Leaf(0), Leaf(1), Leaf(0))), 2)
+    assert not c.is_read_once() and c.size == 3 and c.depth == 1
+    with pytest.raises(ReadOnceViolation, match=r"^variable x0 appears in more than one leaf$"):
+        c.check_read_once()
+    for reader in (level_profile_recursive, lambda c: check_mainbound(c, Fraction(1, 2)),
+                   lambda c: acceptance_probability(c, BiasVector.uniform(2)), bp_from_circuit):
+        with pytest.raises(ReadOnceViolation, match=r"\bx0\b"):
+            reader(c)
+    back = pickle.loads(pickle.dumps(c))
+    assert back == c and (back.depth, back.size, back.is_read_once()) == (1, 3, False)
+    # the first variable to repeat in leaf order is named
+    with pytest.raises(ReadOnceViolation, match=r"\bx1\b"):
+        Circuit(And((Leaf(1), Leaf(0), Leaf(1), Leaf(0))), 2).check_read_once()
 
 
 def test_parse_error_carries_position():

@@ -518,10 +518,37 @@ def test_bp_planes_hold_the_checked_inputs():
         assert sampled[v].tolist() == [(x >> v) & 1 for x in xs]
 
 
-def test_jobs_default_reads_environment(monkeypatch):
+def test_jobs_default_reads_environment(monkeypatch, tmp_path):
     monkeypatch.setenv("RO_AC0_JOBS", "3")
     assert _default_jobs() == 3
     monkeypatch.setenv("RO_AC0_JOBS", "junk")
     assert _default_jobs() == 1
     monkeypatch.delenv("RO_AC0_JOBS")
     assert _default_jobs() == 1
+    # the parser is built once per process, so each call reads the variable
+    # itself; a one-circuit corpus runs in this process whatever --jobs says
+    for env in ("3", "2"):
+        monkeypatch.setenv("RO_AC0_JOBS", env)
+        out = tmp_path / f"jobs{env}"
+        assert run(["bounds", "--corpus", "random:n=6,d=2,seed=1", "--out", str(out)]) == 0
+        assert json.loads((out / "run.json").read_text())["config"]["options"]["jobs"] == int(env)
+
+
+def test_calls_sharing_the_parser_stay_independent(tmp_path, capsys):
+    prg = ["prg", "--circuit", "and:k=3", "--mode", "uniform", "--trials", "50"]
+    assert run(prg + ["--max-error", "0.5", "--out", str(tmp_path / "gated")]) == 0
+    assert run(prg + ["--out", str(tmp_path / "plain")]) == 0
+    options = json.loads((tmp_path / "plain" / "run.json").read_text())["config"]["options"]
+    assert options["max_error"] is None
+    with pytest.raises(SystemExit) as e:
+        run(["--version"])
+    assert e.value.code == 0
+    with pytest.raises(SystemExit) as e:
+        run(["prg", "--circuit", "and:k=3"])  # --mode is required
+    assert e.value.code == 2
+    capsys.readouterr()
+    assert run(prg + ["--out", str(tmp_path / "after")]) == 0
+    assert "|E[F(G)] - E[F]|" in capsys.readouterr().out
+    for name in ("plain", "after"):
+        assert (tmp_path / name / "prg.json").read_bytes() == (
+            tmp_path / "gated" / "prg.json").read_bytes()
