@@ -121,8 +121,6 @@ class Circuit:
     n: int
 
     def __post_init__(self):
-        # the one leaf walk: it checks the range and records the leaf count
-        # and the first variable, in leaf order, that an earlier leaf read
         seen: set[int] = set()
         leaves, repeat = 0, None
         for node in iter_nodes(self.root):
