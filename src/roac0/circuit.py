@@ -595,25 +595,32 @@ def _simplify_node(node: Node) -> Node:
     for ch in node.children:
         ch = yield _simplify_node(ch)
         if isinstance(ch, Const):
-            if ch.value == absorbing:
-                return Const(1 if isinstance(node, Nand) else absorbing)
+            if ch.value == absorbing:  # it decides the gate, so the rest need no walk
+                kept = [ch]
+                break
             continue  # neutral constant drops out
         kept.append(ch)
-    if not kept:
-        # empty AND -> 1, empty OR -> 0, empty NAND -> 0
-        if isinstance(node, And):
+    if isinstance(node, Nand):
+        return _nand(kept)
+    if not kept:  # empty AND -> 1, empty OR -> 0
+        return Const(1 - absorbing)
+    return kept[0] if len(kept) == 1 else type(node)(tuple(kept))
+
+
+def _nand(children) -> Node:
+    """NAND of constant-propagated children, constant-propagated: a 0 child gives
+    1, 1 children drop out, none left gives 0, and a NAND of one leaf negates it."""
+    kept = []
+    for ch in children:
+        if not isinstance(ch, Const):
+            kept.append(ch)
+        elif ch.value == 0:
             return Const(1)
-        if isinstance(node, Or):
-            return Const(0)
+    if not kept:
         return Const(0)
-    if len(kept) == 1 and isinstance(node, (And, Or)):
-        return kept[0]
-    if len(kept) == 1 and isinstance(node, Nand):
-        inner = kept[0]
-        if isinstance(inner, Leaf):
-            return Leaf(inner.var, not inner.negated)
-        return Nand((inner,))
-    return type(node)(tuple(kept))
+    if len(kept) == 1 and isinstance(kept[0], Leaf):
+        return Leaf(kept[0].var, not kept[0].negated)
+    return Nand(tuple(kept))
 
 
 def strip_leaf_negations(c: Circuit) -> Circuit:

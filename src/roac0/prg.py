@@ -47,6 +47,8 @@ from .fourier import (
 
 EXHAUSTIVE_SEED_CAP = 26  # full seed sweeps stay below 2^26 expansions
 MC_BATCH_BITS = 1 << 20  # Monte-Carlo seed bits expanded in one batch
+_ENVELOPE_B = 2.0  # the level-k mass envelope's base is this times (log2 n)^(D-1)
+_ENVELOPE_A = 2.0  # and its scale is this
 
 # Lexicographically least irreducible polynomial of each degree over GF(2),
 # bit i = coefficient of x^i.  Degree 8 is the familiar 0x11b.
@@ -626,20 +628,21 @@ class RestrictionPRG:
         return _transform_bias(self, n)
 
 
-def seed_length_account(n: int, eps: float, D: int, c_b: float = 2.0, c_a: float = 2.0) -> dict:
+def seed_length_account(n: int, eps: float, D: int) -> dict:
     """Accounting only: compare the generic seed formula with our layout.
 
-    Instantiates the level-k mass envelope a*b^k with b = c_b*(log2 n)^(D-1)
-    and a = c_a, width w = D+1, and evaluates b*log(b)*log(n)*log(a*b*w^2*n/eps)
-    next to the concrete block layout's total.  Nothing is asserted; the
-    constants are reported so the reader can judge the gap.
+    Instantiates the level-k mass envelope a*b^k with a = _ENVELOPE_A and
+    b = _ENVELOPE_B*(log2 n)^(D-1), width w = D+1, and evaluates
+    b*log(b)*log(n)*log(a*b*w^2*n/eps) next to the concrete block layout's
+    total.  Nothing is asserted; the constants are reported so the reader
+    can judge the gap.
     """
     if n < 2 or not 0 < eps < 1 or D < 1:
         raise CircuitError(f"bad parameters n={n} eps={eps} D={D}")
-    b = max(2.0, c_b * log2(n) ** (D - 1))
+    b = max(2.0, _ENVELOPE_B * log2(n) ** (D - 1))
     w = D + 1
     formula_bits = (
-        b * max(1.0, log2(b)) * log2(n) * log2(c_a * b * w * w * n / eps)
+        b * max(1.0, log2(b)) * log2(n) * log2(_ENVELOPE_A * b * w * w * n / eps)
     )
     a_sel = max(1, ceil(log2(b)))
     cfg = RestrictionPRG.standard(n, eps, a=a_sel)
@@ -647,7 +650,7 @@ def seed_length_account(n: int, eps: float, D: int, c_b: float = 2.0, c_a: float
         "n": n,
         "eps": eps,
         "depth": D,
-        "mass_envelope": {"a": c_a, "b": b, "width": w},
+        "mass_envelope": {"a": _ENVELOPE_A, "b": b, "width": w},
         "formula_bits": formula_bits,
         "layout": {
             "a": cfg.a,

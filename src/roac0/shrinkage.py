@@ -16,8 +16,8 @@ every hit count and size reproduces for a given seed whatever the
 packing.  The bits are the top bits of the raw PCG64 output bytes, chunk by
 chunk: that is the stream of ``rng.integers(0, 2, uint8)``, without its
 trials x n byte array.  Each chunk's comparisons (u < p, byte >= 128) are
-written straight into a packing buffer; from ``_LANES_FROM`` variables up, 8 trials are ORed
-into each byte on uint64 lanes and only the packed bytes are transposed.
+written straight into a packing buffer, 8 trials are ORed into each byte
+on uint64 lanes, and only the packed bytes are transposed.
 
 The sandwich builder works on NAND-form circuits.  Writing rej(f) for
 Pr[f = 0], a NAND node rejects exactly when every child accepts, so child
@@ -53,12 +53,12 @@ from .circuit import (
     Node,
     _acceptance_pair,
     _bits,
-    _collect,
+    _nand,
     acceptance_probability,
     fold,
     iter_nodes,
     push_nots_to_leaves,  # noqa: F401  (perfbench's tracer wraps this name here)
-    simplify,
+    simplify,  # noqa: F401  (perfbench's tracer wraps this name here)
     strip_leaf_negations,  # noqa: F401  (perfbench's tracer wraps this name here)
     to_nand_form,
     trampoline,
@@ -233,7 +233,6 @@ class CollapseReport:
 _BLOCK = 1 << 14  # trials per seeded block
 SHRINK_TRIALS_CAP = 1 << 22  # a shrink run keeps about 225 B per trial, 0.95 GB at the cap
 _CHUNK = 1 << 16  # draws per chunk, so a chunk's buffers stay in cache
-_LANES_FROM = 32  # variables from which a chunk packs on uint64 lanes
 _LANE_SHIFTS = np.arange(8, dtype=_WORD)[:, None, None]
 
 
@@ -245,19 +244,14 @@ def _chunk_rows(n: int) -> int:
 def _pack_trials(words: np.ndarray, op, src: np.ndarray, arg, start: int) -> None:
     """Pack the comparison ``op(src, arg)``, trial-major for trials ``start..``, into word rows.
 
-    Below ``_LANES_FROM`` variables the chunk is transposed and run through
-    ``packbits``.  From there up, ``op`` writes trial 8g + k to row g of
-    plane k; read as uint64 lanes, each plane shifts left by its index and
-    the planes OR into 8 trials per byte.  Only those packed bytes are
-    transposed, 8x less data than the chunk, whose own byte transpose is
-    slow at power-of-two row strides.
+    ``op`` writes trial 8g + k to row g of plane k; read as uint64 lanes,
+    each plane shifts left by its index and the planes OR into 8 trials per
+    byte.  Only those packed bytes are transposed, 8x less data than the
+    chunk, whose own byte transpose is slow at power-of-two row strides.
     """
     n = len(words)
     size = len(src)
     dest = words.view(np.uint8)[:, start // 8:(start + size + 7) // 8]
-    if n < _LANES_FROM:
-        dest[...] = np.packbits(np.ascontiguousarray(op(src, arg).T), axis=1, bitorder="little")
-        return
     full = size // 8
     planes = np.empty((8, dest.shape[1], -(-n // 8) * 8), np.bool_)
     op(src[:full * 8].reshape(full, 8, n), arg, out=planes[:, :full, :n].transpose(1, 0, 2))
@@ -284,10 +278,10 @@ def _restriction_blocks(n: int, p: float, trials: int, master_seed: int) -> Iter
     ``integers`` draws for PCG64, because numpy's bounded draw for range 2
     has rejection threshold 0 and reads the bytes of buffered 32-bit words
     low half first.  :func:`_pack_trials` writes each chunk's comparisons
-    straight into its packing buffer, 8 trials to a byte on uint64 lanes
-    from ``_LANES_FROM`` variables up.  Both come back variable-major and
-    packed along the trial axis, as (n, ceil(size / 64)) arrays of
-    little-endian uint64 words with zero pad bits.
+    straight into its packing buffer, 8 trials to a byte on uint64 lanes.
+    Both come back variable-major and packed along the trial axis, as
+    (n, ceil(size / 64)) arrays of little-endian uint64 words with zero pad
+    bits.
     """
     # Draws are multiples of 2^-53, so u < p exactly when u < ceil(p 2^53) 2^-53,
     # a float threshold even for a Fraction p.
@@ -388,76 +382,69 @@ class SandwichPair:
         }
 
 
-def _require_nand_form(node: Node) -> None:
-    for nd in iter_nodes(node):
+def _nand_form_nodes(node: Node) -> list:
+    """The pre-order node list of a NAND-form tree; raises on the first other node."""
+    nodes = list(iter_nodes(node))
+    for nd in nodes:
         if not isinstance(nd, (Leaf, Const, Nand)):
             raise CircuitError(
                 f"sandwich construction needs NAND form (got {type(nd).__name__}); "
                 "run to_nand_form first"
             )
+    return nodes
 
 
-def _make_nand(nodes, accs):
-    """NAND with constant folding; returns (node, exact acceptance pair)."""
-    kept = []
-    rn = rd = 1  # rejection: every kept child accepts
-    for nd, (an, ad) in zip(nodes, accs):
-        if isinstance(nd, Const):
-            if nd.value == 0:
-                return Const(1), (1, 1)
-            continue
-        kept.append(nd)
+_ONE = Const(1), (1, 1)
+
+
+def _make_nand(halves):
+    """simplify's NAND of (node, acceptance pair) halves, with its exact pair.  Every
+    constant half is (Const(v), (v, 1)), so a 1 child multiplies by (1, 1)."""
+    node = _nand([nd for nd, _ in halves])
+    if isinstance(node, Const):
+        return node, (node.value, 1)
+    rn = rd = 1  # rejection: every child accepts
+    for _, (an, ad) in halves:
         rn *= an
         rd *= ad
-    if not kept:
-        return Const(0), (0, 1)
-    if len(kept) == 1 and isinstance(kept[0], Leaf):
-        inner = kept[0]
-        return Leaf(inner.var, not inner.negated), (rd - rn, rd)
-    return Nand(tuple(kept)), (rd - rn, rd)
+    return node, (rd - rn, rd)
 
 
 def _sandwich_node(node: Node, en: int, ed: int):
-    """Returns (lower, upper, acc_lower, acc_upper, acc_true) at eps = en/ed.
+    """Returns the halves (lower, upper, own) at eps = en/ed: (node, acceptance) pairs.
 
     Each acceptance is an unnormalised (numerator, denominator) pair of ints
     with a positive denominator, and each comparison with eps or its square
-    root cross-multiplies.
+    root cross-multiplies.  ``own`` is ``simplify(node)``.  Every half is
+    built by simplify's NAND rule, so a node runs as its own half would.
     """
     if isinstance(node, Leaf):
-        h = (1, 2)
-        return node, node, h, h, h
+        half = node, (1, 2)
+        return half, half, half
     if isinstance(node, Const):
-        v = (node.value, 1)
-        return node, node, v, v, v
+        half = node, (node.value, 1)
+        return half, half, half
     parts = yield [_sandwich_node(ch, en, ed) for ch in node.children]
     lows = [p[0] for p in parts]
     ups = [p[1] for p in parts]
-    alows = [p[2] for p in parts]
-    aups = [p[3] for p in parts]
-    rn = rd = 1
-    for an, ad in (p[4] for p in parts):
-        rn *= an
-        rd *= ad
-    acc_true = (rd - rn, rd)
-
-    low_node, acc_low = _make_nand(ups, aups)
-    if rn * ed >= en * rd:  # the node rejects with at least e
-        up_cand, (un, ud) = _make_nand(lows, alows)
+    own = _make_nand([p[2] for p in parts])
+    lower = _make_nand(ups)
+    an, ad = own[1]
+    if (ad - an) * ed >= en * ad:  # the node rejects with at least e
+        upper = _make_nand(lows)
+        un, ud = upper[1]
         if (ud - un) * ed >= en * ud:  # so does the candidate upper
-            return low_node, up_cand, acc_low, (un, ud), acc_true
-        return low_node, Const(1), acc_low, (1, 1), acc_true
+            return lower, upper, own
+        return lower, _ONE, own
 
-    up_node, acc_up = Const(1), (1, 1)
-    ln, ld = acc_low
-    if (ld - ln) * ed >= en * ld:  # the lower rejects with at least e
-        return low_node, up_node, acc_low, acc_up, acc_true
-    if isinstance(low_node, Const):
-        # rejection below e forces the constant 1, so the node is identically 1
-        return low_node, up_node, acc_low, acc_up, acc_true
+    ln, ld = lower[1]
+    if (ld - ln) * ed >= en * ld or isinstance(lower[0], Const):
+        # the lower rejects with at least e, or rejection below e forces the
+        # constant 1, so the node is identically 1
+        return lower, _ONE, own
 
     # prune leading children until the suffix rejection reaches [e, sqrt(e)]
-    alive = [(u, a) for u, a in zip(ups, aups) if not isinstance(u, Const)]
+    alive = [u for u in ups if not isinstance(u[0], Const)]
     sn = sd = 1
     jstar = None
     for j in range(len(alive) - 1, -1, -1):
@@ -469,14 +456,11 @@ def _sandwich_node(node: Node, en: int, ed: int):
     if jstar is None or jstar == 0:
         raise CircuitError("pruning scan broke an inductive rejection bound")
     if sn * sn * ed <= en * sd * sd:  # suffix rejection at most sqrt(e)
-        kept = tuple(u for u, _ in alive[jstar:])
-        low_node, acc_low = _make_nand(kept, [a for _, a in alive[jstar:]])
-    else:
-        u, (an, ad) = alive[jstar - 1]
-        if not (en * ad <= an * ed and an * an * ed <= en * ad * ad):
-            raise CircuitError("pruning fallback child outside [eps, sqrt(eps)]")
-        low_node, acc_low = _make_nand([u], [(an, ad)])
-    return low_node, up_node, acc_low, acc_up, acc_true
+        return _make_nand(alive[jstar:]), _ONE, own
+    an, ad = alive[jstar - 1][1]
+    if not (en * ad <= an * ed and an * an * ed <= en * ad * ad):
+        raise CircuitError("pruning fallback child outside [eps, sqrt(eps)]")
+    return _make_nand(alive[jstar - 1:jstar]), _ONE, own
 
 
 def build_sandwich(c: Circuit, eps) -> SandwichPair:
@@ -484,16 +468,17 @@ def build_sandwich(c: Circuit, eps) -> SandwichPair:
 
     Every nonconstant node of either output has rejection mass inside
     [eps, 1-eps] exactly, neither output uses more leaves than the input,
-    and lower <= c <= upper pointwise.  eps must lie in (0, 1/4].
+    and lower <= c <= upper pointwise.  Both come out constant-propagated,
+    and ``source_leaves`` counts the leaves of ``simplify(c)``.  eps must
+    lie in (0, 1/4].
     """
     e = Fraction(eps)
     if not 0 < e <= Fraction(1, 4):
         raise CircuitError(f"eps={eps} outside (0, 1/4]")
-    _require_nand_form(c.root)
-    base = simplify(c)
-    low, up, acc_low, acc_up, _ = trampoline(_sandwich_node(base.root, e.numerator, e.denominator))
-    lower = simplify(Circuit(low, c.n))
-    upper = simplify(Circuit(up, c.n))
+    _nand_form_nodes(c.root)
+    (low, acc_low), (up, acc_up), (own, _) = trampoline(
+        _sandwich_node(c.root, e.numerator, e.denominator))
+    lower, upper = Circuit(low, c.n), Circuit(up, c.n)
     for half in (lower, upper):
         bad = sandwich_condition_violations(half, e)
         if bad:
@@ -503,7 +488,7 @@ def build_sandwich(c: Circuit, eps) -> SandwichPair:
         upper=upper,
         eps=e,
         gap=Fraction(*acc_up) - Fraction(*acc_low),
-        source_leaves=base.size,
+        source_leaves=Circuit(own, c.n).size,
     )
 
 
@@ -511,13 +496,13 @@ def sandwich_condition_violations(c: Circuit, eps) -> list:
     """Nonconstant nodes whose exact rejection mass leaves [eps, 1-eps].
 
     Needs NAND form, as the sandwich does.  A NAND rejects exactly when every
-    child accepts, so one bottom-up pass gives every node's rejection mass,
-    as an unnormalised (numerator, denominator) pair of ints; the offending
-    nodes come back in pre-order.
+    child accepts, so one bottom-up pass over the pre-order list that the
+    form check builds gives every node's rejection mass, as an unnormalised
+    (numerator, denominator) pair of ints; the offending nodes come back in
+    pre-order.
     """
     en, ed = Fraction(eps).as_integer_ratio()
-    _require_nand_form(c.root)
-    nodes = list(iter_nodes(c.root))
+    nodes = _nand_form_nodes(c.root)
     rej = {}
     for node in reversed(nodes):  # every child before its parent
         if isinstance(node, Nand):

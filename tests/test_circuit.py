@@ -183,6 +183,16 @@ def test_simplify_recurses():
     assert simplify(parse("(and (or 0 x1) x2)")).root == And((Leaf(1), Leaf(2)))
 
 
+@pytest.mark.parametrize("text, want", [
+    ("(nand x0 0)", "1"),  # a 0 child gives 1
+    ("(nand 1 1)", "0"),  # 1 children drop out, and no child left gives 0
+    ("(nand x0 1)", "(not x0)"),  # a NAND of one leaf is that leaf negated
+    ("(nand (nand x0 x1) 1)", "(nand (nand x0 x1))"),  # a NAND of one gate stays
+])
+def test_simplify_nand_rule(text, want):
+    assert render(simplify(parse(text))) == want
+
+
 def test_simplify_preserves_function():
     for c in random_corpus(20, 8, 3, seed=31):
         assert (truth_table(simplify(c)) == truth_table(c)).all()

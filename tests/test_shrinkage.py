@@ -197,9 +197,9 @@ def _stream_trials(n):
 
 
 # n = 1, 2, 7 and 300 end the last chunk of some block at each byte 1..7 of a
-# raw 64-bit word; n = 1024 runs several chunks and two blocks.  n = 1, 2 and
-# 7 pack through packbits, n = 64 and up on uint64 lanes, and n = 64, 512 and
-# 1024 have power-of-two row strides
+# raw 64-bit word; n = 1024 runs several chunks and two blocks.  Every n packs
+# on uint64 lanes: at n = 1, 2 and 7 most bytes of each lane are pad past n,
+# and n = 64, 512 and 1024 have power-of-two row strides
 _STREAM_NS = [1, 2, 7, 64, 300, 512, 1024]
 
 
@@ -338,6 +338,9 @@ def test_sandwich_requires_nand_form():
     nested_not = Circuit(Nand((Leaf(0), Not(Nand((Leaf(1), Leaf(2)))))), 3)
     with pytest.raises(CircuitError, match=r"NAND form \(got Not\)"):
         build_sandwich(nested_not, Fraction(1, 16))
+    # the first offending node in pre-order is named
+    with pytest.raises(CircuitError, match=r"NAND form \(got And\)"):
+        build_sandwich(parse("(nand (and x0 x1) (or x2 x3))"), Fraction(1, 16))
 
 
 def test_sandwich_identity_when_masses_already_inside():
@@ -538,6 +541,10 @@ def test_sandwich_pairs_match_the_fraction_recursion(eps):
         else:
             assert (got.lower, got.upper, got.gap) == want
             assert type(got.gap) is type(got.eps) is Fraction and got.eps == eps
+            # the halves come out constant-propagated without a simplify pass
+            assert simplify(got.lower) == got.lower
+            assert simplify(got.upper) == got.upper
+            assert got.source_leaves == simplify(nand).size
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,5 +1,6 @@
 """The benchmark's hooks into roac0 exist: the tracer's wrap targets, so a
-traced run wraps every span, and the caches a pass clears before each step."""
+traced run wraps every span, and the caches a pass clears before each step.
+Every name a module imports is read there, or kept only for the tracer."""
 
 import ast
 import importlib
@@ -9,6 +10,8 @@ import sys
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SRC = Path(__file__).resolve().parents[1] / "src" / "roac0"
+TRACED = "noqa: F401  (perfbench's tracer wraps this name here)"
 
 
 def _load(name: str):
@@ -44,3 +47,33 @@ def test_every_cleared_cache_resolves():
                if not callable(getattr(getattr(bench_workloads.prg, name, None), "cache_clear", None))]
     assert not missing
     bench_workloads.clear_caches()
+
+
+def test_every_import_is_read_or_traced():
+    # no linter runs here, so this stands in for F401: an import no code reads
+    # is dead unless it is marked, and a marked one must be a tracer target
+    bench_trace = _load("bench_trace")
+    wrapped = {target for *_, targets in bench_trace.WRAPS for target in targets}
+    unread, unwrapped = [], []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        source = path.read_text()
+        lines = source.splitlines()
+        tree = ast.parse(source)
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        module = f"roac0.{path.stem}"
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or \
+                    getattr(node, "module", None) == "__future__":
+                continue
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if TRACED in lines[alias.lineno - 1]:
+                    if (module, name) not in wrapped:
+                        unwrapped.append(f"{module}.{name}")
+                elif name not in read:
+                    unread.append(f"{module}.{name}")
+    assert not unread
+    assert not unwrapped
