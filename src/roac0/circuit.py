@@ -411,9 +411,7 @@ class RestrictionMask:
     def from_bits(cls, t_bits: Sequence[int], x_bits: Sequence[int]) -> "RestrictionMask":
         if len(t_bits) != len(x_bits):
             raise CircuitError("t and x must have equal length")
-        t = sum(b << i for i, b in enumerate(t_bits))
-        x = sum(b << i for i, b in enumerate(x_bits))
-        return cls(t, x, len(t_bits))
+        return cls(bits_to_int(t_bits), bits_to_int(x_bits), len(t_bits))
 
     @classmethod
     def from_strings(cls, t_str: str, x_str: str) -> "RestrictionMask":
@@ -545,11 +543,10 @@ def push_nots_to_leaves(c: Circuit) -> Circuit:
     return Circuit(root, c.n)
 
 
-def to_nand_form(c: Circuit) -> tuple[Circuit, dict]:
+def to_nand_form(c: Circuit) -> Circuit:
     """Rewrite into NAND gates plus possibly-negated leaves.
 
-    Returns ``(circuit, info)`` where ``info`` records the gate depth before
-    and after (the rewrite at most doubles it).  The function is unchanged.
+    The function is unchanged, and the gate depth at most doubles.
     """
 
     # each node's value is (its NAND form, its negation's NAND form), over the
@@ -563,9 +560,7 @@ def to_nand_form(c: Circuit) -> tuple[Circuit, dict]:
         return (Nand((inner,)), inner) if is_and else (inner, Nand((inner,)))
 
     pos, _ = fold(c, leaf, lambda value: (Const(value), Const(1 - value)), list, _collect, finish)
-    result = Circuit(pos, c.n)
-    info = {"depth_before": c.depth, "depth_after": result.depth}
-    return result, info
+    return Circuit(pos, c.n)
 
 
 def simplify(c: Circuit) -> Circuit:

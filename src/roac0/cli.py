@@ -304,8 +304,8 @@ def cmd_fourier(args) -> int:
     with rep.stage("fourier", c.n + 1):
         lp = fmod.level_profile_recursive(c)
     rows = [
-        (k, str(lp.abs_mass[k]), str(lp.signed_sum[k]), float(lp.abs_mass[k]), float(lp.signed_sum[k]))
-        for k in range(c.n + 1)
+        (k, str(a), str(s), fmod._float_or_inf(a), fmod._float_or_inf(s))
+        for k, (a, s) in enumerate(zip(lp.abs_mass, lp.signed_sum))
     ]
     data = {
         "n": c.n,
@@ -314,7 +314,11 @@ def cmd_fourier(args) -> int:
         "damped": {},
     }
     for p in args.p:
-        data["damped"][str(p)] = float(fmod.damped_mass(lp, p))
+        try:
+            damped = float(fmod.damped_mass(lp, p))
+        except OverflowError:  # a level mass past the float range: round the exact fold
+            damped = fmod._float_or_inf(fmod.damped_mass_recursive(c, p, exact=True))
+        data["damped"][str(p)] = damped
     if args.check:
         if c.n > fmod.WHT_CAP:
             raise UsageError(f"--check needs n <= {fmod.WHT_CAP}")
@@ -332,7 +336,7 @@ def cmd_fourier(args) -> int:
         ["k", "abs_mass", "signed_sum", "abs_mass_float", "signed_sum_float"],
         rows,
     )
-    print(f"total mass {float(data['total_mass']):.6g} over {c.n} levels")
+    print(f"total mass {fmod._float_or_inf(data['total_mass']):.6g} over {c.n} levels")
     return rep.finish()
 
 

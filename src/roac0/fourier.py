@@ -309,6 +309,14 @@ def total_mass(lp: LevelProfile):
     return sum(lp.abs_mass[1:], lp.abs_mass[0] * 0)
 
 
+def _float_or_inf(x) -> float:
+    """float(x), or inf / -inf for a rational past the float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
 def _damped_fold(c: Circuit, p) -> tuple[int, int, int]:
     """Dyadic integers (u, L, f0) with L_p = L / u and F_hat[0] = f0 / u.
 
@@ -471,7 +479,10 @@ def check_growth_corollary(c: Circuit) -> dict:
     """Empirical hidden constant for L^k <= O(log^{D-1} n)^k.
 
     Reports g = max_{k>=1} (L^k)^{1/k} / (log2 n)^{D-1}.  The asymptotic
-    statement hides its constant, so this logs rather than asserts.
+    statement hides its constant, so this logs rather than asserts.  Each
+    root is taken in log2 of the exact numerator and denominator, so a mass
+    past the float range still has one (its "mass" entry reads inf), and
+    only levels of mass exactly 0 are left out.
     """
     if c.n < 2:
         raise CircuitError("growth report needs n >= 2")
@@ -481,11 +492,11 @@ def check_growth_corollary(c: Circuit) -> dict:
     per_level = []
     g = 0.0
     for k in range(1, c.n + 1):
-        mass = float(lp.abs_mass[k])
-        if mass == 0.0:
+        mass = lp.abs_mass[k]
+        if not mass:
             continue
-        root = mass ** (1.0 / k)
-        per_level.append({"k": k, "mass": mass, "kth_root": root})
+        root = 2 ** ((math.log2(mass.numerator) - math.log2(mass.denominator)) / k)
+        per_level.append({"k": k, "mass": _float_or_inf(mass), "kth_root": root})
         g = max(g, root / denom)
     return {"g": g, "denominator": denom, "D": d, "n": c.n, "levels": per_level}
 

@@ -38,10 +38,9 @@ from .fourier import (
     WHT_CAP,
     BoundReport,
     CapExceeded,
-    _report,
     _wht_integers,
-    level_profile_recursive,
-    total_mass,
+    damped_mass_recursive,
+    level_profile_recursive,  # noqa: F401  (perfbench's tracer wraps this name here)
     truth_table,
 )
 
@@ -340,7 +339,7 @@ class SmallBiasGen:
             p = gf_mul(p, alpha, self.ell)
         return out
 
-    def _output_chunks(self, chunk_bits: int = 20) -> Iterator[np.ndarray]:
+    def _output_chunks(self, chunk_bits: int) -> Iterator[np.ndarray]:
         # Seed order: alpha in the low ell bits, beta above, so beta is the
         # outer loop.  A chunk holds 2^k consecutive betas (about 2^chunk_bits
         # seeds): the XOR of their rows of both block tables, read as [t, alpha].
@@ -408,7 +407,7 @@ class UniformGen:
             raise CircuitError(f"seed {seed} outside {self.n} bits")
         return seed
 
-    def _output_chunks(self, chunk_bits: int = 20) -> Iterator[np.ndarray]:
+    def _output_chunks(self, chunk_bits: int) -> Iterator[np.ndarray]:
         total = 1 << self.n
         step = 1 << min(chunk_bits, self.n)
         for lo in range(0, total, step):
@@ -544,11 +543,6 @@ class RestrictionPRG:
             2 * self.final_ell
         )
 
-    @property
-    def delta(self) -> Fraction:
-        """Design bias bound of the assignment blocks."""
-        return min(Fraction(1), Fraction(self.n, 1 << self.ell_asn))
-
     @classmethod
     def standard(cls, n: int, eps: float, a: int = 1) -> "RestrictionPRG":
         """Pick ell so each block biases below eps, rounds to cover whp."""
@@ -595,7 +589,7 @@ class RestrictionPRG:
             "fallback_values": final,
         }
 
-    def _output_chunks(self, chunk_bits: int = 20) -> Iterator[np.ndarray]:
+    def _output_chunks(self, chunk_bits: int) -> Iterator[np.ndarray]:
         total = 1 << self.seed_bits
         step = 1 << min(chunk_bits, self.seed_bits)
         sub = min(step, 1 << 15)  # cache-sized (blocks, seeds) arrays
@@ -755,7 +749,9 @@ def check_sandwich_fooling(c: Circuit, fplus: Circuit, fminus: Circuit, gen) -> 
 
     F- <= F <= F+ must hold pointwise (verified exhaustively here); the gap
     delta and both total masses are exact rationals, and the bias is the
-    measured one, so pass/fail is an exact comparison.
+    measured one, so pass/fail is an exact comparison.  A total mass
+    L(F) = sum_{k>=1} L^k is the damped mass at p = 1, so it comes from the
+    O(size) fold, with no level profile.
     """
     for f in (fplus, fminus):
         if f.n != c.n:
@@ -771,25 +767,18 @@ def check_sandwich_fooling(c: Circuit, fplus: Circuit, fminus: Circuit, gen) -> 
         fminus, uniform
     )
     eps = measure_bias(gen)
-    masses = [
-        total_mass(level_profile_recursive(fplus)),
-        total_mass(level_profile_recursive(fminus)),
-    ]
+    masses = [damped_mass_recursive(f, 1, exact=True) for f in (fplus, fminus)]
     gen_exp = Fraction(_accepted_seeds(gen, tt), 1 << gen.seed_bits)
     exact = acceptance_probability(c, uniform)
     lhs = abs(gen_exp - exact)
     rhs = delta + eps * max(masses)
-    report = _report(
-        float(lhs),
-        float(rhs),
-        {
-            "delta": float(delta),
-            "bias": float(eps),
-            "mass_upper": float(masses[0]),
-            "mass_lower": float(masses[1]),
-            "n": c.n,
-            "seed_bits": gen.seed_bits,
-        },
-    )
-    # redo the verdict on the exact rationals, floats only for display
-    return BoundReport(report.lhs, report.rhs, report.slack, lhs <= rhs, report.params)
+    params = {
+        "delta": float(delta),
+        "bias": float(eps),
+        "mass_upper": float(masses[0]),
+        "mass_lower": float(masses[1]),
+        "n": c.n,
+        "seed_bits": gen.seed_bits,
+    }
+    # the verdict compares the exact rationals, floats are for display
+    return BoundReport(float(lhs), float(rhs), float(rhs) - float(lhs), lhs <= rhs, params)

@@ -382,16 +382,12 @@ class SandwichPair:
         }
 
 
-def _nand_form_nodes(node: Node) -> list:
-    """The pre-order node list of a NAND-form tree; raises on the first other node."""
-    nodes = list(iter_nodes(node))
-    for nd in nodes:
-        if not isinstance(nd, (Leaf, Const, Nand)):
-            raise CircuitError(
-                f"sandwich construction needs NAND form (got {type(nd).__name__}); "
-                "run to_nand_form first"
-            )
-    return nodes
+def _require_nand_form(node: Node) -> None:
+    if not isinstance(node, (Leaf, Const, Nand)):
+        raise CircuitError(
+            f"sandwich construction needs NAND form (got {type(node).__name__}); "
+            "run to_nand_form first"
+        )
 
 
 _ONE = Const(1), (1, 1)
@@ -417,6 +413,8 @@ def _sandwich_node(node: Node, en: int, ed: int):
     with a positive denominator, and each comparison with eps or its square
     root cross-multiplies.  ``own`` is ``simplify(node)``.  Every half is
     built by simplify's NAND rule, so a node runs as its own half would.
+    A node that is not NAND form raises before its children run, so the
+    walk's order makes it the first such node in pre-order.
     """
     if isinstance(node, Leaf):
         half = node, (1, 2)
@@ -424,6 +422,7 @@ def _sandwich_node(node: Node, en: int, ed: int):
     if isinstance(node, Const):
         half = node, (node.value, 1)
         return half, half, half
+    _require_nand_form(node)
     parts = yield [_sandwich_node(ch, en, ed) for ch in node.children]
     lows = [p[0] for p in parts]
     ups = [p[1] for p in parts]
@@ -470,22 +469,18 @@ def build_sandwich(c: Circuit, eps) -> SandwichPair:
     [eps, 1-eps] exactly, neither output uses more leaves than the input,
     and lower <= c <= upper pointwise.  Both come out constant-propagated,
     and ``source_leaves`` counts the leaves of ``simplify(c)``.  eps must
-    lie in (0, 1/4].
+    lie in (0, 1/4].  The build does not re-derive the halves' node
+    masses: :func:`sandwich_condition_violations` checks them, and the
+    sandwich tests run it on the halves they build.
     """
     e = Fraction(eps)
     if not 0 < e <= Fraction(1, 4):
         raise CircuitError(f"eps={eps} outside (0, 1/4]")
-    _nand_form_nodes(c.root)
     (low, acc_low), (up, acc_up), (own, _) = trampoline(
         _sandwich_node(c.root, e.numerator, e.denominator))
-    lower, upper = Circuit(low, c.n), Circuit(up, c.n)
-    for half in (lower, upper):
-        bad = sandwich_condition_violations(half, e)
-        if bad:
-            raise CircuitError(f"sandwich output violates node conditions: {bad[0]}")
     return SandwichPair(
-        lower=lower,
-        upper=upper,
+        lower=Circuit(low, c.n),
+        upper=Circuit(up, c.n),
         eps=e,
         gap=Fraction(*acc_up) - Fraction(*acc_low),
         source_leaves=Circuit(own, c.n).size,
@@ -495,14 +490,16 @@ def build_sandwich(c: Circuit, eps) -> SandwichPair:
 def sandwich_condition_violations(c: Circuit, eps) -> list:
     """Nonconstant nodes whose exact rejection mass leaves [eps, 1-eps].
 
-    Needs NAND form, as the sandwich does.  A NAND rejects exactly when every
-    child accepts, so one bottom-up pass over the pre-order list that the
-    form check builds gives every node's rejection mass, as an unnormalised
-    (numerator, denominator) pair of ints; the offending nodes come back in
-    pre-order.
+    Needs NAND form, as the sandwich does, and raises on the first other
+    node in pre-order.  A NAND rejects exactly when every child accepts, so
+    one bottom-up pass over the pre-order node list gives every node's
+    rejection mass, as an unnormalised (numerator, denominator) pair of
+    ints; the offending nodes come back in pre-order.
     """
     en, ed = Fraction(eps).as_integer_ratio()
-    nodes = _nand_form_nodes(c.root)
+    nodes = list(iter_nodes(c.root))
+    for node in nodes:
+        _require_nand_form(node)
     rej = {}
     for node in reversed(nodes):  # every child before its parent
         if isinstance(node, Nand):
@@ -591,8 +588,7 @@ def shrink_experiment(
         raise CapExceeded(f"trials={trials} exceeds shrink cap {SHRINK_TRIALS_CAP}")
     if threshold is not None and isnan(threshold):
         raise CircuitError("threshold is not a number")
-    nand, _ = to_nand_form(c)
-    pair = build_sandwich(nand, eps)
+    pair = build_sandwich(to_nand_form(c), eps)
     n = c.n
     s_lo, s_up, s_or, fans = [], [], [], []
     alive_lo = alive_up = alive_or = 0

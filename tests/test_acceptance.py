@@ -172,7 +172,7 @@ def test_criterion_07_restriction_generator_fooling_under_22_bits():
 def test_criterion_08_sandwich_transfer_inequality():
     t0 = time.perf_counter()
     for c in random_corpus(50, 12, 3, seed=808):
-        nand, _ = to_nand_form(c)
+        nand = to_nand_form(c)
         pair = build_sandwich(nand, Fraction(1, 16))
         rep = check_sandwich_fooling(nand, pair.upper, pair.lower, SmallBiasGen(8, c.n))
         assert rep.passed, rep.as_dict()
@@ -205,7 +205,7 @@ def test_criterion_09_collapse_probability_bound_and_identity():
 def test_criterion_10_sandwich_ordering_conditions_and_gap():
     t0 = time.perf_counter()
     for c in random_corpus(40, 16, 4, seed=1010):
-        nand, _ = to_nand_form(c)
+        nand = to_nand_form(c)
         tt = truth_table(nand)
         for eps in (Fraction(1, 16), Fraction(1, 64)):
             pair = build_sandwich(nand, eps)

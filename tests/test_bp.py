@@ -302,6 +302,11 @@ def test_state_functions_partition():
         assert (rowsum == 1).all()
 
 
+def test_state_functions_refuse_programs_past_the_cap():
+    with pytest.raises(BPError, match="length 23 exceeds exhaustive cap"):
+        bp_state_functions(bp_from_circuit(and_k(23)))
+
+
 # -- matrix-style level bound ---------------------------------------------------
 
 

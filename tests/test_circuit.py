@@ -223,9 +223,9 @@ def test_push_nots_preserves_function_and_depth():
 def test_to_nand_form_small_gates():
     for text in ("(and x0 x1)", "(or x0 x1)", "1", "(not x0)"):
         c = parse(text)
-        nand, info = to_nand_form(c)
+        nand = to_nand_form(c)
         assert (truth_table(nand) == truth_table(c)).all()
-        assert info["depth_after"] <= 2 * max(info["depth_before"], 1)
+        assert nand.depth <= 2 * max(c.depth, 1)
         for node in _gates(nand.root):
             assert isinstance(node, (Nand, Leaf, Const))
 
@@ -240,7 +240,7 @@ def _gates(node):
 
 def test_to_nand_form_preserves_function_on_corpus():
     for c in random_corpus(20, 12, 3, seed=51):
-        nand, _ = to_nand_form(c)
+        nand = to_nand_form(c)
         assert (truth_table(nand) == truth_table(c)).all()
 
 
@@ -253,8 +253,8 @@ def test_to_nand_form_structure_pinned():
             ("(nand (nand (nand x0 1) (nand (nand (nand (nand (not x1) (not x2))) 0))))", 6),
     }
     for text, (want, depth) in cases.items():
-        nand, info = to_nand_form(parse(text))
-        assert render(nand) == want and info["depth_after"] == depth
+        nand = to_nand_form(parse(text))
+        assert render(nand) == want and nand.depth == depth
 
 
 # -- deep nesting and pickling ---------------------------------------------
@@ -296,8 +296,8 @@ def test_structure_walkers_handle_deep_nesting():
     assert pickle.loads(pickle.dumps(c)) == c
     assert repr(c.root) == f"<{type(c.root).__name__} {text}>"
     assert pickle.loads(pickle.dumps(c.root)) == c.root
-    nand, info = to_nand_form(c)
-    assert info == {"depth_before": 1200, "depth_after": nand.depth}
+    nand = to_nand_form(c)
+    assert c.depth == 1200 and nand.depth <= 2 * 1200
     mono = strip_leaf_negations(push_nots_to_leaves(c))
     assert mono.is_monotone()
     rng = random.Random(7)

@@ -5,6 +5,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import random
 import time
 from fractions import Fraction
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from roac0 import fourier
 from roac0.cli import Reporter, _bp_planes, _default_jobs, load_circuit, load_corpus, main
 from roac0.fourier import damped_mass_recursive
 from roac0.prg import MC_BATCH_BITS, RestrictionPRG
@@ -156,6 +158,16 @@ def test_bad_numbers_exit_2(args, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["describe", "--circuit", "random:n=5,d"], "expected key=value, got 'd'"),
+    (["describe", "--circuit", "rectribes:d=3"], "rectribes needs widths=a-b-c"),
+    (["fourier", "--circuit", "and:k=25", "--check"], "--check needs n <= 24"),
+], ids=["spec-without-value", "rectribes-without-widths", "fourier-check-above-cap"])
+def test_bad_specs_exit_2_with_the_reason(argv, message, capsys):
+    assert run(argv) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+
+
 def test_version_flag():
     with pytest.raises(SystemExit) as e:
         run(["--version"])
@@ -187,6 +199,31 @@ def test_fourier_writes_levels_and_manifest(tmp_path):
     assert man["checks"]["failed"] == 0
     data = json.loads((tmp_path / "fourier.json").read_text())
     assert data["n"] == 2
+
+
+def test_masses_past_the_float_range_read_inf(monkeypatch, tmp_path, capsys):
+    # a full profile with a level mass above 2^1024 takes about a minute to
+    # compute, so the masses are handed in directly
+    huge, tiny = Fraction(2**1100, 3), Fraction(1, 2**1100)
+    c = load_circuit("and:k=3")
+    lp = fourier.LevelProfile(3, (Fraction(1, 8), Fraction(0), huge, tiny),
+                              (Fraction(1, 8), Fraction(0), -huge, tiny))
+    monkeypatch.setattr(fourier, "level_profile_recursive", lambda circuit: lp)
+    assert run(["fourier", "--circuit", "and:k=3", "--p", "0.5", "--out", str(tmp_path)]) == 0
+    assert "total mass inf over 3 levels" in capsys.readouterr().out
+    rows = list(csv.reader((tmp_path / "levels.csv").read_text().splitlines()))
+    assert rows[3] == ["2", str(huge), str(-huge), "inf", "-inf"]
+    assert rows[4][3:] == ["0.0", "0.0"]
+    # the float sum over the profile overflows; the exact fold gives the value
+    data = json.loads((tmp_path / "fourier.json").read_text())
+    assert data["damped"]["0.5"] == float(damped_mass_recursive(c, 0.5, exact=True))
+    rep = fourier.check_growth_corollary(c)
+    assert [row["k"] for row in rep["levels"]] == [2, 3]  # only the exactly-zero level is left out
+    assert rep["levels"][0]["mass"] == math.inf
+    assert rep["levels"][0]["kth_root"] == pytest.approx(2 ** ((1100 - math.log2(3)) / 2))
+    assert rep["levels"][1]["mass"] == 0.0
+    assert rep["levels"][1]["kth_root"] == pytest.approx(2 ** (-1100 / 3))
+    assert rep["g"] == rep["levels"][0]["kth_root"]
 
 
 def test_manifest_config_echoes_the_options(tmp_path):

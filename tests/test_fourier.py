@@ -504,7 +504,7 @@ FOLD_CORPUS = {
     "double_not": parse("(not (not (nand (not (or x0 x1)) (not x2))))"),
     "not_leaf_node": Circuit(Not(Leaf(0)), 1),
     "const_root": Circuit(Not(Const(0)), 2),
-    "nand_form": to_nand_form(gen_random_read_once(9, 3, seed=4))[0],
+    "nand_form": to_nand_form(gen_random_read_once(9, 3, seed=4)),
     "negated_leaves": gen_random_read_once(10, 4, seed=8, neg_prob=0.6),
 }
 
@@ -531,7 +531,7 @@ def _word_corpus():
         yield gen_random_read_once(n, 3, seed=n, neg_prob=0.5)
         if n >= 2:
             yield Circuit(parse(f"(nand (not x0) (not (nand x{top} 1)))").root, n)
-            yield to_nand_form(gen_random_read_once(n, 4, seed=20 + n, neg_prob=0.5))[0]
+            yield to_nand_form(gen_random_read_once(n, 4, seed=20 + n, neg_prob=0.5))
         if n >= 3:
             yield Circuit(parse(f"(not (nand (nand x1 (not x0)) (and x{top} 1)))").root, n)
 
@@ -559,7 +559,7 @@ def test_truth_table_memory_peak_is_the_table_plus_word_planes():
 SAMPLED_CORPUS = {
     **FOLD_CORPUS,
     "random_n100": gen_random_read_once(100, 4, seed=11, neg_prob=0.5),  # Pr[1] ~ 0.52
-    "nand_n100": to_nand_form(gen_random_read_once(100, 4, seed=13))[0],
+    "nand_n100": to_nand_form(gen_random_read_once(100, 4, seed=13)),
 }
 
 

@@ -324,7 +324,7 @@ def test_exact_identity_monotone_in_p():
 
 
 def test_sandwich_eps_gates():
-    c, _ = to_nand_form(gen_tribes(2, 2))
+    c = to_nand_form(gen_tribes(2, 2))
     with pytest.raises(CircuitError):
         build_sandwich(c, 0)
     with pytest.raises(CircuitError):
@@ -346,7 +346,7 @@ def test_sandwich_requires_nand_form():
 def test_sandwich_identity_when_masses_already_inside():
     # NAND of two leaves rejects with mass 1/4, inside [1/16, 15/16],
     # so both halves reproduce the input and the gap vanishes
-    c, _ = to_nand_form(parse("(nand x0 x1)"))
+    c = to_nand_form(parse("(nand x0 x1)"))
     pair = build_sandwich(c, Fraction(1, 16))
     assert pair.gap == 0
     assert truth_table(pair.lower).tolist() == truth_table(c).tolist()
@@ -354,7 +354,7 @@ def test_sandwich_identity_when_masses_already_inside():
 
 
 def test_sandwich_wide_or_prunes_to_exact_gap():
-    c, _ = to_nand_form(parse("(or x0 x1 x2 x3 x4 x5)"))
+    c = to_nand_form(parse("(or x0 x1 x2 x3 x4 x5)"))
     pair = build_sandwich(c, Fraction(1, 16))
     assert isinstance(pair.upper.root, Const) and pair.upper.root.value == 1
     assert pair.gap == Fraction(1, 16)
@@ -373,7 +373,7 @@ def test_sandwich_constant_input():
 def test_sandwich_random_battery():
     eps = Fraction(1, 16)
     for c in random_corpus(12, 10, 3, seed=717):
-        nand, _ = to_nand_form(c)
+        nand = to_nand_form(c)
         pair = build_sandwich(nand, eps)
         tt = truth_table(nand)
         tt_lo, tt_up = truth_table(pair.lower), truth_table(pair.upper)
@@ -529,7 +529,7 @@ def test_sandwich_pairs_match_the_fraction_recursion(eps):
         "tribes:m=128,w=8", "tribes:m=6,w=3", "tribes:m=40,w=5", "rectribes:d=3,widths=8-16-8",
         "rectribes:d=3,widths=2-4-2", "rectribes:d=4,widths=3-2-4-2")]
     circuits += random_corpus(30, 24, 4, seed=409)
-    circuits = [to_nand_form(c)[0] for c in circuits]
+    circuits = [to_nand_form(c) for c in circuits]
     rng = random.Random(410)
     circuits += [random_nand_tree(rng, rng.randint(1, 40)) for _ in range(60)]
     for nand in circuits:
@@ -540,6 +540,9 @@ def test_sandwich_pairs_match_the_fraction_recursion(eps):
             assert got == want
         else:
             assert (got.lower, got.upper, got.gap) == want
+            # build_sandwich leaves the node-mass check of its halves to callers
+            assert sandwich_condition_violations(got.lower, eps) == []
+            assert sandwich_condition_violations(got.upper, eps) == []
             assert type(got.gap) is type(got.eps) is Fraction and got.eps == eps
             # the halves come out constant-propagated without a simplify pass
             assert simplify(got.lower) == got.lower
@@ -553,7 +556,7 @@ def test_sandwich_pointwise_property(meta):
     rng = random.Random(meta)
     n = rng.randint(2, 8)
     c = gen_random_read_once(n, rng.randint(1, 3), seed=rng.randrange(2**32))
-    nand, _ = to_nand_form(c)
+    nand = to_nand_form(c)
     pair = build_sandwich(nand, Fraction(1, 16))
     for x in range(1 << n):
         lo, mid, up = (
@@ -565,17 +568,17 @@ def test_sandwich_pointwise_property(meta):
 
 
 def test_condition_check_flags_light_rejection():
-    c, _ = to_nand_form(parse("(or x0 x1 x2 x3 x4 x5)"))
+    c = to_nand_form(parse("(or x0 x1 x2 x3 x4 x5)"))
     bad = sandwich_condition_violations(c, Fraction(1, 16))
     assert bad and bad[0][0] == "Nand"
-    ok, _ = to_nand_form(parse("(nand x0 x1)"))
+    ok = to_nand_form(parse("(nand x0 x1)"))
     assert sandwich_condition_violations(ok, Fraction(1, 16)) == []
 
 
 def test_condition_violations_match_per_node_acceptance():
     e = Fraction(1, 8)
     for c in random_corpus(20, 10, 3, seed=31):
-        nand, _ = to_nand_form(c)
+        nand = to_nand_form(c)
         expected = []
         for node in iter_nodes(nand.root):
             if isinstance(node, Const):
@@ -603,7 +606,7 @@ def simplified_stats(c: Circuit) -> tuple:
 def test_restricted_stats_match_simplify():
     # trial counts that are not multiples of 64 leave pad bits in the last word
     for i, c in enumerate(random_corpus(30, 9, 4, seed=61)):
-        nand, _ = to_nand_form(c)
+        nand = to_nand_form(c)
         pair = build_sandwich(nand, Fraction(1, 16))
         (size, free, x), = _restriction_blocks(c.n, 0.4, 37 + 5 * i, c.n)
         free_t, x_t = trial_major(free, size), trial_major(x, size)
@@ -645,7 +648,7 @@ def test_restricted_stats_skip_dead_gates_and_count_wide_ones(text, p):
     for trials in (37, 130):
         (size, free, x), = _restriction_blocks(c.n, p, trials, 5)
         free_t, x_t = trial_major(free, size), trial_major(x, size)
-        for form in (c, Circuit(Not(c.root), c.n), to_nand_form(c)[0]):
+        for form in (c, Circuit(Not(c.root), c.n), to_nand_form(c)):
             alive, one, leaves, fan = _restricted(form, free, x, size, stats=True)
             planes = _restricted(form, free, x, size)
             assert np.array_equal(planes[0], alive) and np.array_equal(planes[1], one)
@@ -680,7 +683,7 @@ def test_shrink_matches_uint8_oracle(spec, eps):
     c = load_circuit(spec)
     p, trials, seed = 0.2, 3000, 6
     rep = shrink_experiment(c, p, eps, trials=trials, master_seed=seed)
-    nand, _ = to_nand_form(c)
+    nand = to_nand_form(c)
     pair = build_sandwich(nand, eps)
     (free, x), = reference_blocks(c.n, p, trials, seed)
     (st_lo, lv_lo, fn_lo), (st_up, lv_up, fn_up), (st_or, lv_or, _) = (
