@@ -197,11 +197,15 @@ def bp_permute(b: OrderedBP, pi: Sequence[int], side: str) -> OrderedBP:
             tuple(m1[pi[u - 1] - 1] for u in range(1, b.width + 1)),
         )
     elif side == "post":
-        m0, m1 = layers[-1]
-        layers[-1] = (tuple(pi[t - 1] for t in m0), tuple(pi[t - 1] for t in m1))
+        layers[-1] = _relabel(layers[-1], pi)
     else:
         raise BPError(f"side must be 'pre' or 'post', got {side!r}")
     return OrderedBP(b.width, b.var_order, tuple(layers))
+
+
+def _relabel(layer: Layer, pi) -> Layer:
+    """The layer with every target state t renamed pi(t)."""
+    return tuple(tuple(pi[t - 1] for t in m) for m in layer)
 
 
 # -- serialization ------------------------------------------------------------
@@ -275,70 +279,51 @@ def _and_construction(pairs, swap: bool):
     layers: list[Layer] = []
     slots: list[ChildSlot] = []
     for (w, vo, ly, meta, absorbing), (ch, cneg) in zip(built, pairs):
-        # child state u sits at parent label emb[u]; an absorbing child's
-        # reject (its own top state) is shared with the parent's
-        embed = list(range(w + 1))  # embed[0] unused
-        if absorbing:
-            embed[w] = width
-        unembed = [0] * (width + 1)  # parent label -> child state, 0 for none
-        for cu in range(1, w + 1):
-            unembed[embed[cu]] = cu
-        start = len(layers) + 1
+        slot = ChildSlot(len(layers) + 1, len(layers) + len(ly), meta, w, absorbing,
+                         Not(ch) if cneg else ch)
+        # parent label u runs child state run[u]; a child state keeps its label
+        # unless that label runs nothing (an absorbing child's reject), and
+        # then it is the shared reject
+        run = [_unembed(u, slot, width) for u in range(width + 1)]
         for t, (m0, m1) in enumerate(ly):
             last = t == len(ly) - 1
             parent_maps = []
             for child_map in (m0, m1):
                 pm = []
                 for u in range(1, width + 1):
-                    cu = unembed[u]
-                    target = embed[child_map[cu - 1]] if cu else width
-                    if last and target != 1:
-                        target = width
-                    pm.append(target)
+                    target = child_map[run[u] - 1] if run[u] else width
+                    pm.append(width if (last and target != 1) or not run[target] else target)
                 parent_maps.append(tuple(pm))
             layers.append(tuple(parent_maps))
         var_order.extend(vo)
-        slots.append(
-            ChildSlot(start, len(layers), meta, w, absorbing, Not(ch) if cneg else ch)
-        )
+        slots.append(slot)
 
     if swap:
         sigma = list(range(1, width + 1))
         sigma[0], sigma[width - 1] = width, 1
-        m0, m1 = layers[-1]
-        layers[-1] = (
-            tuple(sigma[t - 1] for t in m0),
-            tuple(sigma[t - 1] for t in m1),
-        )
+        layers[-1] = _relabel(layers[-1], sigma)
     return width, var_order, layers, GateBlock(width, swap, tuple(slots)), not swap
 
 
 # -- slice witnesses -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BPSliceQuery:
-    i: int
-    j: int
-    d1: int
-    d2: int
-
-
-def bp_slice_witness(b: OrderedBP, q: BPSliceQuery) -> Circuit:
+def bp_slice_witness(b: OrderedBP, i: int, j: int, d1: int, d2: int) -> Circuit:
     """Read-once circuit computing I[running layers i..j from d1 ends at d2].
 
+    Layers are 1-indexed and inclusive, states run over [1, b.width].
     Requires a program built by bp_from_circuit (construction metadata).
     The returned circuit is over the same global variable space and has
     gate depth at most the original circuit's.
     """
     if b.meta is None:
         raise BPError("program carries no construction metadata")
-    if not 1 <= q.i <= q.j <= b.length:
-        raise BPError(f"invalid span [{q.i},{q.j}] for length {b.length}")
-    if not (1 <= q.d1 <= b.width and 1 <= q.d2 <= b.width):
+    if not 1 <= i <= j <= b.length:
+        raise BPError(f"invalid span [{i},{j}] for length {b.length}")
+    if not (1 <= d1 <= b.width and 1 <= d2 <= b.width):
         raise BPError("states out of range")
     n = _meta_space(b)
-    node = trampoline(_witness(b.meta, q.i, q.j, q.d1, q.d2))
+    node = trampoline(_witness(b.meta, i, j, d1, d2))
     return simplify(Circuit(node, n))
 
 

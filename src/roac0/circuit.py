@@ -532,15 +532,29 @@ def _collect(children, child, is_and):
     return children
 
 
+def _gate(children, is_and, nand):
+    # a fold's ``finish`` that rebuilds the de Morgan form's AND or OR
+    return (And if is_and else Or)(tuple(children))
+
+
 def push_nots_to_leaves(c: Circuit) -> Circuit:
     """De Morgan dualization: NOT gates survive only as leaf negation flags.
 
     Preserves the computed function and the gate depth.  NAND gates are
     rewritten into NOT-free AND/OR structure as well.
     """
-    root = fold(c, Leaf, Const, list, _collect,
-                lambda children, is_and, nand: (And if is_and else Or)(tuple(children)))
-    return Circuit(root, c.n)
+    return Circuit(fold(c, Leaf, Const, list, _collect, _gate), c.n)
+
+
+def strip_leaf_negations(c: Circuit) -> Circuit:
+    """The monotone circuit left when the de Morgan form's leaf flags are dropped.
+
+    Any input works: NOTs and NANDs are pushed down as in
+    :func:`push_nots_to_leaves`, and every leaf comes out unnegated, so
+    ``strip_leaf_negations(push_nots_to_leaves(c))`` equals
+    ``strip_leaf_negations(c)``.
+    """
+    return Circuit(fold(c, lambda var, negated: Leaf(var), Const, list, _collect, _gate), c.n)
 
 
 def to_nand_form(c: Circuit) -> Circuit:
@@ -616,20 +630,6 @@ def _nand(children) -> Node:
     if len(kept) == 1 and isinstance(kept[0], Leaf):
         return Leaf(kept[0].var, not kept[0].negated)
     return Nand(tuple(kept))
-
-
-def strip_leaf_negations(c: Circuit) -> Circuit:
-    """Drop leaf negation flags (requires NOTs already pushed to leaves)."""
-    def go(node: Node) -> Node:
-        if isinstance(node, Leaf):
-            return Leaf(node.var, False)
-        if isinstance(node, Const):
-            return node
-        if isinstance(node, Not):
-            raise CircuitError("strip_leaf_negations expects NOTs at leaves")
-        return type(node)(tuple((yield [go(ch) for ch in node.children])))
-
-    return Circuit(trampoline(go(c.root)), c.n)
 
 
 # ---------------------------------------------------------------------------
@@ -727,20 +727,17 @@ def _acceptance_pair(c: Circuit, pairs: list, negations: bool = True) -> tuple:
 
 
 def gen_tribes(m: int, w: int) -> Circuit:
-    """OR of ``m`` disjoint ANDs of width ``w``; n = m*w, depth 2."""
-    if m <= 0 or w <= 0:
-        raise CircuitError("tribes parameters must be positive")
-    blocks = tuple(
-        And(tuple(Leaf(i * w + j) for j in range(w))) for i in range(m)
-    )
-    return Circuit(Or(blocks), m * w)
+    """OR of ``m`` disjoint ANDs of width ``w``; n = m*w, depth 2.
+
+    This is ``gen_recursive_tribes(2, [m, w])``.
+    """
+    return gen_recursive_tribes(2, [m, w])
 
 
 def gen_recursive_tribes(depth: int, fanins: Sequence[int]) -> Circuit:
     """Alternating AND/OR tree with the given per-level fan-ins.
 
-    The bottom level is AND and gate types alternate upward, so
-    ``gen_recursive_tribes(2, [m, w])`` equals ``gen_tribes(m, w)``.
+    The bottom level is AND and gate types alternate upward.
     """
     if depth <= 0 or len(fanins) != depth:
         raise CircuitError("need one fan-in per level")

@@ -159,8 +159,6 @@ def _jsonable(obj):
         return int(obj)
     if isinstance(obj, (np.floating,)):
         return float(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -215,10 +213,8 @@ class Reporter:
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(header)
-        if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype.kind in "iu":
-            w.writerows(rows.tolist())  # already plain ints
-        else:
-            w.writerows([_jsonable(v) for v in row] for row in rows)
+        # every cell is an int, float, bool or str; an array's rows become Python ints
+        w.writerows(rows.tolist() if isinstance(rows, np.ndarray) else rows)
         self._payloads.append((name, buf.getvalue()))
 
     def finish(self) -> int:
@@ -313,12 +309,8 @@ def cmd_fourier(args) -> int:
         "total_mass": fmod.total_mass(lp),
         "damped": {},
     }
-    for p in args.p:
-        try:
-            damped = float(fmod.damped_mass(lp, p))
-        except OverflowError:  # a level mass past the float range: round the exact fold
-            damped = fmod._float_or_inf(fmod.damped_mass_recursive(c, p, exact=True))
-        data["damped"][str(p)] = damped
+    for p in args.p:  # the exact fold, rounded once
+        data["damped"][str(p)] = fmod._float_or_inf(fmod.damped_mass_recursive(c, p, exact=True))
     if args.check:
         if c.n > fmod.WHT_CAP:
             raise UsageError(f"--check needs n <= {fmod.WHT_CAP}")
@@ -412,7 +404,7 @@ def _bp_task(item):
         j = rng.randint(i, b.length)
         d1 = rng.randint(1, b.width)
         d2 = rng.randint(1, b.width)
-        w = bpmod.bp_slice_witness(b, bpmod.BPSliceQuery(i, j, d1, d2))
+        w = bpmod.bp_slice_witness(b, i, j, d1, d2)
         sub = bpmod.bp_subprogram(b, i, j)
         reached = bpmod.bp_run(sub, column, size, start=d1) == d2
         wit_ok += reached.tobytes() == evaluate_columns(w, column, size).tobytes()

@@ -212,10 +212,9 @@ class SpectralTable:
         return Fraction(int(np.sum(self.numerators, dtype=np.int64)), 1 << self.n)
 
 
-def wht_bruteforce(c: Circuit, cap: int = WHT_CAP) -> SpectralTable:
-    """Exact spectrum by Walsh-Hadamard transform of the full truth table."""
-    if c.n > cap:
-        raise CapExceeded(f"n={c.n} exceeds brute-force cap {cap}")
+def wht_bruteforce(c: Circuit) -> SpectralTable:
+    """Exact spectrum by Walsh-Hadamard transform of the full truth table
+    (``CapExceeded`` above n = ``WHT_CAP``, from :func:`truth_table`)."""
     return SpectralTable(c.n, _wht_integers(truth_table(c)))
 
 
@@ -381,11 +380,6 @@ class BoundReport:
         }
 
 
-def _report(lhs, rhs, params) -> BoundReport:
-    slack = rhs - lhs
-    return BoundReport(lhs, rhs, slack, slack >= 0, params)
-
-
 def check_lp_sandwich(lp: LevelProfile, p) -> BoundReport:
     """max_{k>=1} p^k L^k  <=  L_p  <=  n * max_{k>=1} p^k L^k.
 
@@ -459,10 +453,14 @@ def check_mainbound(c: Circuit, eps, p: float | None = None) -> BoundReport:
     u, mass, f0 = _damped_fold(c, p)
     f0 = Fraction(f0, u)  # F_hat[0] = E[F]
     minf0 = float(min(f0, 1 - f0))
+    lhs = mass / u
     rhs = p * minf0 * factor + eps
-    return _report(
-        mass / u,
+    slack = rhs - lhs
+    return BoundReport(
+        lhs,
         rhs,
+        slack,
+        slack >= 0,
         {
             "p": p,
             "eps": float(eps),

@@ -355,7 +355,7 @@ class SmallBiasGen:
         _one_word(self.n)
         return _expand_fields(seeds, self.ell, self.n, [0])[0]
 
-    def _bias(self, n: int) -> Fraction:
+    def _bias(self) -> Fraction:
         # Character S sums to 2^ell * #{alpha : sum_{i in S} alpha^(i+1) = 0}
         # over the seeds, so its bias is that root count over 2^ell.  Every
         # S has the root 0.  For alpha of degree d, the smallest subfield
@@ -369,15 +369,15 @@ class SmallBiasGen:
         # from the slice index, counted by one bincount (d < w, as d < n and
         # d divides an ell of at most 13 under the seed cap).
         alphas, degree = _frobenius_orbits(self.ell)
-        powers = np.stack(list(_gf_powers(alphas, self.ell, n)), axis=1).view(np.int64)
-        w, spans, best = min(16, n), [], 0
+        powers = np.stack(list(_gf_powers(alphas, self.ell, self.n)), axis=1).view(np.int64)
+        w, spans, best = min(16, self.n), [], 0
         for d in np.unique(degree).tolist():
-            if d < n:
+            if d < self.n:
                 coords = _power_coords(powers[degree == d], d)
                 offsets = (np.arange(1 << (w - d), dtype=np.int64) << d)[:, None]
                 spans.append((d, _xor_span(coords[:, : w - d].T) | offsets, coords[:, w - d :]))
-        for s in range(1 << (n - w)):
-            high = ((s >> np.arange(n - w)) & 1).astype(bool)
+        for s in range(1 << (self.n - w)):
+            high = ((s >> np.arange(self.n - w)) & 1).astype(bool)
             counts = np.zeros(1 << w, dtype=np.int64)
             for d, low, rest in spans:
                 part = np.bincount((low ^ np.bitwise_xor.reduce(rest[:, high], axis=1)).ravel(),
@@ -417,8 +417,8 @@ class UniformGen:
         _one_word(self.n)
         return _fields(seeds, [0], self.n)[0].view(np.int64)
 
-    def _bias(self, n: int) -> Fraction:
-        return _transform_bias(self, n)
+    def _bias(self) -> Fraction:
+        return _transform_bias(self)
 
 
 def _check_exhaustive(gen) -> None:
@@ -454,16 +454,14 @@ def _accepted_seeds(gen, tt: np.ndarray) -> int:
     return sum(int(np.count_nonzero(tt[chunk])) for chunk in gen._output_chunks(chunk_bits=16))
 
 
-def _transform_bias(gen, n: int) -> Fraction:
-    """Bias of the first n output bits from the exact transform of the output distribution."""
-    counts = _distribution_cached(gen)  # read-only; the transform works on a copy
-    if n < gen.n:
-        counts = counts.reshape(-1, 1 << n).sum(axis=0)
-    rest = _wht_integers(counts)[1:]  # max |.| without a full-size np.abs temporary
+def _transform_bias(gen) -> Fraction:
+    """Bias from the exact transform of the output distribution."""
+    # _wht_integers copies the read-only counts; max |.| without a full-size np.abs temporary
+    rest = _wht_integers(_distribution_cached(gen))[1:]
     return Fraction(max(int(rest.max()), -int(rest.min())), 1 << gen.seed_bits)
 
 
-def measure_bias(gen, n: int | None = None) -> Fraction:
+def measure_bias(gen) -> Fraction:
     """Exact max over nonzero characters of |E_seed[(-1)^(s.output)]|.
 
     A small-bias generator counts roots: character S's signed sum over the
@@ -473,13 +471,12 @@ def measure_bias(gen, n: int | None = None) -> Fraction:
     so this takes a few MiB up to n = 24.  Other generators sweep every seed
     into the output distribution and transform it.  Both stay in integers
     and under the same caps: 2^26 seeds (``EXHAUSTIVE_SEED_CAP``) and
-    n <= ``WHT_CAP``.
-    With n < gen.n only the first n output bits are kept.
+    n <= ``WHT_CAP``.  The bias of the first k output bits of a
+    ``SmallBiasGen`` or ``RestrictionPRG`` is that of
+    ``dataclasses.replace(gen, n=k)``.
     """
-    if n is not None and not 1 <= n <= gen.n:
-        raise CircuitError(f"n={n} outside 1..{gen.n}")
     _check_exhaustive(gen)
-    return gen._bias(gen.n if n is None else n)
+    return gen._bias()
 
 
 def default_rounds(n: int, eps: float, a: int) -> int:
@@ -618,8 +615,8 @@ class RestrictionPRG:
         final = _expand_fields(seeds, self.final_ell, n, [final_offset])[0]
         return out | (final & ~taken[-1])
 
-    def _bias(self, n: int) -> Fraction:
-        return _transform_bias(self, n)
+    def _bias(self) -> Fraction:
+        return _transform_bias(self)
 
 
 def seed_length_account(n: int, eps: float, D: int) -> dict:

@@ -39,10 +39,10 @@ def gap_paths(c, p) -> dict:
 
     ``measure`` is the library's exact acceptance difference; ``profile``
     sums the float signed profile and ``table`` the transform's exact level
-    sums times p^k (n <= 14), both in float arithmetic.
+    sums times p^k (n <= WHT_CAP), both in float arithmetic.
     """
     sgn_f = level_profile_recursive(c, exact=False).signed_sum
-    _, sgn_w = wht_bruteforce(c, cap=14).level_sums()
+    _, sgn_w = wht_bruteforce(c).level_sums()
     return {
         "measure": biased_gap(c, p),
         "profile": abs(sum(p**k * sgn_f[k] for k in range(1, c.n + 1))),

@@ -24,7 +24,6 @@ from roac0 import (
     to_nand_form,
 )
 from roac0.bp import (
-    BPSliceQuery,
     bp_from_circuit,
     bp_slice_witness,
     bp_state_functions,
@@ -131,7 +130,7 @@ def test_criterion_05_branching_program_equivalence_and_witnesses():
             j = rng.randint(i, b.length)
             d1 = rng.randint(1, b.width)
             d2 = rng.randint(1, b.width)
-            w = bp_slice_witness(b, BPSliceQuery(i, j, d1, d2))
+            w = bp_slice_witness(b, i, j, d1, d2)
             sub = bp_subprogram(b, i, j)
             tab = bp_state_functions(sub)[(d1, d2)]
             tt_w = truth_table(Circuit(w.root, c.n))

@@ -7,18 +7,24 @@ import pytest
 
 from conftest import random_corpus
 from roac0 import (
+    And,
     Circuit,
     Const,
+    Leaf,
+    Nand,
+    Not,
+    Or,
     RestrictionMask,
     evaluate,
     gen_random_read_once,
     gen_tribes,
     parse,
     restrict,
+    to_nand_form,
 )
+from roac0.circuit import evaluate_columns
 from roac0.bp import (
     BPError,
-    BPSliceQuery,
     OrderedBP,
     bp_accepts,
     bp_concat,
@@ -264,14 +270,14 @@ def test_whole_span_witness_equals_circuit():
     for seed in (31, 32, 33):
         c = gen_random_read_once(8, 3, seed=seed)
         b = bp_from_circuit(c)
-        w = bp_slice_witness(b, BPSliceQuery(1, b.length, 1, 1))
+        w = bp_slice_witness(b, 1, b.length, 1, 1)
         assert (truth_table(Circuit(w.root, c.n)) == truth_table(c)).all()
 
 
 def test_witness_needs_metadata():
     b = OrderedBP(2, (0,), ((((1, 2), (2, 1))),))
     with pytest.raises(BPError):
-        bp_slice_witness(b, BPSliceQuery(1, 1, 1, 1))
+        bp_slice_witness(b, 1, 1, 1, 1)
 
 
 def test_witnesses_match_slice_tables():
@@ -283,7 +289,7 @@ def test_witnesses_match_slice_tables():
             j = rng.randint(i, b.length)
             d1 = rng.randint(1, b.width)
             d2 = rng.randint(1, b.width)
-            w = bp_slice_witness(b, BPSliceQuery(i, j, d1, d2))
+            w = bp_slice_witness(b, i, j, d1, d2)
             assert w.is_read_once()
             assert w.depth <= c.depth
             sub = bp_subprogram(b, i, j)
@@ -292,6 +298,46 @@ def test_witnesses_match_slice_tables():
             for e in range(1 << sub.length):
                 mask = sum(((e >> t) & 1) << v for t, v in enumerate(sub.var_order))
                 assert evaluate(w, mask) == tab[e]
+
+
+def _random_gate_tree(rng, variables):
+    """Read-once tree over ``variables`` with AND, OR and NAND gates in any
+    nesting (an AND may sit under an AND), NOTs over gates and negated leaves."""
+    if len(variables) == 1:
+        return Leaf(variables[0], rng.random() < 0.3)
+    k = rng.randint(2, min(3, len(variables)))
+    cuts = sorted(rng.sample(range(1, len(variables)), k - 1))
+    parts = [variables[a:b] for a, b in zip([0] + cuts, cuts + [len(variables)])]
+    node = rng.choice((And, Or, Nand))(tuple(_random_gate_tree(rng, p) for p in parts))
+    return Not(node) if rng.random() < 0.3 else node
+
+
+def test_every_witness_matches_slice_tables_on_nand_not_and_nested_gates():
+    # alternating AND/OR formulas never reach the NOT and NAND conversions
+    # or a witness that ends inside an absorbing child block
+    rng = random.Random(59)
+    corpus = [to_nand_form(c) for c in random_corpus(12, 6, 3, seed=61)]
+    corpus += [parse(text) for text in (
+        "(not (and x0 (or x1 x2)))", "(and (not (or x0 x1)) (and x2 x3) x4)",
+        "(and (and x0 x1 x2) (and x3 x4))", "(or (or x0 (not x1)) (or x2 x3))",
+        "(nand (and x0 x1) (not (nand x2 x3)))")]
+    for _ in range(20):
+        n = rng.randint(2, 6)
+        corpus.append(Circuit(_random_gate_tree(rng, rng.sample(range(n), n)), n))
+    for c in corpus:
+        b = bp_from_circuit(c)
+        assert (accept_table(b, c.n) == truth_table(c)).all()
+        for i in range(1, b.length + 1):
+            for j in range(i, b.length + 1):
+                sub = bp_subprogram(b, i, j)
+                tables = bp_state_functions(sub)
+                layer_of = {v: t for t, v in enumerate(sub.var_order)}
+                column = lambda v: variable_pattern(layer_of[v], sub.length)  # noqa: E731
+                for (d1, d2), tab in tables.items():
+                    w = bp_slice_witness(b, i, j, d1, d2)
+                    assert w.is_read_once() and w.depth <= c.depth
+                    assert set(w.variables()) <= set(sub.var_order)
+                    assert (evaluate_columns(w, column, 1 << sub.length) == tab).all()
 
 
 def test_state_functions_partition():

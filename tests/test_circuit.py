@@ -220,6 +220,16 @@ def test_push_nots_preserves_function_and_depth():
         assert normal.depth <= wrapped.depth
 
 
+def test_strip_leaf_negations_is_monotone_on_any_input():
+    # NANDs and NOTs over gates are pushed down first, so every form of a
+    # read-once function strips to the same monotone function
+    for c in random_corpus(20, 10, 3, seed=43) + [deep_chain(12)]:
+        want = strip_leaf_negations(push_nots_to_leaves(c))
+        assert strip_leaf_negations(Circuit(Not(Not(c.root)), c.n)) == want
+        mono = strip_leaf_negations(to_nand_form(c))
+        assert mono.is_monotone() and (truth_table(mono) == truth_table(want)).all()
+
+
 def test_to_nand_form_small_gates():
     for text in ("(and x0 x1)", "(or x0 x1)", "1", "(not x0)"):
         c = parse(text)

@@ -98,7 +98,7 @@ def test_spectrum_sums_to_value_at_zero():
 
 def test_transform_cap_enforced():
     with pytest.raises(CapExceeded):
-        wht_bruteforce(gen_random_read_once(30, 2, seed=1), cap=24)
+        wht_bruteforce(gen_random_read_once(30, 2, seed=1))
 
 
 def wht_reference(values) -> list:

@@ -1,5 +1,6 @@
 """Expanders: field arithmetic, bias measurement, restriction schedule, fooling."""
 
+import dataclasses
 import random
 import tracemalloc
 from fractions import Fraction
@@ -247,7 +248,7 @@ def test_measure_bias_reads_the_cached_distribution_without_changing_it():
     counts = output_distribution(gen)
     counts[:] = 0  # the caller's copy is its own
     first = measure_bias(gen)
-    assert measure_bias(gen) == first == measure_bias(gen, n=7)
+    assert measure_bias(gen) == first
     assert output_distribution(gen).sum() == 1 << gen.seed_bits
     # the root count keeps both caps and their messages
     with pytest.raises(CapExceeded) as seeds:
@@ -265,17 +266,15 @@ def test_measure_bias_matches_seed_by_seed_reference(n):
     outs = [gen.expand(seed) & ((1 << bits) - 1) for seed in range(1 << gen.seed_bits)]
     top = max(abs(sum((-1) ** bin(t & out).count("1") for out in outs))
               for t in range(1, 1 << bits))
-    assert measure_bias(gen, n) == Fraction(top, 1 << gen.seed_bits)
+    assert measure_bias(dataclasses.replace(gen, n=bits)) == Fraction(top, 1 << gen.seed_bits)
 
 
 @pytest.mark.parametrize("ell", range(2, 10))
 def test_root_count_matches_distribution_transform(ell):
     # ell = 4, 6 and 8 have several proper subfields; ell = 2 runs past n = 2^ell
-    top = min(2 * ell + 2, 18)
-    gen = SmallBiasGen(ell, top)
-    for n in range(1, top + 1):
-        want = _transform_bias(gen, n)
-        assert measure_bias(gen, n) == measure_bias(SmallBiasGen(ell, n)) == want
+    for n in range(1, min(2 * ell + 2, 18) + 1):
+        want = _transform_bias(SmallBiasGen(ell, n))
+        assert measure_bias(SmallBiasGen(ell, n)) == want
         if n >= 1 << ell:
             assert want == 1  # alpha^(2^ell) = alpha, so bits 0 and 2^ell - 1 agree
 
