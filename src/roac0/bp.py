@@ -322,13 +322,8 @@ def bp_slice_witness(b: OrderedBP, i: int, j: int, d1: int, d2: int) -> Circuit:
         raise BPError(f"invalid span [{i},{j}] for length {b.length}")
     if not (1 <= d1 <= b.width and 1 <= d2 <= b.width):
         raise BPError("states out of range")
-    n = _meta_space(b)
     node = trampoline(_witness(b.meta, i, j, d1, d2))
-    return simplify(Circuit(node, n))
-
-
-def _meta_space(b: OrderedBP) -> int:
-    return max(b.var_order, default=0) + 1
+    return simplify(Circuit(node, max(b.var_order, default=0) + 1))
 
 
 def _const(truth: bool):

@@ -19,6 +19,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import prod
 from typing import Iterator, Sequence, Union
 
 import numpy as np
@@ -160,7 +161,7 @@ class Circuit:
     def depth(self) -> int:
         """Number of AND/OR/NAND gates on the deepest root-to-leaf path."""
         return fold(self, lambda var, negated: 0, lambda value: 0, lambda: 0,
-                    lambda acc, d, is_and: max(acc, d), lambda acc, is_and, nand: acc + 1)
+                    lambda acc, d, is_and: max(acc, d), lambda acc, is_and: acc + 1)
 
     @property
     def size(self) -> int:
@@ -260,14 +261,13 @@ def fold(c: Circuit, leaf, const, start, absorb, finish):
     NOTs).  Children of every gate then read disjoint variables and no
     negation sits above a gate.  A gate opens with ``acc = start()``, takes
     each child's value through ``acc = absorb(acc, value, is_and)`` as soon as
-    that child is done, and closes with ``finish(acc, is_and, nand)``, where
-    ``nand`` says the gate is a NAND of ``c``.  No recursion, so any nesting
-    depth works.
+    that child is done, and closes with ``finish(acc, is_and)``.  No
+    recursion, so any nesting depth works.
     """
     # the open gate lives in locals, its ancestors on the stack; the bottom
     # frame is a pseudo-gate over the root whose first value is the result
     stack = []
-    kids, i, neg, is_and, nand, acc = (c.root,), 0, False, True, False, None
+    kids, i, neg, is_and, acc = (c.root,), 0, False, True, None
     while True:
         if i < len(kids):
             node = kids[i]
@@ -281,15 +281,14 @@ def fold(c: Circuit, leaf, const, start, absorb, finish):
             elif kind is Const:
                 value = const(node.value ^ node_neg)
             else:
-                stack.append((kids, i, neg, is_and, nand, acc))
-                nand = kind is Nand
-                neg = node_neg != nand  # NAND(cs) = NOT(AND(cs))
+                stack.append((kids, i, neg, is_and, acc))
+                neg = node_neg != (kind is Nand)  # NAND(cs) = NOT(AND(cs))
                 is_and = (kind is Or) == neg  # a NOT swaps AND and OR
                 kids, i, acc = node.children, 0, start()
                 continue
         else:
-            value = finish(acc, is_and, nand)
-            kids, i, neg, is_and, nand, acc = stack.pop()
+            value = finish(acc, is_and)
+            kids, i, neg, is_and, acc = stack.pop()
         if not stack:
             return value
         acc = absorb(acc, value, is_and)
@@ -413,10 +412,6 @@ class RestrictionMask:
             raise CircuitError("t and x must have equal length")
         return cls(bits_to_int(t_bits), bits_to_int(x_bits), len(t_bits))
 
-    @classmethod
-    def from_strings(cls, t_str: str, x_str: str) -> "RestrictionMask":
-        return cls.from_bits([int(b) for b in t_str], [int(b) for b in x_str])
-
     def is_free(self, i: int) -> bool:
         return bool((self.t >> i) & 1)
 
@@ -499,7 +494,7 @@ def evaluate_columns(c: Circuit, column, size: int, one=np.uint8(1)) -> np.ndarr
 
     return fold(c, lambda var, negated: column(var) ^ one if negated else column(var), const,
                 lambda: None, absorb,
-                lambda acc, is_and, nand: const(int(is_and)) if acc is None else acc)
+                lambda acc, is_and: const(int(is_and)) if acc is None else acc)
 
 
 def restrict(c: Circuit, m: RestrictionMask) -> Circuit:
@@ -532,7 +527,7 @@ def _collect(children, child, is_and):
     return children
 
 
-def _gate(children, is_and, nand):
+def _gate(children, is_and):
     # a fold's ``finish`` that rebuilds the de Morgan form's AND or OR
     return (And if is_and else Or)(tuple(children))
 
@@ -569,7 +564,7 @@ def to_nand_form(c: Circuit) -> Circuit:
     def leaf(var, negated):
         return Leaf(var, negated), Leaf(var, not negated)
 
-    def finish(children, is_and, nand):
+    def finish(children, is_and):
         inner = Nand(tuple(child[0 if is_and else 1] for child in children))
         return (Nand((inner,)), inner) if is_and else (inner, Nand((inner,)))
 
@@ -715,7 +710,7 @@ def _acceptance_pair(c: Circuit, pairs: list, negations: bool = True) -> tuple:
         num, den = acc
         return prod[0] * (num if is_and else den - num), prod[1] * den
 
-    def finish(prod, is_and, nand):
+    def finish(prod, is_and):
         num, den = prod
         return prod if is_and else (den - num, den)
 
@@ -735,29 +730,21 @@ def gen_tribes(m: int, w: int) -> Circuit:
 
 
 def gen_recursive_tribes(depth: int, fanins: Sequence[int]) -> Circuit:
-    """Alternating AND/OR tree with the given per-level fan-ins.
+    """Alternating AND/OR tree with the given per-level fan-ins, top level first.
 
-    The bottom level is AND and gate types alternate upward.
+    The bottom level is AND and gate types alternate upward; leaves are
+    numbered left to right.  The tree is built one level at a time.
     """
     if depth <= 0 or len(fanins) != depth:
         raise CircuitError("need one fan-in per level")
     if any(f <= 0 for f in fanins):
         raise CircuitError("fan-ins must be positive")
-    counter = 0
-
-    def build(level: int) -> Node:
-        nonlocal counter
-        if level == depth:
-            leaf = Leaf(counter)
-            counter += 1
-            return leaf
-        children = tuple((yield [build(level + 1) for _ in range(fanins[level])]))
-        # bottom gate level (level == depth-1) is AND; alternate upward
-        is_and = (depth - 1 - level) % 2 == 0
-        return And(children) if is_and else Or(children)
-
-    root = trampoline(build(0))
-    return Circuit(root, counter)
+    n = prod(fanins)
+    nodes = [Leaf(v) for v in range(n)]
+    for level, fanin in enumerate(reversed(fanins)):  # bottom up, the bottom level AND
+        gate = Or if level % 2 else And
+        nodes = [gate(tuple(nodes[i:i + fanin])) for i in range(0, len(nodes), fanin)]
+    return Circuit(nodes[0], n)
 
 
 def gen_random_read_once(

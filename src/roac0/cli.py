@@ -155,16 +155,10 @@ def _jsonable(obj):
         return obj
     if isinstance(obj, Fraction):
         return f"{obj.numerator}/{obj.denominator}"
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, Path):
-        return str(obj)
     return obj
 
 
@@ -602,6 +596,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (CircuitError, ValueError, OSError) as e:  # UsageError is a CircuitError
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except MemoryError:  # e.g. describe's bias vector or fourier's profile at a huge n
+        print("error: out of memory: the input is too large for this machine", file=sys.stderr)
         return 2
 
 

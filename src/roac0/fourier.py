@@ -281,7 +281,7 @@ def level_profile_recursive(c: Circuit, exact: bool = True) -> LevelProfile:
         lambda value: (0, [value], [value]),
         lambda: (0, [1], [1]),
         _profile_absorb,
-        lambda acc, is_and, nand: acc if is_and else _negate_polys(*acc),
+        lambda acc, is_and: acc if is_and else _negate_polys(*acc),
     )
     den = 1 << m
     pad = [0] * (c.n + 1 - len(absL))
@@ -338,7 +338,7 @@ def _damped_fold(c: Circuit, p) -> tuple[int, int, int]:
             f0_c = cu - f0_c
         return u * cu, prod_both * (lp_c + f0_c), prod_f0 * f0_c
 
-    def finish(acc, is_and, nand):
+    def finish(acc, is_and):
         u, prod_both, prod_f0 = acc
         return u, prod_both - prod_f0, prod_f0 if is_and else u - prod_f0
 
@@ -369,15 +369,6 @@ class BoundReport:
     slack: float
     passed: bool
     params: dict = field(default_factory=dict)
-
-    def as_dict(self) -> dict:
-        return {
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "slack": self.slack,
-            "passed": self.passed,
-            "params": dict(self.params),
-        }
 
 
 def check_lp_sandwich(lp: LevelProfile, p) -> BoundReport:

@@ -156,7 +156,7 @@ def _restricted(c: Circuit, free: np.ndarray, x: np.ndarray, size: int, stats: b
             count += _bits(np.array(planes[i:i + 64]), size).sum(axis=0, dtype=np.uint8)
         return count
 
-    def finish(gate, is_and, nand):
+    def finish(gate, is_and):
         if gate is None:
             return const(int(is_and))
         one_out = gate.one
@@ -216,18 +216,6 @@ class CollapseReport:
     trials: int
     passed: bool
     params: dict = field(default_factory=dict)
-
-    def as_dict(self) -> dict:
-        return {
-            "estimate": self.estimate,
-            "ci": [self.ci[0], self.ci[1]],
-            "se": self.se,
-            "rhs": self.rhs,
-            "exact": float(self.exact),
-            "trials": self.trials,
-            "passed": self.passed,
-            "params": dict(self.params),
-        }
 
 
 _BLOCK = 1 << 14  # trials per seeded block
@@ -371,15 +359,6 @@ class SandwichPair:
     eps: Fraction
     gap: Fraction
     source_leaves: int
-
-    def as_dict(self) -> dict:
-        return {
-            "eps": float(self.eps),
-            "gap": float(self.gap),
-            "source_leaves": self.source_leaves,
-            "lower_leaves": self.lower.size,
-            "upper_leaves": self.upper.size,
-        }
 
 
 def _require_nand_form(node: Node) -> None:

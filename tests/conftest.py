@@ -63,4 +63,4 @@ def reference_acceptance(c, q):
         return prod * (acc if is_and else 1 - acc)
 
     return fold(c, leaf, lambda value: value, lambda: 1, absorb,
-                lambda prod, is_and, nand: prod if is_and else 1 - prod)
+                lambda prod, is_and: prod if is_and else 1 - prod)

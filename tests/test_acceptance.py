@@ -174,7 +174,7 @@ def test_criterion_08_sandwich_transfer_inequality():
         nand = to_nand_form(c)
         pair = build_sandwich(nand, Fraction(1, 16))
         rep = check_sandwich_fooling(nand, pair.upper, pair.lower, SmallBiasGen(8, c.n))
-        assert rep.passed, rep.as_dict()
+        assert rep.passed, rep
     _verdict(8, "transfer bound holds exhaustively on 50 sandwiched circuits", t0, 300)
 
 
@@ -184,7 +184,7 @@ def test_criterion_09_collapse_probability_bound_and_identity():
         eps = 1 / (2 * c.n)
         p = boundary_p(c.n, c.depth, eps)
         rep = collapse_probability(c, p, eps, trials=10**5, master_seed=MASTER_SEED + i)
-        assert rep.passed, rep.as_dict()
+        assert rep.passed, rep
     # monotone half: estimator vs the exact two-sided identity; z=4 keeps the
     # family failure odds near 0.1% across the 20 comparisons
     rng = random.Random(MASTER_SEED)

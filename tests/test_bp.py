@@ -92,7 +92,7 @@ def test_input_must_cover_the_read_variables():
 def _run_programs() -> dict:
     conv = bp_from_circuit(gen_random_read_once(8, 3, seed=5))
     rotate = list(range(2, conv.width + 1)) + [1]
-    mask = RestrictionMask.from_strings("10110010", "01101001")
+    mask = RestrictionMask.from_bits([1, 0, 1, 1, 0, 0, 1, 0], [0, 1, 1, 0, 1, 0, 0, 1])
     return {
         "converted": conv,
         "restricted": bp_restrict(conv, mask),

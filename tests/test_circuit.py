@@ -458,6 +458,12 @@ def test_recursive_tribes_matches_tribes():
     a = gen_recursive_tribes(2, [3, 2])
     b = gen_tribes(3, 2)
     assert a.root == b.root
+    assert render(a) == "(or (and x0 x1) (and x2 x3) (and x4 x5))"
+    assert render(gen_recursive_tribes(3, [2, 2, 2])) == \
+        "(and (or (and x0 x1) (and x2 x3)) (or (and x4 x5) (and x6 x7)))"
+    c = gen_recursive_tribes(3, [2, 1, 3])  # a one-child OR level
+    assert render(c) == "(and (or (and x0 x1 x2)) (or (and x3 x4 x5)))"
+    assert (c.n, c.depth) == (6, 3)
 
 
 def test_random_generator_deterministic():

@@ -167,6 +167,21 @@ def test_bad_specs_exit_2_with_the_reason(argv, message, capsys):
     assert f"error: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, module, name", [
+    ("describe", "roac0.cli", "acceptance_probability"),
+    ("fourier", "roac0.fourier", "level_profile_recursive"),
+])
+def test_out_of_memory_exits_2(monkeypatch, capsys, command, module, name):
+    # "(and x0 x4000000000)" runs out of memory for real; here the library
+    # call on a small circuit raises instead, so the test allocates nothing
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(f"{module}.{name}", exhausted)
+    assert run([command, "--circuit", "(and x0 x1)"]) == 2
+    assert "error: out of memory" in capsys.readouterr().err
+
+
 def test_version_flag():
     with pytest.raises(SystemExit) as e:
         run(["--version"])

@@ -26,6 +26,7 @@ from roac0.circuit import RestrictionMask
 from roac0.fourier import WHT_CAP, CapExceeded, level_profile_recursive, total_mass, truth_table
 from roac0.prg import (
     EXHAUSTIVE_SEED_CAP,
+    IRREDUCIBLE_POLY,
     RestrictionPRG,
     SmallBiasGen,
     UniformGen,
@@ -52,6 +53,53 @@ from roac0.prg import (
 
 
 # -- field arithmetic ---------------------------------------------------------
+
+
+def _poly_mod(a: int, f: int) -> int:
+    """a mod f for GF(2) polynomials as ints, bit i = coefficient of x^i."""
+    deg = f.bit_length() - 1
+    while a.bit_length() - 1 >= deg:
+        a ^= f << (a.bit_length() - 1 - deg)
+    return a
+
+
+def _x_power_of_two(f: int, k: int) -> int:
+    """x^(2^k) mod f, by k squarings of x."""
+    y = 0b10
+    for _ in range(k):
+        square, a, b = 0, y, y
+        while b:
+            if b & 1:
+                square ^= a
+            a, b = a << 1, b >> 1
+        y = _poly_mod(square, f)
+    return y
+
+
+def _is_irreducible(f: int) -> bool:
+    """Rabin's test: f of degree n is irreducible iff x^(2^n) = x mod f and
+    gcd(f, x^(2^(n/q)) - x) = 1 for every prime q dividing n."""
+    n = f.bit_length() - 1
+    if _x_power_of_two(f, n) != 0b10:
+        return False
+    for q in (q for q in range(2, n + 1) if n % q == 0 and all(q % r for r in range(2, q))):
+        a, b = f, _x_power_of_two(f, n // q) ^ 0b10
+        while b:
+            a, b = b, _poly_mod(a, b)
+        if a != 1:
+            return False
+    return True
+
+
+def test_field_table_holds_the_least_irreducible_polynomial_of_each_degree():
+    # Rabin's test first finds the known number of irreducibles of each degree 2..8
+    assert [sum(map(_is_irreducible, range(1 << ell, 2 << ell))) for ell in range(2, 9)] == \
+        [1, 2, 3, 6, 9, 18, 30]
+    assert sorted(IRREDUCIBLE_POLY) == list(range(2, 65))
+    for ell, poly in IRREDUCIBLE_POLY.items():
+        assert poly.bit_length() - 1 == ell
+        assert _is_irreducible(poly)
+        assert not any(map(_is_irreducible, range(1 << ell, poly)))
 
 
 def test_field_multiplication_known_inverse_pair():

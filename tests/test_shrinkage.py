@@ -93,7 +93,7 @@ def uint8_restricted(c, free, x, stats=False):
         s = np.full(trials, value, dtype=np.int8)
         return (s, zeros, zeros) if stats else s
 
-    def finish(children, is_and, nand):
+    def finish(children, is_and):
         hit = 0 if is_and else 1
         absorbed = np.zeros(trials, dtype=bool)
         alive = np.zeros(trials, dtype=np.int32 if stats else bool)
@@ -109,10 +109,7 @@ def uint8_restricted(c, free, x, stats=False):
         for _, ch_leaves, ch_fan in children:
             leaves += ch_leaves
             np.maximum(fan, ch_fan, out=fan)
-        own = np.where(alive >= 2, alive, 0)
-        if nand:
-            own[(alive == 1) & (leaves >= 2)] = 1
-        np.maximum(fan, own, out=fan)
+        np.maximum(fan, np.where(alive >= 2, alive, 0), out=fan)
         dead = state != _ALIVE
         leaves[dead] = 0
         fan[dead] = 0
@@ -291,8 +288,7 @@ def test_collapse_bound_holds_at_legal_p():
     assert isinstance(rep, CollapseReport)
     assert rep.passed
     assert rep.rhs >= 2 * 0.1
-    d = rep.as_dict()
-    assert d["trials"] == 2000 and 0 <= d["estimate"] <= 1
+    assert rep.trials == 2000 and 0 <= rep.estimate <= 1
 
 
 def test_exact_identity_against_brute_force():
@@ -358,8 +354,7 @@ def test_sandwich_wide_or_prunes_to_exact_gap():
     pair = build_sandwich(c, Fraction(1, 16))
     assert isinstance(pair.upper.root, Const) and pair.upper.root.value == 1
     assert pair.gap == Fraction(1, 16)
-    d = pair.as_dict()
-    assert d["lower_leaves"] == 4 and d["source_leaves"] == 6
+    assert pair.lower.size == 4 and pair.source_leaves == 6
     tt_c, tt_lo = truth_table(c), truth_table(pair.lower)
     assert np.all(tt_lo <= tt_c)
 
@@ -380,9 +375,8 @@ def test_sandwich_random_battery():
         assert np.all(tt_lo <= tt) and np.all(tt <= tt_up)
         assert sandwich_condition_violations(pair.lower, eps) == []
         assert sandwich_condition_violations(pair.upper, eps) == []
-        d = pair.as_dict()
-        assert d["lower_leaves"] <= d["source_leaves"]
-        assert d["upper_leaves"] <= d["source_leaves"]
+        assert pair.lower.size <= pair.source_leaves
+        assert pair.upper.size <= pair.source_leaves
         uni = BiasVector.uniform(c.n)
         gap = acceptance_probability(pair.upper, uni) - acceptance_probability(
             pair.lower, uni

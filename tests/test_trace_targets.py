@@ -1,6 +1,7 @@
 """The benchmark's hooks into roac0 exist: the tracer's wrap targets, so a
 traced run wraps every span, and the caches a pass clears before each step.
-Every name a module imports is read there, or kept only for the tracer."""
+Every name a module imports is read there, or kept only for the tracer, and
+every private module-level function or class is used by other library code."""
 
 import ast
 import importlib
@@ -77,3 +78,27 @@ def test_every_import_is_read_or_traced():
                     unread.append(f"{module}.{name}")
     assert not unread
     assert not unwrapped
+
+
+def test_every_private_definition_is_used():
+    # a private helper that no library line outside its own body names is
+    # dead, or kept only for the tests
+    uses = []  # (name, file, line) of every name read, attribute read or name imported
+    defs = []  # (name, file, first line, last line) of the private module-level defs
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                uses.append((node.id, path, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                uses.append((node.attr, path, node.lineno))
+            elif isinstance(node, ast.ImportFrom):
+                uses.extend((alias.name, path, node.lineno) for alias in node.names)
+        defs.extend((node.name, path, node.lineno, node.end_lineno) for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") and not node.name.startswith("__"))
+    assert defs
+    unused = [f"{path.stem}.{name}" for name, path, first, last in defs
+              if not any(used == name and (where != path or not first <= line <= last)
+                         for used, where, line in uses)]
+    assert not unused
