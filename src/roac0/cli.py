@@ -207,8 +207,12 @@ class Reporter:
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(header)
-        # every cell is an int, float, bool or str; an array's rows become Python ints
-        w.writerows(rows.tolist() if isinstance(rows, np.ndarray) else rows)
+        if isinstance(rows, np.ndarray) and rows.dtype.kind in "iu":
+            # one format string for the whole table: csv.writer's bytes for int cells
+            line = ",".join(["%d"] * rows.shape[1]) + "\n"
+            buf.write(line * len(rows) % tuple(rows.ravel().tolist()))
+        else:
+            w.writerows(rows)  # every cell is an int, float, bool or str
         self._payloads.append((name, buf.getvalue()))
 
     def finish(self) -> int:

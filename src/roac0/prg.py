@@ -13,11 +13,14 @@ round) and takes its value from the assignment string.  A final block fixes
 whatever survives every round, so expansion always covers all n positions.
 
 Batched expansion uses that a block's output is GF(2)-linear in beta: up to
-ell = 10 two gathers from ``_block_table``, above that a power chain.  The
-restriction expander expands all blocks of one kind at once and folds them
-as arrays: a round fixes what its selections pick and no earlier round took
-(a prefix OR over the rounds).  Monte Carlo and exhaustive restriction
-sweeps both run this batched path.
+ell = 10 two gathers from ``_block_table``, above that a power chain.  Every
+batched field computation runs in the narrowest unsigned dtype that holds
+ell bits (``_field_dtype``: uint8 up to ell = 8, uint16 up to 16, uint32 up
+to 32, uint64 above); what leaves the field (power rows, output words) is
+int64.  The restriction expander expands all blocks of one kind at once and
+folds them as arrays: a round fixes what its selections pick and no earlier
+round took (a prefix OR over the rounds).  Monte Carlo and exhaustive
+restriction sweeps both run this batched path.
 
 Small-bias root counts and exhaustive fooling counts run over 2^16-entry
 slices, so beside the truth table neither holds anything of size 2^n.
@@ -134,15 +137,25 @@ def gf_mul(a: int, b: int, ell: int) -> int:
     return r
 
 
+def _field_dtype(ell: int) -> type:
+    """The narrowest unsigned dtype that holds an ell-bit field element."""
+    return next(t for t in (np.uint8, np.uint16, np.uint32, np.uint64) if ell <= np.iinfo(t).bits)
+
+
 def _gf_shifts(a: np.ndarray, ell: int) -> list:
-    """[a * x^j for j < ell], elementwise over a uint64 array of field elements."""
-    poly = np.uint64(IRREDUCIBLE_POLY[ell] ^ (1 << ell))
-    low = np.uint64((1 << (ell - 1)) - 1)
-    top = np.uint64(ell - 1)
+    """[a * x^j for j < ell], elementwise over an array of field elements.
+
+    The arithmetic runs in a's dtype, ``_field_dtype(ell)`` on every batched
+    path (any unsigned dtype of at least ell bits gives the same values).
+    """
+    dt = a.dtype.type
+    poly = dt(IRREDUCIBLE_POLY[ell] ^ (1 << ell))
+    low = dt((1 << (ell - 1)) - 1)
+    top, one = dt(ell - 1), dt(1)
     shifts = [a]
     for _ in range(ell - 1):
         # clear the top bit before the shift (so ell = 64 fits), fold it back in
-        a = ((a & low) << np.uint64(1)) ^ (poly * (a >> top))
+        a = ((a & low) << one) ^ (poly * (a >> top))
         shifts.append(a)
     return shifts
 
@@ -151,20 +164,21 @@ def _gf_mul_many(shifts: list, b: np.ndarray) -> np.ndarray:
     """Elementwise gf_mul(a, b): the XOR of a * x^j over the set bits j of b.
 
     ``shifts`` is ``_gf_shifts(a, ell)``, so a power chain with a fixed
-    factor shifts it once.
+    factor shifts it once; b has the same dtype as a.
     """
-    r = np.zeros(b.shape, dtype=np.uint64)
-    bit = np.empty(b.shape, dtype=np.uint64)
+    dt = b.dtype.type
+    r = np.zeros(b.shape, dtype=dt)
+    bit = np.empty(b.shape, dtype=dt)
     for j, aj in enumerate(shifts):
-        np.right_shift(b, np.uint64(j), out=bit)
-        bit &= np.uint64(1)
+        np.right_shift(b, dt(j), out=bit)
+        bit &= dt(1)
         bit *= aj
         r ^= bit
     return r
 
 
 def _gf_powers(alpha: np.ndarray, ell: int, n: int) -> Iterator[np.ndarray]:
-    """alpha^1, ..., alpha^n, elementwise over a uint64 array."""
+    """alpha^1, ..., alpha^n, elementwise in alpha's dtype."""
     shifts = _gf_shifts(alpha, ell)
     p = alpha
     for i in range(n):
@@ -176,8 +190,8 @@ def _gf_powers(alpha: np.ndarray, ell: int, n: int) -> Iterator[np.ndarray]:
 @lru_cache(maxsize=32)
 def _alpha_power_rows(ell: int, n: int) -> np.ndarray:
     """rows[alpha, i] = coefficient mask of alpha^(i+1), as int64."""
-    alphas = np.arange(1 << ell, dtype=np.uint64)
-    rows = np.stack(list(_gf_powers(alphas, ell, n)), axis=1).view(np.int64)
+    alphas = np.arange(1 << ell, dtype=_field_dtype(ell))
+    rows = np.stack(list(_gf_powers(alphas, ell, n)), axis=1).astype(np.int64)
     rows.setflags(write=False)
     return rows
 
@@ -196,7 +210,7 @@ def _frobenius_orbits(ell: int) -> tuple:
 
     The size d is also the degree of the smallest subfield holding alpha.
     """
-    alphas = np.arange(1, 1 << ell, dtype=np.uint64)
+    alphas = np.arange(1, 1 << ell, dtype=_field_dtype(ell))
     degree = np.zeros(alphas.shape, dtype=np.int64)
     least = alphas.copy()
     x = alphas
@@ -242,7 +256,8 @@ def _fields(seeds: np.ndarray, offsets, width: int) -> np.ndarray:
     read as 64-bit words (the row zero-padded to whole words), so a field of
     up to 64 bits lies in the word holding its first bit and the next one.
     Gathers past the row's end repeat its last word, whose bits land above
-    the field and are masked off.
+    the field and are masked off.  The power chain narrows its alpha and beta
+    fields to ``_field_dtype(ell)``.
     """
     offsets = np.asarray(offsets, dtype=np.int64)
     words = np.pad(seeds, ((0, 0), (0, -seeds.shape[1] % 8))).view("<u8").T
@@ -279,16 +294,28 @@ def _expand_fields(seeds: np.ndarray, ell: int, n: int, offsets) -> np.ndarray:
     """SmallBiasGen(ell, n) outputs of the blocks at each offset, (offsets, rows) int64.
 
     Up to ell = 10 a block is two gathers, T_0 at alpha and the low half of
-    beta, T_1 at alpha and the high half; above that a table build costs
-    more than a batch's power chain.
+    beta, T_1 at alpha and the high half; above that a power chain in
+    ``_field_dtype(ell)``.  Table build and gathers against the chain, caches
+    cold, at n = 20 in ms (min of 31, one run on a 2-core x86-64, numpy 2.4;
+    49 blocks per seed is the RestrictionPRG(16, a=1, rounds=24) layout):
+
+        blocks x seeds   ell = 8      10           11           12
+        1 x 400          0.68 / 0.59  2.29 / 1.22  5.57 / 1.36  9.78 / 1.49
+        1 x 10,000       0.80 / 1.21  2.51 / 2.36  5.74 / 2.88  10.6 / 3.07
+        49 x 400         1.42 / 2.81  2.54 / 4.08  3.49 / 3.86  4.31 / 3.32
+        49 x 10,000      15.2 / 80.4  15.6 / 111   16.1 / 99.6  17.7 / 108
+
+    Moving the cut down to 9 loses at both batch sizes on 49 blocks, and up
+    to 11 loses at both on one block, so it stays at 10.
     """
     if ell <= 10:
         fields = _fields(seeds, offsets, 2 * ell).view(np.int64)
         low = ell + (ell + 1) // 2  # alpha and the low half of beta: T_0's index
         t0, t1 = _block_table(ell, n)
         return t0[fields & ((1 << low) - 1)] ^ t1[(fields >> low << ell) | (fields & ((1 << ell) - 1))]
-    alpha = _fields(seeds, offsets, ell)
-    beta = _fields(seeds, np.add(offsets, ell), ell)
+    dt = _field_dtype(ell)
+    alpha = _fields(seeds, offsets, ell).astype(dt, copy=False)
+    beta = _fields(seeds, np.add(offsets, ell), ell).astype(dt, copy=False)
     out = np.zeros(alpha.shape, dtype=np.uint64)
     for i, p in enumerate(_gf_powers(alpha, ell, n)):
         out |= (np.bitwise_count(p & beta) & 1).astype(np.uint64) << np.uint64(i)
@@ -366,24 +393,29 @@ class SmallBiasGen:
         # of alpha share its S, and one of them stands for all d.  The S run
         # in slices of 2^w: a slice takes 2^(w - d) consecutive high parts of
         # each degree, a span table over their low w - d bits XOR one base
-        # from the slice index, counted by one bincount (d < w, as d < n and
-        # d divides an ell of at most 13 under the seed cap).
+        # from the slice index (d < w, as d < n and d divides an ell of at
+        # most 13 under the seed cap).  The roots of every degree share one
+        # buffer, counted by one bincount weighted by d; its float64 counts
+        # are exact below 2^53.
         alphas, degree = _frobenius_orbits(self.ell)
-        powers = np.stack(list(_gf_powers(alphas, self.ell, self.n)), axis=1).view(np.int64)
+        powers = np.stack(list(_gf_powers(alphas, self.ell, self.n)), axis=1).astype(np.int64)
         w, spans, best = min(16, self.n), [], 0
         for d in np.unique(degree).tolist():
             if d < self.n:
                 coords = _power_coords(powers[degree == d], d)
                 offsets = (np.arange(1 << (w - d), dtype=np.int64) << d)[:, None]
                 spans.append((d, _xor_span(coords[:, : w - d].T) | offsets, coords[:, w - d :]))
+        size = sum(low.size for _, low, _ in spans)
+        roots, weights, parts, at = np.empty(size, dtype=np.int64), np.empty(size), [], 0
+        for d, low, rest in spans:
+            weights[at : at + low.size] = d
+            parts.append((roots[at : at + low.size].reshape(low.shape), low, rest))
+            at += low.size
         for s in range(1 << (self.n - w)):
             high = ((s >> np.arange(self.n - w)) & 1).astype(bool)
-            counts = np.zeros(1 << w, dtype=np.int64)
-            for d, low, rest in spans:
-                part = np.bincount((low ^ np.bitwise_xor.reduce(rest[:, high], axis=1)).ravel(),
-                                   minlength=1 << w)
-                part *= d
-                counts += part
+            for root, low, rest in parts:
+                np.bitwise_xor(low, np.bitwise_xor.reduce(rest[:, high], axis=1), out=root)
+            counts = np.bincount(roots, weights, minlength=1 << w)
             best = max(best, int(counts[1 if s == 0 else 0 :].max()))  # nonzero S only
         return Fraction(best + 1, 1 << self.ell)
 

@@ -317,14 +317,19 @@ def test_add_csv_matches_per_cell_writer(tmp_path):
         (4, 255, 0.1, True, 0, float("inf"), "p"),
         [2**80, 0, float("nan"), bool(0), 10**20, -0.0, ""],
     ]
-    # a 2-D integer array takes the whole-array path
+    # a 2-D integer array takes the whole-array path, also with one row or none
     table = np.array([[-1, 2**31, -2**63], [0, 2**31 - 1, 2**63 - 1], [-2**31 - 1, 7, 2**40]],
                      dtype=np.int64)
     rep = Reporter(argparse.Namespace(command="test", out=str(tmp_path)))
     rep.add_csv("t.csv", header, rows)
     rep.add_csv("a.csv", header[:3], table)
+    rep.add_csv("one.csv", header[:3], table[1:2])
+    rep.add_csv("none.csv", header[:3], table[:0])
+    rep.add_csv("u.csv", header[:2], np.array([[0, 255], [7, 1]], dtype=np.uint8))
     assert rep.finish() == 0
-    for name, head, body in (("t.csv", header, rows), ("a.csv", header[:3], table.tolist())):
+    for name, head, body in (("t.csv", header, rows), ("a.csv", header[:3], table.tolist()),
+                             ("one.csv", header[:3], table[1:2].tolist()),
+                             ("none.csv", header[:3], []), ("u.csv", header[:2], [[0, 255], [7, 1]])):
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(head)

@@ -45,6 +45,7 @@ from roac0.prg import (
     _block_table,
     _distribution_cached,
     _expand_fields,
+    _field_dtype,
     _gf_mul_many,
     _gf_shifts,
     _seed_bytes,
@@ -126,13 +127,20 @@ def test_field_no_zero_divisors_small():
             assert gf_mul(a, b, 4) != 0
 
 
-@pytest.mark.parametrize("ell", [2, 3, 12, 13, 31, 32, 63, 64])
+@pytest.mark.parametrize("ell", [2, 3, 8, 9, 12, 13, 16, 17, 31, 32, 33, 63, 64])
 def test_batched_field_multiplication_matches_scalar(ell):
+    # in the narrowest dtype (8, 9, 16, 17, 32, 33 sit on its boundaries) and in uint64
+    bits = np.iinfo(_field_dtype(ell)).bits
+    assert ell <= bits and (bits == 8 or 2 * ell > bits)
     rng = random.Random(ell)
     a = [rng.getrandbits(ell) for _ in range(300)] + [(1 << ell) - 1, 1, 0]
     b = [rng.getrandbits(ell) for _ in range(300)] + [(1 << ell) - 1, 0, 1]
-    got = _gf_mul_many(_gf_shifts(np.array(a, dtype=np.uint64), ell), np.array(b, dtype=np.uint64))
-    assert got.tolist() == [gf_mul(x, y, ell) for x, y in zip(a, b)]
+    want = [gf_mul(x, y, ell) for x, y in zip(a, b)]
+    for dtype in (_field_dtype(ell), np.uint64):
+        shifts = _gf_shifts(np.array(a, dtype=dtype), ell)
+        got = _gf_mul_many(shifts, np.array(b, dtype=dtype))
+        assert {x.dtype for x in shifts} == {got.dtype} == {np.dtype(dtype)}
+        assert got.tolist() == want
 
 
 # -- small-bias expansion -----------------------------------------------------
@@ -212,11 +220,12 @@ def test_batched_expansion_refuses_outputs_past_one_word(n):
             gen._expand_seeds(draws)
 
 
-@pytest.mark.parametrize("ell", range(2, 13))  # two gathers up to ell = 10, the power chain above
+# two gathers up to ell = 10, the power chain above: uint16 up to 16, uint32 at 17
+@pytest.mark.parametrize("ell", [*range(2, 13), 16, 17])
 def test_expand_fields_matches_scalar_expand(ell):
     rng = np.random.default_rng(ell)
-    seeds = rng.integers(0, 256, size=(30, 9), dtype=np.uint8)
-    offsets = [0, 3, 13, 45]  # 45 + 2 * 12 <= 72 bits per row
+    seeds = rng.integers(0, 256, size=(30, 11), dtype=np.uint8)
+    offsets = [0, 3, 13, 45]  # 45 + 2 * 17 <= 88 bits per row
     mask = (1 << (2 * ell)) - 1
     for n in (1, 7, 16, 63, 64):
         got = _expand_fields(seeds, ell, n, offsets).view(np.uint64).T
