@@ -10,14 +10,15 @@ the fold carries two word planes per node (alive, and constant 1), so a
 gate costs a few word operations per child for 64 trials at once.  The
 fold streams: a gate takes in each child as soon as it is done and keeps
 only its alive plane, so memory does not grow with fan-in beyond a bit
-per child and trial.  The seeded draw stream is fixed: block b of
-``master_seed`` draws all its uniforms, trial-major, then all its bits, so
-every hit count and size reproduces for a given seed whatever the
-packing.  The bits are the top bits of the raw PCG64 output bytes, chunk by
-chunk: that is the stream of ``rng.integers(0, 2, uint8)``, without its
-trials x n byte array.  Each chunk's comparisons (u < p, byte >= 128) are
-written straight into a packing buffer, 8 trials are ORed into each byte
-on uint64 lanes, and only the packed bytes are transposed.
+per child and trial.  The seeded draw stream is fixed, so every hit count
+and size reproduces for a given seed: block b of ``master_seed`` draws raw
+PCG64 words, variable-major, as one selector byte per position, then one
+word per tie, then the rows of x as they stand.  A position is free when
+its byte over a 45-bit tail, a 53-bit uniform u, is below T = ceil(p 2^53).
+Only a byte equal to T's top byte leaves that open, and only such a tie
+draws its tail, so each position is free with probability T / 2^53
+exactly, from about a byte of generator output.  The comparisons pack
+straight into word rows, with no transpose.
 
 The sandwich builder works on NAND-form circuits.  Writing rej(f) for
 Pr[f = 0], a NAND node rejects exactly when every child accepts, so child
@@ -220,81 +221,66 @@ class CollapseReport:
 
 _BLOCK = 1 << 14  # trials per seeded block
 SHRINK_TRIALS_CAP = 1 << 22  # a shrink run keeps about 225 B per trial, 0.95 GB at the cap
-_CHUNK = 1 << 16  # draws per chunk, so a chunk's buffers stay in cache
-_LANE_SHIFTS = np.arange(8, dtype=_WORD)[:, None, None]
-
-
-def _chunk_rows(n: int) -> int:
-    """Trials per chunk of draws: a multiple of 64, about ``_CHUNK`` draws."""
-    return max(64, _CHUNK // max(n, 1) // 64 * 64)
-
-
-def _pack_trials(words: np.ndarray, op, src: np.ndarray, arg, start: int) -> None:
-    """Pack the comparison ``op(src, arg)``, trial-major for trials ``start..``, into word rows.
-
-    ``op`` writes trial 8g + k to row g of plane k; read as uint64 lanes,
-    each plane shifts left by its index and the planes OR into 8 trials per
-    byte.  Only those packed bytes are transposed, 8x less data than the
-    chunk, whose own byte transpose is slow at power-of-two row strides.
-    """
-    n = len(words)
-    size = len(src)
-    dest = words.view(np.uint8)[:, start // 8:(start + size + 7) // 8]
-    full = size // 8
-    planes = np.empty((8, dest.shape[1], -(-n // 8) * 8), np.bool_)
-    op(src[:full * 8].reshape(full, 8, n), arg, out=planes[:, :full, :n].transpose(1, 0, 2))
-    if full < dest.shape[1]:  # a last chunk that ends inside a byte
-        planes[:, full] = 0
-        op(src[full * 8:], arg, out=planes[:size - full * 8, full, :n])
-    # bytes past n hold garbage; a shift carries it only into higher pad bytes
-    lanes = planes.view(_WORD)
-    lanes <<= _LANE_SHIFTS
-    dest[...] = np.bitwise_or.reduce(lanes, axis=0).view(np.uint8)[:, :n].T
+_SELECT_BYTES = 1 << 18  # selector bytes compared per chunk of variables
 
 
 def _restriction_blocks(n: int, p: float, trials: int, master_seed: int) -> Iterator:
     """(size, free, x) per block of up to ``_BLOCK`` trials.
 
-    Block b draws from ``default_rng(SeedSequence([master_seed, b]))`` the
-    uniforms of ``rng.random((size, n))``, trial-major, then the bits of
-    ``rng.integers(0, 2, (size, n), uint8)``; a position is free when its
-    uniform is below p.  The uniforms are filled :func:`_chunk_rows` trials
-    at a time, which is the same stream without the whole float array.  The
-    bits come from ``rng.bit_generator.random_raw`` one chunk at a time: a
-    bit is bit 7 of one little-endian byte of the raw 64-bit words, in
-    order, so it is set when the byte is at least 128.  That is what
-    ``integers`` draws for PCG64, because numpy's bounded draw for range 2
-    has rejection threshold 0 and reads the bytes of buffered 32-bit words
-    low half first.  :func:`_pack_trials` writes each chunk's comparisons
-    straight into its packing buffer, 8 trials to a byte on uint64 lanes.
     Both come back variable-major and packed along the trial axis, as
-    (n, ceil(size / 64)) arrays of little-endian uint64 words with zero pad
-    bits.
+    (n, W) arrays of little-endian uint64 words, W = ceil(size / 64), with
+    zero pad bits.  Block b draws raw 64-bit words from
+    ``PCG64(SeedSequence([master_seed, b]))``, read as little-endian bytes:
+
+    1. n W 8 words of selector bytes, an (n, 64 W) byte array whose byte j
+       of row v belongs to variable v in trial j, pad trials included;
+    2. one tie word per selector byte equal to ``top`` (below), in flat
+       index order;
+    3. n W words, the rows of x as they stand.
+
+    A position is free when the 53-bit uniform u made of its selector byte
+    over a 45-bit tail is below T = ceil(p 2^53): u / 2^53 < p exactly when
+    u < T, as u is an integer.  With T = top 2^45 + rest and rest < 2^45, a
+    byte below ``top`` is free whatever the tail, a byte above it is fixed,
+    and only a tie, a byte equal to ``top``, reads its tail: the top 45 bits
+    of its tie word, free when below ``rest``.  So each position is free
+    independently with probability top / 256 + rest / 2^53 = T / 2^53, and
+    x is independent of the mask.  At p = 1, T = 2^53 would make ``top``
+    256, which no byte reaches; it is 255 instead, with ``rest`` 2^45, so
+    every tie is free as well, and the selector bytes and tie words are
+    drawn as for any other p.
+
+    The selector bytes are compared about ``_SELECT_BYTES`` at a time, a
+    chunk of whole variables, so memory stays bounded; the chunk does not
+    enter the stream.  A byte-level ``bitwise_or.at`` sets the freed ties,
+    since two of them can share a byte.
     """
-    # Draws are multiples of 2^-53, so u < p exactly when u < ceil(p 2^53) 2^-53,
-    # a float threshold even for a Fraction p.
-    threshold = ceil(Fraction(p) * 2**53) / 2**53
-    rows = _chunk_rows(n)
-    done = 0
-    b = 0
-    while done < trials:
-        size = min(_BLOCK, trials - done)
-        rng = np.random.default_rng(np.random.SeedSequence([master_seed, b]))
-        free = np.zeros((n, -(-size // 64)), dtype=_WORD)
-        x = np.zeros_like(free)
-        buf = np.empty((min(rows, size), n))
-        for start in range(0, size, rows):
-            chunk = buf[:min(rows, size - start)]
-            rng.random(out=chunk)
-            _pack_trials(free, np.less, chunk, threshold, start)
-        for start in range(0, size, rows):
-            # only the last chunk can end inside a word, and nothing is drawn after it
-            count = min(rows, size - start) * n
-            raw = rng.bit_generator.random_raw(-(-count // 8)).astype("<u8", copy=False)
-            _pack_trials(x, np.greater_equal, raw.view(np.uint8)[:count].reshape(-1, n), 128, start)
+    t = ceil(Fraction(p) * 2**53)
+    top = min(t >> 45, 255)
+    rest = t - (top << 45)
+    for b, start in enumerate(range(0, trials, _BLOCK)):
+        size = min(_BLOCK, trials - start)
+        words = -(-size // 64)
+        bg = np.random.PCG64(np.random.SeedSequence([master_seed, b]))
+        free = np.empty((n, words), dtype=_WORD)
+        mask = free.view(np.uint8)
+        step = max(1, _SELECT_BYTES // (64 * words))  # variables per chunk
+        ties = []
+        for v in range(0, n, step):
+            rows = min(step, n - v)
+            raw = bg.random_raw(rows * words * 8).astype(_WORD, copy=False)
+            sel = raw.view(np.uint8).reshape(rows, 64 * words)
+            mask[v:v + rows] = np.packbits(sel < top, axis=1, bitorder="little")
+            ties.append(np.flatnonzero(sel == top) + v * 64 * words)
+        ties = np.concatenate(ties)
+        won = ties[bg.random_raw(len(ties)) >> 19 < rest]
+        np.bitwise_or.at(mask.reshape(-1), won >> 3, (1 << (won & 7)).astype(np.uint8))
+        x = bg.random_raw(n * words).astype(_WORD, copy=False).reshape(n, words)
+        if size % 64:
+            pad = _WORD.type((1 << size % 64) - 1)
+            free[:, -1] &= pad
+            x[:, -1] &= pad
         yield size, free, x
-        done += size
-        b += 1
 
 
 def collapse_probability(

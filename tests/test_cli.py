@@ -273,8 +273,8 @@ def test_shrink_data_files_pinned(tmp_path):
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in ("shrink.json", "sizes.csv")}
     assert digests == {
-        "shrink.json": "474c131981252c9c7a05913e7271d8d3471bbafd5292e8900399be6c85bdbbd8",
-        "sizes.csv": "36195e2547520f04ee394178610716feea243ec70458d1ec8b245c192abcac9b",
+        "shrink.json": "95bdab371b878cbd98b2e4142b49e3903a2e5b63e997f8cd151bf2809c4e9072",
+        "sizes.csv": "dec19a6c04ccf6b474b415b9a8f8f1776bf5bf966df2d30a0ef9b109e500e3a8",
     }
 
 

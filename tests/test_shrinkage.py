@@ -44,8 +44,8 @@ from roac0.fourier import CapExceeded, check_mainbound, growth_factor, truth_tab
 from roac0.shrinkage import (
     _BLOCK,
     SHRINK_TRIALS_CAP,
+    _SELECT_BYTES,
     CollapseReport,
-    _chunk_rows,
     _exact_nonconstant_probability,
     _restricted,
     _restriction_blocks,
@@ -60,15 +60,35 @@ from roac0.shrinkage import (
 _ALIVE = 2
 
 
+def split_threshold(p):
+    """(top, rest) of T = ceil(p 2^53) = top 2^45 + rest; at p = 1 top is 255."""
+    t = ceil(Fraction(p) * 2**53)
+    top = min(t >> 45, 255)
+    return top, t - (top << 45)
+
+
+def reference_stream(n, p, size, master_seed, b):
+    """Block b's draws, each whole: the (n, 64 W) selector bytes, the flat
+    indices of the ties, their 45-bit tails, and the (n, W) x words."""
+    words = -(-size // 64)
+    bg = np.random.PCG64(np.random.SeedSequence([master_seed, b]))
+    sel = bg.random_raw(n * words * 8).astype("<u8").view(np.uint8).reshape(n, 64 * words)
+    ties = np.flatnonzero(sel == split_threshold(p)[0])
+    tails = bg.random_raw(len(ties)) >> 19
+    x = bg.random_raw(n * words).astype("<u8").reshape(n, words)
+    return sel, ties, tails, x
+
+
 def reference_blocks(n, p, trials, master_seed):
-    """Trial-major (free, x) per block: each drawn whole, then the bits."""
-    threshold = ceil(Fraction(p) * 2**53) / 2**53
+    """Trial-major (free, x) per block, from its whole draws."""
+    top, rest = split_threshold(p)
     for b, start in enumerate(range(0, trials, _BLOCK)):
         size = min(_BLOCK, trials - start)
-        rng = np.random.default_rng(np.random.SeedSequence([master_seed, b]))
-        free = rng.random((size, n)) < threshold
-        x = rng.integers(0, 2, (size, n), dtype=np.uint8)
-        yield free, x
+        sel, ties, tails, x = reference_stream(n, p, size, master_seed, b)
+        free = (sel < top).ravel()
+        free[ties] = tails < rest
+        bits = np.unpackbits(x.view(np.uint8), axis=1, bitorder="little")
+        yield free.reshape(n, -1)[:, :size].T, bits[:, :size].T
 
 
 def trial_major(words, size):
@@ -178,54 +198,71 @@ def test_collapse_fraction_p_draws_like_its_float():
 
 
 def test_restriction_free_mask_is_exact_comparison_with_p():
-    p = Fraction(1, 3)
-    (size, free, _), = _restriction_blocks(8, p, 500, 9)
-    rng = np.random.default_rng(np.random.SeedSequence([9, 0]))
-    draws = rng.random((500, 8))
-    assert size == 500
-    assert trial_major(free, size).astype(bool).tolist() == [
-        [Fraction(u) < p for u in row] for row in draws.tolist()
-    ]
+    # a position is free when u / 2^53 < p for the 53-bit uniform u, its
+    # selector byte over a 45-bit tail: a tie reads the tail of its tie word,
+    # and a non-tie gets the drawn answer whatever its tail
+    n, trials, seed = 64, 1000, 9
+    for p in (Fraction(1, 3), 0.3, Fraction(1, 256), Fraction(1, 2**60), 1 - Fraction(1, 2**53)):
+        (size, free, _), = _restriction_blocks(n, p, trials, seed)
+        sel, ties, tails, _ = reference_stream(n, p, size, seed, 0)
+        byte = sel.ravel()
+        drawn = np.unpackbits(free.view(np.uint8), bitorder="little").astype(bool)
+        real = np.arange(byte.size) % sel.shape[1] < size
+        fixed = real.copy()
+        fixed[ties] = False
+        for tail in (0, 2**45 - 1):
+            answer = np.array([Fraction((b << 45) + tail, 2**53) < p for b in range(256)])
+            assert np.array_equal(drawn[fixed], answer[byte[fixed]]), (p, tail)
+        real_ties = 0
+        for f, tail in zip(ties.tolist(), tails.tolist()):
+            if real[f]:
+                real_ties += 1
+                assert drawn[f] == (Fraction((int(byte[f]) << 45) + tail, 2**53) < p), (p, f)
+        assert real_ties > 100
+        assert not drawn[~real].any()
 
 
-def _stream_trials(n):
-    rows = _chunk_rows(n)
-    return (1, 63, 65, 2 * rows + 5, _BLOCK + 3)
-
-
-# n = 1, 2, 7 and 300 end the last chunk of some block at each byte 1..7 of a
-# raw 64-bit word; n = 1024 runs several chunks and two blocks.  Every n packs
-# on uint64 lanes: at n = 1, 2 and 7 most bytes of each lane are pad past n,
-# and n = 64, 512 and 1024 have power-of-two row strides
+# n = 1024 at _BLOCK + 3 trials compares its selector bytes in more than one
+# chunk of variables and runs two blocks; trial counts that are not
+# multiples of 64 pad the last word; n = 7 at p = 0.3 and _BLOCK + 3 trials
+# has bytes that hold two freed ties
 _STREAM_NS = [1, 2, 7, 64, 300, 512, 1024]
+_STREAM_TRIALS = (1, 63, 65, _BLOCK + 3)
+_STREAM_PS = (0, 0.3, 1)
+_STREAM_SEED = 17
 
 
-def test_stream_cases_end_inside_words_at_every_offset():
-    ends = set()
-    for n in _STREAM_NS:
-        rows = _chunk_rows(n)
-        for trials in _stream_trials(n):
-            for start in range(0, trials, _BLOCK):
-                size = min(_BLOCK, trials - start)
-                ends.add((size - (size - 1) // rows * rows) * n % 8)
-    assert ends == set(range(8))
+def test_stream_cases_cover_pads_chunks_blocks_and_shared_ties():
+    assert {0, 1} <= set(_STREAM_PS)
+    assert any(trials % 64 for trials in _STREAM_TRIALS)
+    assert max(_STREAM_TRIALS) > _BLOCK
+    assert max(_STREAM_NS) > _SELECT_BYTES // _BLOCK  # variables per chunk of a full block
+    shared = 0
+    _, rest = split_threshold(0.3)
+    for b, size in enumerate((_BLOCK, 3)):
+        _, ties, tails, _ = reference_stream(7, 0.3, size, _STREAM_SEED, b)
+        freed = ties[tails < rest]
+        shared += int((np.bincount(freed >> 3) >= 2).sum())
+    assert shared > 0
 
 
 @pytest.mark.parametrize("n", _STREAM_NS)
 def test_restriction_blocks_are_the_whole_draws_transposed(n):
-    for trials in _stream_trials(n):
-        blocks = list(_restriction_blocks(n, 0.3, trials, 17))
-        want = list(reference_blocks(n, 0.3, trials, 17))
-        assert len(blocks) == len(want)
-        for (size, free, x), (ref_free, ref_x) in zip(blocks, want):
-            assert free.shape == x.shape == (n, -(-size // 64)) and size == len(ref_free)
-            assert np.array_equal(trial_major(free, size), ref_free)
-            assert np.array_equal(trial_major(x, size), ref_x)
+    for trials in _STREAM_TRIALS:
+        for p in _STREAM_PS:
+            blocks = list(_restriction_blocks(n, p, trials, _STREAM_SEED))
+            want = list(reference_blocks(n, p, trials, _STREAM_SEED))
+            assert len(blocks) == len(want)
+            for (size, free, x), (ref_free, ref_x) in zip(blocks, want):
+                assert free.shape == x.shape == (n, -(-size // 64)) and size == len(ref_free)
+                assert np.array_equal(trial_major(free, size), ref_free)
+                assert np.array_equal(trial_major(x, size), ref_x)
 
 
 def test_restriction_bits_take_no_trials_by_n_byte_array():
-    # the (16384, 1024) uint8 array of ``integers`` alone took 16 MiB (peak
-    # 20.6 MiB with it); the two packed outputs are 4 MiB, the peak 4.7 MiB
+    # a whole block's (1024, 16384) selector bytes alone would take 16 MiB;
+    # the two packed outputs are 4 MiB, and compared a chunk of variables at a
+    # time, 256 KiB of selector bytes each, the peak is 5.0 MiB
     tracemalloc.start()
     try:
         list(_restriction_blocks(1024, 0.025, 16384, 1))
