@@ -14,8 +14,9 @@ which costs the absorbing property but not correctness.  Children whose
 reject is already absorbing donate it to the parent instead of forcing a
 fresh state, which is what keeps AND towers at width 2.
 
-Construction metadata (child block boundaries, child programs' functions)
-stays attached to the program so that any state-to-state slice indicator
+The conversion is one :func:`circuit.fold`, whose values are blocks; each
+block's metadata (its width, its final swap and its children's boundaries)
+stays attached to the program, so that any state-to-state slice indicator
 can be rebuilt as a read-once circuit of depth <= D.  ``bp_run`` runs a
 program on many inputs at once (one table gather per layer); ``roac0 bp``
 checks equivalence and witnesses with it and ``circuit.evaluate_columns``.
@@ -35,12 +36,11 @@ from .circuit import (
     CircuitError,
     Const,
     Leaf,
-    Nand,
-    Node,
     Not,
-    Or,
     RestrictionMask,
     _as_mask,
+    _collect,
+    fold,
     simplify,
     trampoline,
 )
@@ -64,6 +64,8 @@ class LeafBlock:
 
     var: int
     sat: int
+    width = 2
+    absorbing = True
 
 
 @dataclass(frozen=True)
@@ -76,9 +78,6 @@ class ChildSlot:
     start: int  # first edge layer of this child's block, 1-indexed in parent
     end: int
     meta: Union["GateBlock", LeafBlock]
-    width: int
-    absorbing: bool
-    node: Node  # the Boolean function this child block computes from 1 to 1
 
 
 @dataclass(frozen=True)
@@ -88,6 +87,10 @@ class GateBlock:
     width: int
     swap: bool
     slots: tuple[ChildSlot, ...]
+
+    @property
+    def absorbing(self) -> bool:
+        return not self.swap
 
 
 Meta = Union[GateBlock, LeafBlock, ConstBlock, None]
@@ -244,43 +247,39 @@ def bp_from_circuit(c: Circuit) -> OrderedBP:
         if sc.root.value == 1:
             return OrderedBP(1, (), (), meta=ConstBlock(1))
         return OrderedBP(2, (0,), (((2, 2), (2, 2)),), meta=ConstBlock(0))
-    width, var_order, layers, meta, _ = trampoline(_build(sc.root, False))
-    return OrderedBP(width, tuple(var_order), tuple(layers), meta=meta)
+    var_order, layers, meta = fold(sc, _leaf_block, None, list, _collect, _gate_block)
+    return OrderedBP(meta.width, tuple(var_order), tuple(layers), meta=meta)
 
 
-def _build(node, neg: bool):
-    """Returns (width, var_order, layers, meta, absorbing) for node xor neg."""
-    if isinstance(node, Leaf):
-        sat = 1 ^ int(node.negated) ^ int(neg)
-        maps = []
-        for bit in (0, 1):
-            maps.append(((1 if bit == sat else 2), 2))
-        return 2, [node.var], [tuple(maps)], LeafBlock(node.var, sat), True
-    if isinstance(node, Not):
-        return (yield _build(node.child, not neg))
-    if isinstance(node, And):
-        pairs = [(ch, False) for ch in node.children]
-        return (yield _and_construction(pairs, swap=neg))
-    if isinstance(node, Or):
-        # OR(cs) = NOT(AND(NOT cs)); negation toggles the final swap
-        pairs = [(ch, True) for ch in node.children]
-        return (yield _and_construction(pairs, swap=not neg))
-    if isinstance(node, Nand):
-        pairs = [(ch, False) for ch in node.children]
-        return (yield _and_construction(pairs, swap=not neg))
-    raise BPError(f"constant below the root; simplify first: {node}")
+def _leaf_block(var: int, negated: bool):
+    """The (var_order, layers, meta) block of a literal."""
+    sat = int(not negated)
+    return [var], [tuple(((1 if bit == sat else 2), 2) for bit in (0, 1))], LeafBlock(var, sat)
 
 
-def _and_construction(pairs, swap: bool):
-    built = yield [_build(ch, cneg) for ch, cneg in pairs]
-    width = max(2, max(w if ab else w + 1 for w, _, _, _, ab in built))
+def _negated(block):
+    """The complement's block: a literal flips ``sat``, a gate toggles its final
+    swap, which trades accept 1 and reject w and is an involution."""
+    var_order, layers, meta = block
+    if isinstance(meta, LeafBlock):
+        return _leaf_block(meta.var, meta.sat == 1)
+    w = meta.width
+    layers[-1] = _relabel(layers[-1], (w, *range(2, w), 1))  # a fold value is read once
+    return var_order, layers, GateBlock(w, not meta.swap, meta.slots)
+
+
+def _gate_block(blocks, is_and: bool):
+    """An AND concatenates its children's blocks; an OR is the AND of the
+    negated children followed by the accept/reject swap."""
+    if not is_and:
+        blocks = [_negated(block) for block in blocks]
+    width = max(2, max(meta.width + (not meta.absorbing) for _, _, meta in blocks))
 
     var_order: list[int] = []
     layers: list[Layer] = []
     slots: list[ChildSlot] = []
-    for (w, vo, ly, meta, absorbing), (ch, cneg) in zip(built, pairs):
-        slot = ChildSlot(len(layers) + 1, len(layers) + len(ly), meta, w, absorbing,
-                         Not(ch) if cneg else ch)
+    for vo, ly, meta in blocks:
+        slot = ChildSlot(len(layers) + 1, len(layers) + len(ly), meta)
         # parent label u runs child state run[u]; a child state keeps its label
         # unless that label runs nothing (an absorbing child's reject), and
         # then it is the shared reject
@@ -298,11 +297,9 @@ def _and_construction(pairs, swap: bool):
         var_order.extend(vo)
         slots.append(slot)
 
-    if swap:
-        sigma = list(range(1, width + 1))
-        sigma[0], sigma[width - 1] = width, 1
-        layers[-1] = _relabel(layers[-1], sigma)
-    return width, var_order, layers, GateBlock(width, swap, tuple(slots)), not swap
+    if not is_and:
+        layers[-1] = _relabel(layers[-1], (width, *range(2, width), 1))
+    return var_order, layers, GateBlock(width, not is_and, tuple(slots))
 
 
 # -- slice witnesses -----------------------------------------------------------
@@ -359,30 +356,23 @@ def _witness(meta: Meta, i: int, j: int, d1: int, d2: int):
     if d1_local is None:
         return _const(d2 == dead_end)
 
+    i_local = i - first.start + 1
+    if first is last and j < first.end:
+        return (yield _mid_block_target(first, i_local, j - first.start + 1, d1_local, d2, w))
+    survive_first = yield _witness(first.meta, i_local, first.end - first.start + 1, d1_local, 1)
     if first is last:
-        i_local = i - first.start + 1
-        j_local = j - first.start + 1
-        if j < first.end:
-            return (yield _mid_block_target(first, i_local, j_local, d1_local, d2, w))
         # block boundary: outcomes collapse to accept (1) or reject (w)
-        alive = yield _witness(first.meta, i_local, first.end - first.start + 1, d1_local, 1)
-        return _boundary_target(alive, d2, w, swapped)
-
-    survive_first = yield _witness(
-        first.meta, i - first.start + 1, first.end - first.start + 1, d1_local, 1
-    )
-    chain = [survive_first]
-    for slot in meta.slots:
-        if slot.start > first.end and slot.end < last.start:
-            chain.append(slot.node)
+        return _boundary_target(survive_first, d2, w, swapped)
+    chain = [survive_first] + (yield [
+        _whole(slot) for slot in meta.slots if first.end < slot.start and slot.end < last.start])
 
     if j < last.end:
         j_local = j - last.start + 1
         if d2 == w:
             # dead at j: either the chain broke earlier, or the last child
             # walked into its own absorbing reject
-            if last.absorbing:
-                avoid = Not((yield _witness(last.meta, 1, j_local, 1, last.width)))
+            if last.meta.absorbing:
+                avoid = Not((yield _witness(last.meta, 1, j_local, 1, last.meta.width)))
                 return Not(And(tuple(chain + [avoid])))
             return Not(And(tuple(chain)))
         d2_local = _unembed(d2, last, w)
@@ -391,7 +381,7 @@ def _witness(meta: Meta, i: int, j: int, d1: int, d2: int):
         reach = yield _witness(last.meta, 1, j_local, 1, d2_local)
         return And(tuple(chain + [reach]))
 
-    alive = And(tuple(chain + [last.node]))
+    alive = And(tuple(chain + [(yield _whole(last))]))
     return _boundary_target(alive, d2, w, swapped)
 
 
@@ -399,15 +389,20 @@ def _unembed(state: int, slot: ChildSlot, parent_width: int):
     """Parent label -> child state, or None for junk/dead labels."""
     if state == parent_width:
         return None  # shared reject: dead even when donated by this child
-    if state <= (slot.width - 1 if slot.absorbing else slot.width):
+    if state <= slot.meta.width - slot.meta.absorbing:
         return state
     return None
 
 
+def _whole(slot: ChildSlot):
+    """The function a child block computes: its whole span, from 1 to 1."""
+    return _witness(slot.meta, 1, slot.end - slot.start + 1, 1, 1)
+
+
 def _mid_block_target(slot: ChildSlot, i_local, j_local, d1_local, d2, w):
     if d2 == w:
-        if slot.absorbing:
-            return (yield _witness(slot.meta, i_local, j_local, d1_local, slot.width))
+        if slot.meta.absorbing:
+            return (yield _witness(slot.meta, i_local, j_local, d1_local, slot.meta.width))
         return _const(False)
     d2_local = _unembed(d2, slot, w)
     if d2_local is None:

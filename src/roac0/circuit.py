@@ -106,16 +106,17 @@ _GATES = (And, Or, Nand)
 _WORD = np.dtype("<u8")  # 64 inputs per word, input t at bit t % 64 of word t // 64
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, repr=False)
 class Circuit:
     """A read-once formula together with its input arity ``n``.
 
     ``n`` is the number of input positions; variable indices used by the
     leaves must lie in ``0..n-1`` but need not be contiguous.  Equality and
-    hashing are structural, over ``n`` and the pre-order node shapes, as
-    for the nodes.  Construction walks the leaves once and records their
-    count and the first repeated variable, so ``size`` and the read-once
-    checks cost no walk; ``depth`` is folded on first use and kept.
+    hashing are the dataclass's, over ``root`` and ``n``, and the root
+    compares as the nodes do, without recursion.  Construction walks the
+    leaves once and records their count and the first repeated variable, so
+    ``size`` and the read-once checks cost no walk; ``depth`` is folded on
+    first use and kept.
     """
 
     root: Node
@@ -140,17 +141,6 @@ class Circuit:
     def __reduce__(self):
         # the record is rebuilt on load, so a pickle holds the fields only
         return Circuit, (self.root, self.n)
-
-    def _structure(self) -> tuple:
-        return self.n, _shapes(self.root)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._structure() == other._structure()
-
-    def __hash__(self) -> int:
-        return hash(self._structure())
 
     def __repr__(self) -> str:
         return f"Circuit({render(self)!r}, n={self.n})"

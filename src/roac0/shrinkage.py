@@ -545,6 +545,8 @@ def shrink_experiment(
     ``threshold`` when one is given.  More than ``SHRINK_TRIALS_CAP``
     trials raise :class:`CapExceeded` before anything is drawn.
     """
+    if c.n < 1:
+        raise CircuitError("shrink experiments need n >= 1, got n=0")
     if not 0 <= p <= 1:
         raise CircuitError(f"p={p} outside [0,1]")
     if trials < 1:
@@ -555,22 +557,17 @@ def shrink_experiment(
         raise CircuitError("threshold is not a number")
     pair = build_sandwich(to_nand_form(c), eps)
     n = c.n
-    s_lo, s_up, s_or, fans = [], [], [], []
-    alive_lo = alive_up = alive_or = 0
+    sizes, alive_counts, fans = ([], [], []), [0, 0, 0], []
     for size, free, x in _restriction_blocks(n, p, trials, master_seed):
-        alive, _, lv, fan_lo = _restricted(pair.lower, free, x, size, stats=True)
-        alive_lo += int(np.bitwise_count(alive).sum())
-        s_lo.append(lv)
-        alive, _, lv, fan_up = _restricted(pair.upper, free, x, size, stats=True)
-        alive_up += int(np.bitwise_count(alive).sum())
-        s_up.append(lv)
-        alive, _, lv, _ = _restricted(c, free, x, size, stats=True)
-        alive_or += int(np.bitwise_count(alive).sum())
-        s_or.append(lv)
-        fans.append(np.maximum(fan_lo, fan_up))
-    sizes_lower = np.concatenate(s_lo)
-    sizes_upper = np.concatenate(s_up)
-    sizes_original = np.concatenate(s_or)
+        fan = 0
+        for k, target in enumerate((pair.lower, pair.upper, c)):
+            alive, _, live, target_fan = _restricted(target, free, x, size, stats=True)
+            alive_counts[k] += int(np.bitwise_count(alive).sum())
+            sizes[k].append(live)
+            if k < 2:  # fan-in is kept for the sandwich halves only
+                fan = np.maximum(fan, target_fan)
+        fans.append(fan)
+    sizes_lower, sizes_upper, sizes_original = map(np.concatenate, sizes)
     fanin = np.concatenate(fans)
     sizes_max = np.maximum(sizes_lower, sizes_upper)
     level = 1 - 2 * float(eps)
@@ -587,9 +584,9 @@ def shrink_experiment(
         sizes_max=sizes_max,
         sizes_original=sizes_original,
         fanin_max=fanin,
-        nonconstant_lower=alive_lo / trials,
-        nonconstant_upper=alive_up / trials,
-        nonconstant_original=alive_or / trials,
+        nonconstant_lower=alive_counts[0] / trials,
+        nonconstant_upper=alive_counts[1] / trials,
+        nonconstant_original=alive_counts[2] / trials,
         quantile_level=level,
         quantile_value=qv,
         threshold=threshold,

@@ -1,5 +1,6 @@
 """Ordered branching programs: conversion, closure operations, witnesses."""
 
+import hashlib
 import random
 
 import numpy as np
@@ -156,6 +157,30 @@ def test_conversion_sound_on_corpus():
         b = bp_from_circuit(c)
         assert b.width <= c.depth + 1
         assert (accept_table(b, c.n) == truth_table(c)).all()
+
+
+def _conversion_corpus():
+    """Random circuits with negated leaves, their NAND forms, trees with NOTs
+    over gates, tribes and a 75-deep AND/OR chain."""
+    randoms = random_corpus(40, 12, 4, seed=73)
+    corpus = randoms + [to_nand_form(c) for c in randoms]
+    rng = random.Random(71)
+    for _ in range(40):
+        n = rng.randint(2, 9)
+        corpus.append(Circuit(_random_gate_tree(rng, rng.sample(range(n), n)), n))
+    node = Leaf(0)
+    for i in range(1, 76):
+        node = (And if i % 2 else Or)((node, Leaf(i, negated=i % 3 == 0)))
+    return corpus + [gen_tribes(4, 3), Circuit(node, 76)]
+
+
+def test_conversion_output_pinned():
+    digest = hashlib.sha256()
+    for c in _conversion_corpus():
+        b = bp_from_circuit(c)
+        digest.update(repr((b.width, b.var_order, b.layers)).encode())
+    assert digest.hexdigest() == (
+        "3c48858f71acbc3bc17c413c38876ea2be807b7f318938a702f31e9de386a38f")
 
 
 def test_conversion_rejects_shared_variable():

@@ -165,6 +165,8 @@ def test_zero_variable_circuit_is_a_circuit_error():
     for enforce in (False, True):
         with pytest.raises(CircuitError):
             collapse_probability(c, 0.1, 0.5, trials=10, enforce_bounds=enforce)
+    with pytest.raises(CircuitError, match="n >= 1"):
+        shrink_experiment(c, 0.3, 0.1, trials=100)
 
 
 def test_collapse_single_leaf_is_exactly_p():
@@ -744,6 +746,13 @@ def test_shrink_p_one_keeps_every_leaf():
     assert rep.nonconstant_original == 1.0
     assert rep.sizes_original.min() == rep.sizes_original.max() == 4
     assert rep.sizes_lower.min() == rep.sizes_lower.max() == rep.params["lower_leaves"]
+
+
+def test_shrink_constant_circuit_never_survives():
+    for value in (0, 1):
+        rep = shrink_experiment(Circuit(Const(value), 1), 0.3, 0.1, trials=100)
+        assert rep.sizes_max.max() == rep.sizes_original.max() == rep.fanin_max.max() == 0
+        assert rep.nonconstant_original == rep.nonconstant_lower == 0.0
 
 
 def test_shrink_deterministic_per_seed():
