@@ -22,8 +22,9 @@ folds them as arrays: a round fixes what its selections pick and no earlier
 round took (a prefix OR over the rounds).  Monte Carlo and exhaustive
 restriction sweeps both run this batched path.
 
-Small-bias root counts and exhaustive fooling counts run over 2^16-entry
-slices, so beside the truth table neither holds anything of size 2^n.
+The exact small-bias bias is a closed form in (ell, n) from the factors of
+GF(2)[x] (``SmallBiasGen``).  Exhaustive fooling counts run over 2^16-entry
+slices, so beside the truth table they hold nothing of size 2^n.
 """
 
 from __future__ import annotations
@@ -204,51 +205,6 @@ def _xor_span(vectors: np.ndarray) -> np.ndarray:
     return table
 
 
-def _frobenius_orbits(ell: int) -> tuple:
-    """(alphas, degree): the least element of each orbit {alpha^(2^k)} of
-    nonzero field elements, and the orbit's size.
-
-    The size d is also the degree of the smallest subfield holding alpha.
-    """
-    alphas = np.arange(1, 1 << ell, dtype=_field_dtype(ell))
-    degree = np.zeros(alphas.shape, dtype=np.int64)
-    least = alphas.copy()
-    x = alphas
-    for d in range(1, ell + 1):
-        x = _gf_mul_many(_gf_shifts(x, ell), x)
-        degree[(degree == 0) & (x == alphas)] = d
-        np.minimum(least, x, out=least)
-    first = least == alphas
-    return alphas[first], degree[first]
-
-
-def _power_coords(powers: np.ndarray, d: int) -> np.ndarray:
-    """coords[a, j] = d-bit coordinates of powers[a, d + j] in the basis powers[a, :d].
-
-    One batched GF(2) elimination over the rows: each basis vector in turn
-    takes its lowest set bit as pivot and is cleared from every other one,
-    while a tag records which original vectors it sums.  Reducing a power
-    by the pivots it holds then leaves 0 and its coordinates in the tag.
-    """
-    basis = powers[:, :d].copy()
-    tags = np.tile(1 << np.arange(d), (len(basis), 1))
-    pivots = np.empty_like(basis)
-    for i in range(d):
-        row, tag = basis[:, i : i + 1], tags[:, i : i + 1]
-        pivots[:, i : i + 1] = row & -row
-        hit = (basis & pivots[:, i : i + 1]) != 0
-        hit[:, i] = False
-        basis ^= row * hit
-        tags ^= tag * hit
-    rest = powers[:, d:].copy()
-    coords = np.zeros_like(rest)
-    for i in range(d):
-        hit = (rest & pivots[:, i : i + 1]) != 0
-        rest ^= basis[:, i : i + 1] * hit
-        coords ^= tags[:, i : i + 1] * hit
-    return coords
-
-
 def _fields(seeds: np.ndarray, offsets, width: int) -> np.ndarray:
     """uint64 value of the width-bit field at each bit offset, shape (offsets, rows).
 
@@ -334,6 +290,21 @@ class SmallBiasGen:
     The n/2^ell bias guarantee needs n <= 2^ell; beyond that the powers of
     alpha start cycling and correlated output positions appear, so larger n
     is accepted but carries no useful bound.
+
+    The exact bias depends on (ell, n) alone.  Let N_d = (1/d) sum_{e | d}
+    mu(e) 2^(d/e) be the number of irreducible polynomials of degree d over
+    GF(2).  Take one item of size d for each irreducible whose degree d
+    divides ell, except x (so degree 1 gives only x + 1), and let best be
+    the largest sum of distinct items that is at most n - 1.  The bias is
+    (1 + best) / 2^ell.  Why: write a nonzero character S as the polynomial
+    q_S(x) = sum_{i in S} x^i, a one-to-one map onto the nonzero
+    polynomials of degree <= n - 1.  S sums to 2^ell * #{alpha : alpha
+    q_S(alpha) = 0} over the seeds.  That count is 1 (alpha = 0) plus
+    sum deg f over the distinct irreducible factors f != x of q_S whose
+    degree divides ell: each such f has deg f distinct roots in GF(2^ell),
+    all nonzero, no two factors share a root, and factors of other degrees
+    have no root there.  The product of the chosen irreducibles has degree
+    best <= n - 1 and reaches the maximum.
     """
 
     ell: int
@@ -383,41 +354,15 @@ class SmallBiasGen:
         return _expand_fields(seeds, self.ell, self.n, [0])[0]
 
     def _bias(self) -> Fraction:
-        # Character S sums to 2^ell * #{alpha : sum_{i in S} alpha^(i+1) = 0}
-        # over the seeds, so its bias is that root count over 2^ell.  Every
-        # S has the root 0.  For alpha of degree d, the smallest subfield
-        # holding it, alpha^1..alpha^d are a basis of the span of all its
-        # powers, so the S it is a root of are any bits above d together with
-        # the d low bits that cancel them.  The polynomial has coefficients
-        # in GF(2), so alpha^2 is a root whenever alpha is: the d conjugates
-        # of alpha share its S, and one of them stands for all d.  The S run
-        # in slices of 2^w: a slice takes 2^(w - d) consecutive high parts of
-        # each degree, a span table over their low w - d bits XOR one base
-        # from the slice index (d < w, as d < n and d divides an ell of at
-        # most 13 under the seed cap).  The roots of every degree share one
-        # buffer, counted by one bincount weighted by d; its float64 counts
-        # are exact below 2^53.
-        alphas, degree = _frobenius_orbits(self.ell)
-        powers = np.stack(list(_gf_powers(alphas, self.ell, self.n)), axis=1).astype(np.int64)
-        w, spans, best = min(16, self.n), [], 0
-        for d in np.unique(degree).tolist():
-            if d < self.n:
-                coords = _power_coords(powers[degree == d], d)
-                offsets = (np.arange(1 << (w - d), dtype=np.int64) << d)[:, None]
-                spans.append((d, _xor_span(coords[:, : w - d].T) | offsets, coords[:, w - d :]))
-        size = sum(low.size for _, low, _ in spans)
-        roots, weights, parts, at = np.empty(size, dtype=np.int64), np.empty(size), [], 0
-        for d, low, rest in spans:
-            weights[at : at + low.size] = d
-            parts.append((roots[at : at + low.size].reshape(low.shape), low, rest))
-            at += low.size
-        for s in range(1 << (self.n - w)):
-            high = ((s >> np.arange(self.n - w)) & 1).astype(bool)
-            for root, low, rest in parts:
-                np.bitwise_xor(low, np.bitwise_xor.reduce(rest[:, high], axis=1), out=root)
-            counts = np.bincount(roots, weights, minlength=1 << w)
-            best = max(best, int(counts[1 if s == 0 else 0 :].max()))  # nonzero S only
-        return Fraction(best + 1, 1 << self.ell)
+        # count[d] = N_d from 2^d = sum_{e | d} e N_e; bit s of reach: some
+        # set of distinct items has degree sum s
+        budget, reach, count = self.n - 1, 1, {}
+        for d in range(1, self.ell + 1):
+            count[d] = ((1 << d) - sum(e * count[e] for e in range(1, d) if d % e == 0)) // d
+            if self.ell % d == 0:
+                for _ in range(min(count[d] - (d == 1), budget // d)):  # x is no item
+                    reach |= reach << d
+        return Fraction((reach & ((2 << budget) - 1)).bit_length(), 1 << self.ell)
 
 
 @dataclass(frozen=True)
@@ -450,7 +395,7 @@ class UniformGen:
         return _fields(seeds, [0], self.n)[0].view(np.int64)
 
     def _bias(self) -> Fraction:
-        return _transform_bias(self)
+        return Fraction(0)
 
 
 def _check_exhaustive(gen) -> None:
@@ -496,14 +441,16 @@ def _transform_bias(gen) -> Fraction:
 def measure_bias(gen) -> Fraction:
     """Exact max over nonzero characters of |E_seed[(-1)^(s.output)]|.
 
-    A small-bias generator counts roots: character S's signed sum over the
-    seeds is 2^ell times the number of alphas at which sum_{i in S}
-    alpha^(i+1) vanishes, and for each alpha those S form a kernel of a
-    GF(2)-linear map.  Slices of 2^16 characters keep only a running max,
-    so this takes a few MiB up to n = 24.  Other generators sweep every seed
-    into the output distribution and transform it.  Both stay in integers
-    and under the same caps: 2^26 seeds (``EXHAUSTIVE_SEED_CAP``) and
-    n <= ``WHT_CAP``.  The bias of the first k output bits of a
+    A ``SmallBiasGen`` has the closed form (1 + best) / 2^ell: best is the
+    largest degree sum of distinct irreducible polynomials over GF(2),
+    other than x, whose degrees divide ell, with best <= n - 1.  Character
+    S's signed sum over the seeds is 2^ell times the number of roots in
+    GF(2^ell) of x q_S(x), q_S(x) = sum_{i in S} x^i, and those roots are
+    0 and the roots of such factors of q_S (the class docstring has the
+    argument).  ``UniformGen`` has bias 0.  Other generators sweep every
+    seed into the output distribution and transform it.  All stay in
+    integers and under the same caps: 2^26 seeds (``EXHAUSTIVE_SEED_CAP``)
+    and n <= ``WHT_CAP``.  The bias of the first k output bits of a
     ``SmallBiasGen`` or ``RestrictionPRG`` is that of
     ``dataclasses.replace(gen, n=k)``.
     """
@@ -688,9 +635,14 @@ def seed_length_account(n: int, eps: float, D: int) -> dict:
 
 
 def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple:
-    """Wilson 95% score interval for a binomial proportion."""
+    """Wilson score interval for a binomial proportion at normal quantile z.
+
+    The default z = 1.96 gives a 95% interval; another z gives its own level.
+    """
     if trials <= 0:
         raise CircuitError("trials must be positive")
+    if not 0 <= successes <= trials:
+        raise CircuitError(f"successes {successes} outside 0..{trials}")
     phat = successes / trials
     denom = 1 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom

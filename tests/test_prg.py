@@ -1,6 +1,7 @@
 """Expanders: field arithmetic, bias measurement, restriction schedule, fooling."""
 
 import dataclasses
+import hashlib
 import random
 import tracemalloc
 from fractions import Fraction
@@ -336,6 +337,36 @@ def test_root_count_matches_distribution_transform(ell):
             assert want == 1  # alpha^(2^ell) = alpha, so bits 0 and 2^ell - 1 agree
 
 
+def test_smallbias_bias_pinned():
+    # sha256 of these rows as the sweep over all 2^n characters, which the
+    # closed form replaced, computed them
+    rows = "\n".join(f"{ell} {n} {measure_bias(SmallBiasGen(ell, n))}"
+                     for ell in range(2, 14) for n in range(1, 25))
+    assert hashlib.sha256(rows.encode()).hexdigest() == (
+        "77db6ec2d3e8da958ae167aa03e56055aa13e6e16ede7ce169f731daae673e98")
+
+
+# 2 * ell - 1 = 25 is past WHT_CAP at ell = 13, and n = 24 would hold two
+# 128 MiB arrays, so it stops at 20
+@pytest.mark.parametrize("ell, sizes", [
+    (10, (1, 10, 14, 19)),
+    (11, (1, 11, 14, 21)),
+    (12, (1, 12, 14, 23)),
+    (13, (1, 13, 14, 20)),
+])
+def test_closed_form_matches_distribution_transform_past_ell_9(ell, sizes):
+    try:
+        for n in sizes:
+            assert measure_bias(SmallBiasGen(ell, n)) == _transform_bias(SmallBiasGen(ell, n))
+    finally:
+        _distribution_cached.cache_clear()
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_uniform_generator_transform_is_zero(n):
+    assert _transform_bias(UniformGen(n)) == 0 == measure_bias(UniformGen(n))
+
+
 def _traced_peak(call):
     """(call(), tracemalloc peak of the call), every prg cache cold."""
     for cache in (_distribution_cached, _block_table, _alpha_power_rows):
@@ -523,6 +554,13 @@ def test_wilson_interval_basics():
     assert lo == 0 and hi > 0
     lo2, hi2 = wilson_interval(50, 100)
     assert lo2 < 0.5 < hi2
+
+
+@pytest.mark.parametrize("successes", [-1, 4, 5])
+def test_wilson_interval_rejects_successes_outside_trials(successes):
+    with pytest.raises(CircuitError, match="outside 0..3"):
+        wilson_interval(successes, 3)
+    assert wilson_interval(3, 3)[1] == 1.0
 
 
 # -- sandwich transfer bound ----------------------------------------------------
