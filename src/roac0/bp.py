@@ -5,21 +5,28 @@ variable and applies one of two total maps on states [w] = {1..w}.  State 1
 is both the start and the accept state.  Layer t of edges connects vertex
 layer t-1 to vertex layer t.
 
-The conversion from a depth-D read-once circuit produces width <= D+1: an
-AND concatenates its children's programs, chains accept (state 1) to start,
-and reroutes every other final-layer edge of each child block into a shared
-absorbing reject state (the highest index).  An OR builds the AND of the
-negated children and then transposes accept and reject on the last layer,
-which costs the absorbing property but not correctness.  Children whose
-reject is already absorbing donate it to the parent instead of forcing a
-fresh state, which is what keeps AND towers at width 2.
+The conversion from a depth-D read-once circuit produces width <= D+1.  An
+AND concatenates its children's blocks and chains accept (state 1) to start.
+A child's live states (all of them but an absorbing reject) keep their
+labels, and one more label, the highest, is the parent's shared absorbing
+reject: every other label, every edge to a state past the live ones and
+every final-layer edge to a state other than 1 goes there.  So an absorbing
+child donates its reject instead of forcing a fresh state, which is what
+keeps AND towers at width 2.  An OR is the negated AND of its negated
+children; negating a gate block transposes accept and reject on its last
+layer, which costs the absorbing property but not correctness.
 
 The conversion is one :func:`circuit.fold`, whose values are blocks; each
 block's metadata (its width, its final swap and its children's boundaries)
 stays attached to the program, so that any state-to-state slice indicator
-can be rebuilt as a read-once circuit of depth <= D.  ``bp_run`` runs a
-program on many inputs at once (one table gather per layer); ``roac0 bp``
-checks equivalence and witnesses with it and ``circuit.evaluate_columns``.
+can be rebuilt as a read-once circuit of depth <= D.  A slice of a gate
+block is a chain of whole children, each accepting (the first entered at
+the slice's start layer and state), followed by one partial run of the
+child the slice ends in; when the slice starts in that child, the chain is
+empty and the run starts where the slice does.
+``bp_run`` runs a program on many inputs at once (one table gather per
+layer); ``roac0 bp`` checks equivalence and witnesses with it and
+``circuit.evaluate_columns``.
 """
 
 from __future__ import annotations
@@ -269,37 +276,34 @@ def _negated(block):
 
 
 def _gate_block(blocks, is_and: bool):
-    """An AND concatenates its children's blocks; an OR is the AND of the
-    negated children followed by the accept/reject swap."""
+    """An AND concatenates its children's blocks; an OR is the negated AND of
+    its negated children."""
     if not is_and:
-        blocks = [_negated(block) for block in blocks]
-    width = max(2, max(meta.width + (not meta.absorbing) for _, _, meta in blocks))
-
+        return _negated(_gate_block([_negated(block) for block in blocks], True))
+    width = 1 + max(_live(meta) for _, _, meta in blocks)
     var_order: list[int] = []
     layers: list[Layer] = []
     slots: list[ChildSlot] = []
     for vo, ly, meta in blocks:
-        slot = ChildSlot(len(layers) + 1, len(layers) + len(ly), meta)
-        # parent label u runs child state run[u]; a child state keeps its label
-        # unless that label runs nothing (an absorbing child's reject), and
-        # then it is the shared reject
-        run = [_unembed(u, slot, width) for u in range(width + 1)]
-        for t, (m0, m1) in enumerate(ly):
-            last = t == len(ly) - 1
-            parent_maps = []
-            for child_map in (m0, m1):
-                pm = []
-                for u in range(1, width + 1):
-                    target = child_map[run[u] - 1] if run[u] else width
-                    pm.append(width if (last and target != 1) or not run[target] else target)
-                parent_maps.append(tuple(pm))
-            layers.append(tuple(parent_maps))
+        slots.append(ChildSlot(len(layers) + 1, len(layers) + len(ly), meta))
+        # labels up to ``live`` keep their child state; every other label, a
+        # target past ``live`` and a last-layer target other than 1 go to the
+        # shared reject ``width``
+        live = _live(meta)
+        dead = (width,) * (width - live)
+        for t, layer in enumerate(ly):
+            keep = 1 if t == len(ly) - 1 else live
+            layers.append(tuple(tuple(v if v <= keep else width for v in m[:live]) + dead
+                                for m in layer))
         var_order.extend(vo)
-        slots.append(slot)
+    return var_order, layers, GateBlock(width, False, tuple(slots))
 
-    if not is_and:
-        layers[-1] = _relabel(layers[-1], (width, *range(2, width), 1))
-    return var_order, layers, GateBlock(width, not is_and, tuple(slots))
+
+def _live(meta) -> int:
+    """How many of a child block's states keep their label in the parent: all
+    but an absorbing reject, which the parent's shared reject replaces.  A
+    live label is always below the parent's width."""
+    return meta.width - meta.absorbing
 
 
 # -- slice witnesses -----------------------------------------------------------
@@ -330,9 +334,8 @@ def _const(truth: bool):
 def _witness(meta: Meta, i: int, j: int, d1: int, d2: int):
     """Indicator node for the slice of ``meta``'s program, local layers i..j."""
     if isinstance(meta, ConstBlock):
-        # width-1 accept program has no layers; width-2 reject program
-        # absorbs everything into state 2
-        return _const(d2 == (1 if meta.value == 1 else 2))
+        # only the width-2 reject program has layers; it absorbs into state 2
+        return _const(d2 == 2)
     if isinstance(meta, LeafBlock):
         if d1 == 2:
             return _const(d2 == 2)
@@ -342,82 +345,48 @@ def _witness(meta: Meta, i: int, j: int, d1: int, d2: int):
             return Leaf(meta.var, negated=meta.sat == 1)
         return _const(False)
 
-    total_end = meta.slots[-1].end
     w = meta.width
-    swapped = meta.swap and j == total_end
-
+    swapped = meta.swap and j == meta.slots[-1].end
     first = next(s for s in meta.slots if s.start <= i <= s.end)
     last = next(s for s in meta.slots if s.start <= j <= s.end)
+    if d1 > _live(first.meta):
+        # a label past the first child's live states goes to the shared
+        # reject and rides it to the end (transposed by a final swap)
+        return _const(d2 == (1 if swapped else w))
 
-    # states without a life line: the shared reject, and labels no child
-    # block uses; they ride to the end (and get transposed by a final swap)
-    dead_end = 1 if swapped else w
-    d1_local = _unembed(d1, first, w)
-    if d1_local is None:
-        return _const(d2 == dead_end)
-
-    i_local = i - first.start + 1
-    if first is last and j < first.end:
-        return (yield _mid_block_target(first, i_local, j - first.start + 1, d1_local, d2, w))
-    survive_first = yield _witness(first.meta, i_local, first.end - first.start + 1, d1_local, 1)
-    if first is last:
+    # a chain of whole children, then one partial run of ``last`` from
+    # layer ``start`` in state ``state``
+    chain, start, state = [], i - first.start + 1, d1
+    if first is not last:
+        chain.append((yield _witness(first.meta, start, first.end - first.start + 1, d1, 1)))
+        chain += yield [_witness(s.meta, 1, s.end - s.start + 1, 1, 1)
+                        for s in meta.slots if first.end < s.start and s.end < last.start]
+        start, state = 1, 1
+    j_local = j - last.start + 1
+    if j == last.end:
         # block boundary: outcomes collapse to accept (1) or reject (w)
-        return _boundary_target(survive_first, d2, w, swapped)
-    chain = [survive_first] + (yield [
-        _whole(slot) for slot in meta.slots if first.end < slot.start and slot.end < last.start])
-
-    if j < last.end:
-        j_local = j - last.start + 1
-        if d2 == w:
-            # dead at j: either the chain broke earlier, or the last child
-            # walked into its own absorbing reject
-            if last.meta.absorbing:
-                avoid = Not((yield _witness(last.meta, 1, j_local, 1, last.meta.width)))
-                return Not(And(tuple(chain + [avoid])))
-            return Not(And(tuple(chain)))
-        d2_local = _unembed(d2, last, w)
-        if d2_local is None:
-            return _const(False)
-        reach = yield _witness(last.meta, 1, j_local, 1, d2_local)
-        return And(tuple(chain + [reach]))
-
-    alive = And(tuple(chain + [(yield _whole(last))]))
-    return _boundary_target(alive, d2, w, swapped)
-
-
-def _unembed(state: int, slot: ChildSlot, parent_width: int):
-    """Parent label -> child state, or None for junk/dead labels."""
-    if state == parent_width:
-        return None  # shared reject: dead even when donated by this child
-    if state <= slot.meta.width - slot.meta.absorbing:
-        return state
-    return None
-
-
-def _whole(slot: ChildSlot):
-    """The function a child block computes: its whole span, from 1 to 1."""
-    return _witness(slot.meta, 1, slot.end - slot.start + 1, 1, 1)
-
-
-def _mid_block_target(slot: ChildSlot, i_local, j_local, d1_local, d2, w):
+        chain.append((yield _witness(last.meta, start, j_local, state, 1)))
+        alive = _and(chain)
+        if d2 == (w if swapped else 1):
+            return alive
+        if d2 == (1 if swapped else w):
+            return Not(alive)
+        return _const(False)
     if d2 == w:
-        if slot.meta.absorbing:
-            return (yield _witness(slot.meta, i_local, j_local, d1_local, slot.meta.width))
+        # dead at j: either the chain broke, or the last child walked into its
+        # own absorbing reject
+        if last.meta.absorbing:
+            chain.append(Not((yield _witness(last.meta, start, j_local, state, last.meta.width))))
+        return Not(_and(chain))
+    if d2 > _live(last.meta):
         return _const(False)
-    d2_local = _unembed(d2, slot, w)
-    if d2_local is None:
-        return _const(False)
-    return (yield _witness(slot.meta, i_local, j_local, d1_local, d2_local))
+    chain.append((yield _witness(last.meta, start, j_local, state, d2)))
+    return _and(chain)
 
 
-def _boundary_target(alive, d2: int, w: int, swapped: bool):
-    accept_label = w if swapped else 1
-    reject_label = 1 if swapped else w
-    if d2 == accept_label:
-        return alive
-    if d2 == reject_label:
-        return Not(alive)
-    return _const(False)
+def _and(parts: list):
+    # a one-part AND is that part, so simplify has no wrapper to strip
+    return parts[0] if len(parts) == 1 else And(tuple(parts))
 
 
 # -- spectral upper bound for the matrix view ---------------------------------

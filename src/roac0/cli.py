@@ -396,8 +396,9 @@ def _bp_task(item):
     accepted = bpmod.bp_run(b, column, size) == 1
     equal = accepted.tobytes() == evaluate_columns(c, column, size).tobytes()
     wit_ok = 0
+    tried = witnesses if b.length else 0  # a constant-1 program has no span to slice
     rng = random.Random(seed)
-    for _ in range(witnesses):
+    for _ in range(tried):
         i = rng.randint(1, b.length)
         j = rng.randint(i, b.length)
         d1 = rng.randint(1, b.width)
@@ -406,7 +407,7 @@ def _bp_task(item):
         sub = bpmod.bp_subprogram(b, i, j)
         reached = bpmod.bp_run(sub, column, size, start=d1) == d2
         wit_ok += reached.tobytes() == evaluate_columns(w, column, size).tobytes()
-    return (idx, c.n, c.depth, b.width, b.length, width_ok, equal, wit_ok, witnesses)
+    return (idx, c.n, c.depth, b.width, b.length, width_ok, equal, wit_ok, tried)
 
 
 def cmd_bp(args) -> int:
@@ -594,9 +595,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "jobs", 0) is None:
-        args.jobs = _default_jobs()
     try:
+        jobs = getattr(args, "jobs", 1)
+        if jobs is None:
+            args.jobs = _default_jobs()
+        elif jobs < 1:
+            raise UsageError(f"--jobs {jobs} is below 1")
         return args.fn(args)
     except (CircuitError, ValueError, OSError) as e:  # UsageError is a CircuitError
         print(f"error: {e}", file=sys.stderr)

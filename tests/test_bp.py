@@ -20,6 +20,7 @@ from roac0 import (
     gen_random_read_once,
     gen_tribes,
     parse,
+    render,
     restrict,
     to_nand_form,
 )
@@ -181,6 +182,22 @@ def test_conversion_output_pinned():
         digest.update(repr((b.width, b.var_order, b.layers)).encode())
     assert digest.hexdigest() == (
         "3c48858f71acbc3bc17c413c38876ea2be807b7f318938a702f31e9de386a38f")
+
+
+def test_slice_witnesses_pinned():
+    # the witnesses' shape, not only their truth tables, stays as it is
+    rng = random.Random(79)
+    digest = hashlib.sha256()
+    for c in _conversion_corpus():
+        b = bp_from_circuit(c)
+        for _ in range(60):
+            i = rng.randint(1, b.length)
+            j = rng.randint(i, b.length)
+            d1 = rng.randint(1, b.width)
+            d2 = rng.randint(1, b.width)
+            digest.update(render(bp_slice_witness(b, i, j, d1, d2)).encode() + b"\n")
+    assert digest.hexdigest() == (
+        "2f276610f078e188cec1197d690e61c4afdc09728ab84e3f5f73360924eff00a")
 
 
 def test_conversion_rejects_shared_variable():

@@ -144,6 +144,8 @@ def test_failing_threshold_exits_1(tmp_path):
     ["bounds", "--corpus", "random:n=8,d=3,count=2", "--eps", "0"],
     ["shrink", "--circuit", "tribes:m=2,w=2", "--p", "0.3", "--eps", "1/0"],
     ["bp", "--corpus", "random:n=8,d=3", "--witnesses", "-1"],
+    ["bounds", "--corpus", "random:n=8,d=2,count=2", "--jobs", "0"],
+    ["bp", "--corpus", "random:n=8,d=3", "--jobs", "-3"],
     ["shrink", "--circuit", "(and x0 x1)", "--p", "0.5", "--eps", "1/16", "--trials", "10",
      "--threshold", "nan"],
     ["prg", "--circuit", "(and x0 x1)", "--mode", "uniform", "--trials", "10",
@@ -151,6 +153,7 @@ def test_failing_threshold_exits_1(tmp_path):
     ["shrink", "--circuit", "tribes:m=8,w=4", "--p", "0.3", "--eps", "1/16",
      "--trials", "4194305"],
 ], ids=["bounds-eps-1/0", "bounds-eps-0", "shrink-eps-1/0", "bp-witnesses--1",
+        "bounds-jobs-0", "bp-jobs--3",
         "shrink-threshold-nan", "prg-max-error-nan", "shrink-trials-above-cap"])
 def test_bad_numbers_exit_2(args, capsys):
     assert run(args) == 2
@@ -553,6 +556,13 @@ def test_bp_csv_pinned(tmp_path):
     )
 
 
+def test_bp_witnesses_on_a_constant_one_program_draw_no_spans(tmp_path):
+    # a length-0 program has no span to draw, so it records 0 of 0 witnesses
+    args = ["bp", "--corpus", "(and 1 1)", "--witnesses", "2", "--out", str(tmp_path)]
+    assert run(args) == 0
+    assert (tmp_path / "bp.csv").read_text().splitlines()[1] == "0,1,1,1,0,True,True,0,0"
+
+
 def test_bp_checks_sampled_inputs_above_14_variables(tmp_path):
     args = ["bp", "--corpus", "random:n=100,d=3", "--witnesses", "5", "--out", str(tmp_path)]
     assert run(args) == 0
@@ -576,6 +586,8 @@ def test_jobs_default_reads_environment(monkeypatch, tmp_path):
     monkeypatch.setenv("RO_AC0_JOBS", "3")
     assert _default_jobs() == 3
     monkeypatch.setenv("RO_AC0_JOBS", "junk")
+    assert _default_jobs() == 1
+    monkeypatch.setenv("RO_AC0_JOBS", "-3")  # unlike --jobs, a bad variable means 1
     assert _default_jobs() == 1
     monkeypatch.delenv("RO_AC0_JOBS")
     assert _default_jobs() == 1
