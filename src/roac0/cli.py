@@ -107,7 +107,11 @@ def load_circuit(spec: str) -> Circuit:
     if kind == "rectribes":
         if "widths" not in kv:
             raise UsageError("rectribes needs widths=a-b-c")
-        widths = [int(w) for w in kv["widths"].split("-")]
+        try:
+            widths = [int(w) for w in kv["widths"].split("-")]
+        except ValueError:
+            raise UsageError(
+                f"widths={kv['widths']!r} is not a dash-separated list of integers") from None
         return gen_recursive_tribes(_int_field(kv, "d", len(widths)), widths)
     if kind in ("and", "or"):
         k = _int_field(kv, "k")

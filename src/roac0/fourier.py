@@ -19,7 +19,10 @@ matrices, exact because every partial sum is an integer the float type
 holds: a transform partial sum is at most 2^n * max|v|, so 0/1 tables
 (n <= 24) run in float32 (to 2^24) and seed counts (2^EXHAUSTIVE_SEED_CAP
 = 2^26 in total) in float64 (to 2^53); an input past 2^53 is refused, not
-transformed another way.  Level sums stay below 4^n <= 2^48.
+transformed another way.  The transform works in place in one full-size
+buffer of that float type and returns the same memory as the integer of
+the same width, so a 0/1 table's spectrum is int32, 4 bytes a point, and
+no int64 copy is made.  Level sums stay below 4^n <= 2^48.
 
 Conventions, fixed once here and used everywhere:
   * characters chi_s(x) = (-1)^{s.x}; F_hat[s] = E_x[F(x) chi_s(x)]
@@ -126,15 +129,18 @@ def _hadamard_rows(m: np.ndarray, spare: np.ndarray) -> np.ndarray:
 
 
 def _wht_integers(values: np.ndarray) -> np.ndarray:
-    """New int64 array h with h[s] = sum_x v[x]*(-1)^{s.x}; ``values`` is untouched.
+    """New integer array h with h[s] = sum_x v[x]*(-1)^{s.x}; ``values`` is untouched.
 
     After k levels every partial sum is an integer of magnitude at most
     2^k * max|v|, so levels run as float matmuls by Sylvester matrices, exact
     while 2^n * max|v| is an integer the float type holds: float32 to 2^24
     (0/1 tables up to n = 24), else float64 below 2^53 (seed counts, at most
     2^EXHAUSTIVE_SEED_CAP * 2^WHT_CAP = 2^50); 2^n * max|v| >= 2^53 raises
-    ArithmeticError.  Blocks of _MATMUL_BLOCK entries take the low index
-    bits, then one pass over column tiles of h the bits above.
+    ArithmeticError.  One full-size buffer of that float type is transformed
+    in place, blocks of _MATMUL_BLOCK entries by the low index bits, then
+    column tiles by the bits above, and each block is cast to the integer of
+    the same width (int32, int64) into its own memory once its last pass is
+    done; h is that buffer, so a 0/1 table's spectrum takes 4 bytes a point.
     """
     size = values.size
     low = min(size, 64)  # index bits 0-5, by block @ H; the rest by H @ block
@@ -143,21 +149,24 @@ def _wht_integers(values: np.ndarray) -> np.ndarray:
     if bound * size >= _EXACT_FLOAT:
         raise ArithmeticError(f"|v| = {bound} too large for an exact transform of {size}")
     block = min(size, _MATMUL_BLOCK)
-    ftype = np.float32 if bound * size <= _EXACT_FLOAT32 else np.float64
+    ftype, itype = ((np.float32, np.int32) if bound * size <= _EXACT_FLOAT32
+                    else (np.float64, np.int64))
     buf, spare = np.empty(block, ftype), np.empty(block, ftype)
-    h = np.empty(size, dtype=np.int64)
+    h = np.empty(size, ftype)
+    out = h.view(itype)  # the same memory, written once a block's last pass is done
+    rows_done = out if size == block else h  # one block has no tile pass
     for r in range(0, size, block):
         np.copyto(buf, values[r : r + block])
         np.matmul(buf.reshape(-1, group // low, low), _H64[buf.dtype][:low, :low],
                   out=spare.reshape(-1, group // low, low))
-        h[r : r + block] = _hadamard_rows(spare.reshape(-1, low), buf).ravel()
+        rows_done[r : r + block] = _hadamard_rows(spare.reshape(-1, low), buf).ravel()
     if size > block:  # the bits above a block: H @ each column tile of h's rows
         tiles = h.reshape(size // block, -1, block * block // size)  # [row, tile, column]
-        tile = buf.reshape(len(tiles), -1)
+        tile, ints = buf.reshape(len(tiles), -1), out.reshape(tiles.shape)
         for t in range(tiles.shape[1]):
             np.copyto(tile, tiles[:, t])
-            tiles[:, t] = _hadamard_rows(tile, spare)
-    return h
+            ints[:, t] = _hadamard_rows(tile, spare)
+    return out
 
 
 @dataclass(frozen=True)
@@ -165,9 +174,9 @@ class SpectralTable:
     """All 2^n Fourier coefficients, stored exactly.
 
     ``numerators[s]`` is the integer 2^n * F_hat[s]; the shared denominator
-    keeps the table exact in int64 and the float32 transform of a 0/1 table
-    (|numerator| <= 2^n <= 2^WHT_CAP), and its level sums exact in float64
-    (sum_s |numerator| <= 4^n <= 2^48).
+    keeps a 0/1 table's numerators in int32, straight from its float32
+    transform (|numerator| <= 2^n <= 2^WHT_CAP), and its level sums exact in
+    float64 (sum_s |numerator| <= 4^n <= 2^48).  Any integer array works.
     """
 
     n: int

@@ -410,12 +410,17 @@ def _check_exhaustive(gen) -> None:
 
 @lru_cache(maxsize=6)
 def _distribution_cached(gen) -> np.ndarray:
-    """Read-only counts of each n-bit output over the full seed space."""
+    """Read-only counts of each n-bit output over the full seed space.
+
+    Each chunk of 2^20 outputs is added in place (``np.add.at``), so beside
+    the 2^n counts only one chunk is ever held: no 2^n-bin ``bincount``
+    result and no 2^n-output chunk.
+    """
     _check_exhaustive(gen)
-    # chunks of at least 2^n outputs, so each 2^n-bin bincount pays for itself
     counts = np.zeros(1 << gen.n, dtype=np.int64)
-    for chunk in gen._output_chunks(chunk_bits=max(20, gen.n)):
-        counts += np.bincount(chunk, minlength=1 << gen.n)
+    for chunk in gen._output_chunks(chunk_bits=20):
+        np.add.at(counts, chunk, 1)
+        del chunk  # not held while the next one is built
     counts.setflags(write=False)
     return counts
 

@@ -163,8 +163,11 @@ def test_bad_numbers_exit_2(args, capsys):
 @pytest.mark.parametrize("argv, message", [
     (["describe", "--circuit", "random:n=5,d"], "expected key=value, got 'd'"),
     (["describe", "--circuit", "rectribes:d=3"], "rectribes needs widths=a-b-c"),
+    (["describe", "--circuit", "rectribes:d=2,widths=2-a"],
+     "widths='2-a' is not a dash-separated list of integers"),
     (["fourier", "--circuit", "and:k=25", "--check"], "--check needs n <= 24"),
-], ids=["spec-without-value", "rectribes-without-widths", "fourier-check-above-cap"])
+], ids=["spec-without-value", "rectribes-without-widths", "rectribes-widths-not-integers",
+        "fourier-check-above-cap"])
 def test_bad_specs_exit_2_with_the_reason(argv, message, capsys):
     assert run(argv) == 2
     assert f"error: {message}" in capsys.readouterr().err

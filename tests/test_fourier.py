@@ -138,7 +138,7 @@ def test_wht_integers_exact_against_reference(n, kind):
     before = values.copy()
     values.setflags(write=False)
     h = _wht_integers(values)
-    assert h.dtype == np.int64
+    assert h.dtype == (np.int32 if kind == "table" else np.int64)
     assert h.tolist() == wht_reference(values)
     assert np.array_equal(values, before)
 
@@ -173,6 +173,22 @@ def test_wht_integers_all_ones_at_n24_reaches_2_to_the_24():
     assert not h[1:].any()
 
 
+# 2^n * max|v| = 2^24 is the last input float32, and so int32, holds exactly
+@pytest.mark.parametrize("n", [0, 6, 12, 17, 20])
+def test_wht_integers_narrows_to_int32_up_to_2_to_the_24(n):
+    edge = (1 << 24) >> n
+    rng = np.random.default_rng(n)
+    for bound, dtype in ((edge, np.int32), (edge + 1, np.int64)):
+        values = rng.integers(-bound, bound, 1 << n, endpoint=True)
+        values[-1] = -bound
+        h = _wht_integers(values)
+        assert h.dtype == dtype
+        assert np.array_equal(h, butterfly_reference(values))
+        full = _wht_integers(np.full(1 << n, bound, dtype=np.int64))
+        assert full.dtype == dtype
+        assert full[0] == bound << n
+
+
 def test_wht_integers_leaves_a_writable_input_alone():
     values = np.arange(1 << 10, dtype=np.int64)
     _wht_integers(values)
@@ -195,7 +211,8 @@ def test_seed_counts_under_the_caps_stay_in_the_exact_float_range():
 
 
 def test_wht_integers_memory_peak_is_the_result_plus_small_buffers():
-    # a full-size float64 or int32 temporary at 2^20 would add 8 or 4 MiB
+    # the int32 result is the float32 buffer itself: a full-size temporary
+    # beside it at 2^20 would add at least 4 MiB
     table = np.random.default_rng(3).integers(0, 2, 1 << 20).astype(np.uint8)
     tracemalloc.start()
     try:
@@ -203,11 +220,12 @@ def test_wht_integers_memory_peak_is_the_result_plus_small_buffers():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert h.nbytes == 4 << 20
     assert peak <= h.nbytes + (2 << 20)
 
 
 def test_wht_integers_memory_peak_at_2_22_is_the_result_plus_small_buffers():
-    # the tiles above a block: a full-size float32 temporary would add 16 MiB
+    # the tiles above a block: a full-size temporary would add at least 16 MiB
     table = np.random.default_rng(4).integers(0, 2, 1 << 22).astype(np.uint8)
     tracemalloc.start()
     try:
@@ -215,7 +233,23 @@ def test_wht_integers_memory_peak_at_2_22_is_the_result_plus_small_buffers():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert h.nbytes == 4 << 22
     assert peak <= h.nbytes + (2 << 20)
+
+
+def test_bruteforce_level_sums_memory_peak_at_2_20_stays_under_6_mib():
+    # the 1 MiB truth table, the 4 MiB int32 spectrum and small buffers; an
+    # int64 spectrum or a second full-size array would pass 8 MiB
+    c = gen_random_read_once(20, 3, seed=20)
+    tracemalloc.start()
+    try:
+        abs_l, sgn_l = wht_bruteforce(c).level_sums()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    lp = level_profile_recursive(c)
+    assert (abs_l, sgn_l) == (list(lp.abs_mass), list(lp.signed_sum))
+    assert peak <= 6 << 20
 
 
 @pytest.mark.parametrize("n", range(15))

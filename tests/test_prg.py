@@ -397,6 +397,19 @@ def test_exhaustive_fooling_memory_peak_stays_under_4_mib():
 
 
 @pytest.mark.parametrize("gen", [
+    SmallBiasGen(11, 22),  # 4 chunks of 2^20 outputs into 2^22 counts
+    RestrictionPRG(10, a=1, rounds=1, ell_sel=3, ell_asn=3, ell_final=3),
+], ids=lambda g: f"{type(g).__name__}-{g.seed_bits}bits")
+def test_distribution_matches_bincount_and_holds_one_chunk(gen):
+    # one bincount over every output against chunks added in place; a 2^n
+    # bincount result or a second chunk beside the counts took 98 MiB at 2^22
+    counts, peak = _traced_peak(lambda: _distribution_cached(gen))
+    outputs = np.concatenate(list(gen._output_chunks(chunk_bits=gen.seed_bits)))
+    assert np.array_equal(counts, np.bincount(outputs, minlength=1 << gen.n))
+    assert peak <= counts.nbytes + (16 << 20)
+
+
+@pytest.mark.parametrize("gen", [
     SmallBiasGen(5, 9),
     SmallBiasGen(9, 12),  # 4 chunks of 2^7 betas: 4 rows of T_1 against all of T_0
     SmallBiasGen(11, 12),  # 64 chunks of 2^5 betas: one row of T_1 against part of T_0
