@@ -23,8 +23,10 @@ round took (a prefix OR over the rounds).  Monte Carlo and exhaustive
 restriction sweeps both run this batched path.
 
 The exact small-bias bias is a closed form in (ell, n) from the factors of
-GF(2)[x] (``SmallBiasGen``).  Exhaustive fooling counts run over 2^16-entry
-slices, so beside the truth table they hold nothing of size 2^n.
+GF(2)[x] (``SmallBiasGen``).  An exhaustive small-bias sweep reads every
+beta at one alpha per Frobenius orbit, weighted by the orbit's size, about a
+(1/ell)th of the seeds.  Exhaustive fooling counts run over slices of about
+2^16 outputs, so beside the truth table they hold nothing of size 2^n.
 """
 
 from __future__ import annotations
@@ -197,6 +199,39 @@ def _alpha_power_rows(ell: int, n: int) -> np.ndarray:
     return rows
 
 
+def _frobenius_orbits(ell: int) -> tuple:
+    """(alphas, sizes): the least element of each orbit {alpha^(2^k)} of the
+    degree-ell field, 0 its own orbit, and the orbit's size, ordered by size
+    and then by alpha.
+
+    The size d divides ell: it is the degree of the smallest subfield
+    holding alpha.  Squaring is one gather through the table of squares.
+    """
+    alphas = np.arange(1 << ell, dtype=_field_dtype(ell))
+    square = _gf_mul_many(_gf_shifts(alphas, ell), alphas)
+    sizes = np.zeros(alphas.shape, dtype=np.int64)
+    least, x = alphas.copy(), alphas
+    for d in range(1, ell + 1):
+        x = square[x]
+        sizes[(sizes == 0) & (x == alphas)] = d
+        np.minimum(least, x, out=least)
+    first = np.flatnonzero(least == alphas)
+    first = first[np.argsort(sizes[first], kind="stable")]
+    return alphas[first], sizes[first]
+
+
+def _beta_columns(powers, ell: int, count: int) -> np.ndarray:
+    """cols[j, r] = output at alpha_r and beta = 2^j, as int64: bit i of it
+    is bit j of alpha_r^(i+1).
+
+    ``powers`` yields alpha^1, ..., alpha^n elementwise over the count alphas.
+    """
+    cols = np.zeros((ell, count), dtype=np.int64)
+    for i, p in enumerate(powers):
+        cols |= ((p >> np.arange(ell)[:, None]) & 1) << i
+    return cols
+
+
 def _xor_span(vectors: np.ndarray) -> np.ndarray:
     """table[t] = XOR of vectors[j] over the set bits j of t."""
     table = np.zeros((1, vectors.shape[1]), dtype=vectors.dtype)
@@ -219,9 +254,14 @@ def _fields(seeds: np.ndarray, offsets, width: int) -> np.ndarray:
     words = np.pad(seeds, ((0, 0), (0, -seeds.shape[1] % 8))).view("<u8").T
     shift = (offsets % 64).astype(np.uint64)[:, None]
     index = offsets // 64
-    value = words[index] >> shift
+    value = words[index]
+    value >>= shift
     # the next word's bits start at 64 - shift; at shift 0 they all fall off
-    value |= (words[np.minimum(index + 1, len(words) - 1)] << np.uint64(1)) << (np.uint64(63) - shift)
+    high = words[np.minimum(index + 1, len(words) - 1)]
+    high <<= np.uint64(1)
+    high <<= np.uint64(63) - shift
+    value |= high
+    del high
     if width < 64:
         value &= np.uint64((1 << width) - 1)
     return value
@@ -234,12 +274,12 @@ def _block_table(ell: int, n: int) -> tuple:
     c = ceil(ell / 2).  Output bit i is <alpha^(i+1), beta>, GF(2)-linear in
     beta: the XOR of cols[j][alpha], the output at beta = 2^j, over the set
     bits j of beta.  For odd ell T_1 also spans one zero column, as padding.
+    Only ``_expand_fields`` reads the tables (Monte Carlo and the restriction
+    expander, ell <= 10); exhaustive small-bias sweeps build none.
     """
-    rows = _alpha_power_rows(ell, n)
     c = (ell + 1) // 2
     cols = np.zeros((2 * c, 1 << ell), dtype=np.int64)
-    for i in range(n):
-        cols[:ell] |= ((rows[:, i] >> np.arange(ell)[:, None]) & 1) << i
+    cols[:ell] = _beta_columns(_alpha_power_rows(ell, n).T, ell, 1 << ell)
     tables = (_xor_span(cols[:c]).ravel(), _xor_span(cols[c:]).ravel())
     for table in tables:
         table.setflags(write=False)
@@ -249,6 +289,8 @@ def _block_table(ell: int, n: int) -> tuple:
 def _expand_fields(seeds: np.ndarray, ell: int, n: int, offsets) -> np.ndarray:
     """SmallBiasGen(ell, n) outputs of the blocks at each offset, (offsets, rows) int64.
 
+    The seed-by-seed path: Monte Carlo, and every restriction-expander block
+    (exhaustive small-bias sweeps go by orbits, ``SmallBiasGen._output_chunks``).
     Up to ell = 10 a block is two gathers, T_0 at alpha and the low half of
     beta, T_1 at alpha and the high half; above that a power chain in
     ``_field_dtype(ell)``.  Table build and gathers against the chain, caches
@@ -268,7 +310,14 @@ def _expand_fields(seeds: np.ndarray, ell: int, n: int, offsets) -> np.ndarray:
         fields = _fields(seeds, offsets, 2 * ell).view(np.int64)
         low = ell + (ell + 1) // 2  # alpha and the low half of beta: T_0's index
         t0, t1 = _block_table(ell, n)
-        return t0[fields & ((1 << low) - 1)] ^ t1[(fields >> low << ell) | (fields & ((1 << ell) - 1))]
+        out = t0[fields & ((1 << low) - 1)]
+        alpha = fields & ((1 << ell) - 1)
+        fields >>= low  # fields becomes T_1's index in place
+        fields <<= ell
+        fields |= alpha
+        del alpha
+        out ^= t1[fields]
+        return out
     dt = _field_dtype(ell)
     alpha = _fields(seeds, offsets, ell).astype(dt, copy=False)
     beta = _fields(seeds, np.add(offsets, ell), ell).astype(dt, copy=False)
@@ -305,6 +354,14 @@ class SmallBiasGen:
     all nonzero, no two factors share a root, and factors of other degrees
     have no root there.  The product of the chosen irreducibles has degree
     best <= n - 1 and reaches the maximum.
+
+    Exhaustive sweeps read one alpha per Frobenius orbit {alpha, alpha^2,
+    alpha^4, ...} and weight it by the orbit's size.  For a fixed alpha the
+    map beta -> output is GF(2)-linear, and its image is the annihilator of
+    the characters S with alpha q_S(alpha) = 0.  Squaring is a field
+    automorphism fixing GF(2), so q(alpha^2) = q(alpha)^2: alpha and alpha^2
+    vanish on the same q, give the same image, and so the same multiset of
+    outputs over all beta.
     """
 
     ell: int
@@ -337,17 +394,31 @@ class SmallBiasGen:
             p = gf_mul(p, alpha, self.ell)
         return out
 
-    def _output_chunks(self, chunk_bits: int) -> Iterator[np.ndarray]:
-        # Seed order: alpha in the low ell bits, beta above, so beta is the
-        # outer loop.  A chunk holds 2^k consecutive betas (about 2^chunk_bits
-        # seeds): the XOR of their rows of both block tables, read as [t, alpha].
+    def _output_chunks(self, chunk_bits: int) -> Iterator[tuple]:
+        """(outputs, weight) pairs: every beta at one alpha per Frobenius
+        orbit, weighted by the orbit's size (class docstring).
+
+        cols[j, r] is the output at alphas[r] and beta = 2^j.  The span of
+        the low c = ceil(ell / 2) columns holds every low half of beta, one
+        (R, 2^c) array over the R orbits, and each high half of beta XORs
+        one row of the other span into it.  That block yields one chunk per
+        orbit size.  A block has 2^c * R outputs whatever chunk_bits asks:
+        3,456 at ell = 10 and 80,896 at ell = 13, the largest under the
+        seed cap.  Stacking 18 high halves into 2^16-output blocks at
+        ell = 10 raised a process's peak RSS by about 0.9 MB (2-core
+        x86-64, numpy 2.4).  The sweep reads 2^ell * R, about 2^(2 ell) /
+        ell, outputs and builds no table over all alphas.
+        """
+        alphas, sizes = _frobenius_orbits(self.ell)
+        weights, starts = np.unique(sizes, return_index=True)
+        runs = list(zip(weights.tolist(), starts.tolist(), [*starts[1:].tolist(), len(alphas)]))
         c = (self.ell + 1) // 2
-        t0, t1 = (t.reshape(1 << c, -1) for t in _block_table(self.ell, self.n))
-        k = min(self.ell, max(0, chunk_bits - self.ell))
-        for beta in range(0, 1 << self.ell, 1 << k):
-            lo, hi = beta & ((1 << c) - 1), beta >> c
-            yield (t1[hi : hi + max(1, (1 << k) >> c), None]
-                   ^ t0[None, lo : lo + min(1 << k, 1 << c)]).reshape(-1)
+        cols = _beta_columns(_gf_powers(alphas, self.ell, self.n), self.ell, len(alphas))
+        low = np.ascontiguousarray(_xor_span(cols[:c]).T)  # alpha-major, so chunks are views
+        for row in _xor_span(cols[c:]):
+            block = low ^ row[:, None]
+            for weight, a, b in runs:
+                yield block[a:b].reshape(-1), weight
 
     def _expand_seeds(self, seeds: np.ndarray) -> np.ndarray:
         _one_word(self.n)
@@ -384,11 +455,11 @@ class UniformGen:
             raise CircuitError(f"seed {seed} outside {self.n} bits")
         return seed
 
-    def _output_chunks(self, chunk_bits: int) -> Iterator[np.ndarray]:
+    def _output_chunks(self, chunk_bits: int) -> Iterator[tuple]:
         total = 1 << self.n
         step = 1 << min(chunk_bits, self.n)
         for lo in range(0, total, step):
-            yield np.arange(lo, min(lo + step, total), dtype=np.int64)
+            yield np.arange(lo, min(lo + step, total), dtype=np.int64), 1
 
     def _expand_seeds(self, seeds: np.ndarray) -> np.ndarray:
         _one_word(self.n)
@@ -412,14 +483,16 @@ def _check_exhaustive(gen) -> None:
 def _distribution_cached(gen) -> np.ndarray:
     """Read-only counts of each n-bit output over the full seed space.
 
-    Each chunk of 2^20 outputs is added in place (``np.add.at``), so beside
-    the 2^n counts only one chunk is ever held: no 2^n-bin ``bincount``
-    result and no 2^n-output chunk.
+    Each chunk of at most 2^20 outputs is added in place with its weight
+    (``np.add.at``), so beside the 2^n counts only one chunk is ever held:
+    no 2^n-bin ``bincount`` result and no 2^n-output chunk.  A chunk's
+    weight is the number of seeds behind each of its outputs: 1, or for a
+    ``SmallBiasGen`` the size of the Frobenius orbit of the chunk's alphas.
     """
     _check_exhaustive(gen)
     counts = np.zeros(1 << gen.n, dtype=np.int64)
-    for chunk in gen._output_chunks(chunk_bits=20):
-        np.add.at(counts, chunk, 1)
+    for chunk, weight in gen._output_chunks(chunk_bits=20):
+        np.add.at(counts, chunk, weight)
         del chunk  # not held while the next one is built
     counts.setflags(write=False)
     return counts
@@ -431,9 +504,15 @@ def output_distribution(gen) -> np.ndarray:
 
 
 def _accepted_seeds(gen, tt: np.ndarray) -> int:
-    """Seeds whose output the truth table accepts, counted 2^16 outputs at a time."""
+    """Seeds whose output the 0/1 truth table accepts.
+
+    Counted one chunk at a time, each accepted output times its chunk's
+    weight (``_distribution_cached``): 2^16 outputs, or a ``SmallBiasGen``
+    chunk of one high half of beta.
+    """
     _check_exhaustive(gen)
-    return sum(int(np.count_nonzero(tt[chunk])) for chunk in gen._output_chunks(chunk_bits=16))
+    return sum(weight * int(np.count_nonzero(tt[chunk]))
+               for chunk, weight in gen._output_chunks(chunk_bits=16))
 
 
 def _transform_bias(gen) -> Fraction:
@@ -570,16 +649,17 @@ class RestrictionPRG:
             "fallback_values": final,
         }
 
-    def _output_chunks(self, chunk_bits: int) -> Iterator[np.ndarray]:
+    def _output_chunks(self, chunk_bits: int) -> Iterator[tuple]:
         total = 1 << self.seed_bits
         step = 1 << min(chunk_bits, self.seed_bits)
-        sub = min(step, 1 << 15)  # cache-sized (blocks, seeds) arrays
+        sub = min(step, 1 << 14)  # (blocks, seeds) arrays under 1 MiB all told
         for lo in range(0, total, step):
             chunk = np.empty(step, dtype=np.int64)
             for s in range(0, step, sub):
                 seeds = np.arange(lo + s, lo + s + sub, dtype="<u8").view(np.uint8)
                 chunk[s : s + sub] = self._expand_seeds(seeds.reshape(sub, 8))
-            yield chunk
+            yield chunk, 1
+            del chunk  # not held while the next one is built
 
     def _expand_seeds(self, seeds: np.ndarray) -> np.ndarray:
         """The vectorized form of ``expand_trace``, one expansion per block kind.
@@ -596,8 +676,11 @@ class RestrictionPRG:
         taken = np.bitwise_or.accumulate(sel, axis=0)
         sel[1:] &= ~taken[:-1]
         out = np.bitwise_or.reduce(_expand_fields(seeds, self.ell_asn, n, asn_offsets) & sel, axis=0)
+        del sel
         final = _expand_fields(seeds, self.final_ell, n, [final_offset])[0]
-        return out | (final & ~taken[-1])
+        final &= ~taken[-1]
+        out |= final
+        return out
 
     def _bias(self) -> Fraction:
         return _transform_bias(self)
@@ -696,11 +779,12 @@ def fooling_error(
 ) -> FoolingReport:
     """|E[F(uniform)] - E[F(expander(seed))]|, exact or Monte-Carlo.
 
-    Exhaustive mode enumerates every seed (cap EXHAUSTIVE_SEED_CAP seed
-    bits; small-bias sweeps use the linearity of the output in beta) and
-    returns an exact rational error.  MC mode samples seeds in blocks with
-    counter-based per-block RNG streams and attaches a Wilson 95% interval,
-    so the result depends only on (master_seed, trials), not on scheduling.
+    Exhaustive mode counts over every seed (cap EXHAUSTIVE_SEED_CAP seed
+    bits; small-bias sweeps read one alpha per Frobenius orbit, weighted by
+    its size) and returns an exact rational error.  MC mode samples seeds
+    in blocks with counter-based per-block RNG streams and attaches a
+    Wilson 95% interval, so the result depends only on (master_seed,
+    trials), not on scheduling.
     It expands each block of seeds in numpy batches of about MC_BATCH_BITS
     seed bits, any field degree up to 64 included.
     """

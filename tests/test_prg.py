@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -47,6 +48,7 @@ from roac0.prg import (
     _distribution_cached,
     _expand_fields,
     _field_dtype,
+    _frobenius_orbits,
     _gf_mul_many,
     _gf_shifts,
     _seed_bytes,
@@ -160,10 +162,71 @@ def test_expansion_deterministic():
 
 @pytest.mark.parametrize("chunk_bits", [3, 6, 11])  # below ell, between, above 2*ell
 def test_chunked_outputs_match_scalar(chunk_bits):
+    # the weighted outputs are the multiset of every seed's output, whatever
+    # chunk size is asked for
     gen = SmallBiasGen(5, 9)
-    seen = np.concatenate(list(gen._output_chunks(chunk_bits=chunk_bits)))
-    want = [gen.expand(s) for s in range(1 << gen.seed_bits)]
-    assert seen.tolist() == want
+    seen = Counter()
+    for chunk, weight in gen._output_chunks(chunk_bits=chunk_bits):
+        for out in chunk.tolist():
+            seen[out] += weight
+    assert seen == Counter(gen.expand(s) for s in range(1 << gen.seed_bits))
+
+
+def _every_seed_counts(gen) -> np.ndarray:
+    """Counts of each output over every seed, each expanded by ``_expand_seeds``."""
+    counts = np.zeros(1 << gen.n, dtype=np.int64)
+    step = 1 << min(gen.seed_bits, 18)
+    for lo in range(0, 1 << gen.seed_bits, step):
+        seeds = np.arange(lo, lo + step, dtype="<u8").view(np.uint8).reshape(step, 8)
+        counts += np.bincount(gen._expand_seeds(seeds), minlength=1 << gen.n)
+    return counts
+
+
+@pytest.mark.parametrize("ell", range(2, 14))
+def test_frobenius_orbits_partition_the_field(ell):
+    alphas, sizes = _frobenius_orbits(ell)
+    pairs = list(zip(sizes.tolist(), alphas.tolist()))
+    assert pairs == sorted(pairs)  # by size, then by alpha
+    seen = set()
+    for alpha, size in zip(alphas.tolist(), sizes.tolist()):
+        orbit, x = [alpha], gf_mul(alpha, alpha, ell)
+        while x != alpha:
+            orbit.append(x)
+            x = gf_mul(x, x, ell)
+        assert min(orbit) == alpha and len(orbit) == size and ell % size == 0
+        seen.update(orbit)
+    assert len(seen) == sum(sizes.tolist()) == 1 << ell  # disjoint, and they cover the field
+
+
+def _outputs_over_every_beta(gen, alpha: int) -> np.ndarray:
+    seeds = alpha | (np.arange(1 << gen.ell, dtype="<u8") << np.uint64(gen.ell))
+    return gen._expand_seeds(seeds.view(np.uint8).reshape(-1, 8))
+
+
+@pytest.mark.parametrize("ell", range(2, 14))
+def test_alpha_and_its_square_give_the_same_outputs(ell):
+    gen = SmallBiasGen(ell, min(2 * ell, 24))
+    if ell <= 10:
+        alphas = range(1 << ell)
+    else:
+        alphas = random.Random(ell).sample(range(1 << ell), 8)
+    for alpha in alphas:
+        square = gf_mul(alpha, alpha, ell)
+        assert np.array_equal(np.sort(_outputs_over_every_beta(gen, alpha)),
+                              np.sort(_outputs_over_every_beta(gen, square)))
+
+
+@pytest.mark.parametrize("ell", range(2, 13))
+def test_orbit_sweep_matches_every_seed(ell):
+    # n = 7 at ell = 2 runs past 2^ell, where the powers of alpha cycle
+    gen = SmallBiasGen(ell, min(ell + 5, 16))
+    want = _every_seed_counts(gen)
+    tt = truth_table(load_circuit(f"random:n={gen.n},d=3,seed={ell}"))
+    try:
+        assert np.array_equal(_distribution_cached(gen), want)
+        assert _accepted_seeds(gen, tt) == int(want @ tt.astype(np.int64))
+    finally:
+        _distribution_cached.cache_clear()
 
 
 def _scalar_seeds(rng, bits: int, size: int) -> list:
@@ -242,16 +305,17 @@ def test_expand_fields_matches_scalar_expand(ell):
                  id="20bits-a2"),
 ], ids=lambda g: f"{g.seed_bits}bits")
 def test_restriction_chunks_match_scalar_with_odd_ell(gen):
-    chunk = next(gen._output_chunks(chunk_bits=20))
+    chunk, weight = next(gen._output_chunks(chunk_bits=20))
+    assert weight == 1
     picks = np.random.default_rng(3).integers(0, len(chunk), 2000)
     assert [int(chunk[s]) for s in picks] == [gen.expand(int(s)) for s in picks]
 
 
 def test_restriction_chunks_agree_across_sub_steps():
-    # a chunk is filled in 2^15-seed steps
+    # a chunk is filled in 2^14-seed steps
     gen = RestrictionPRG(21, a=1, rounds=1, ell_sel=2, ell_asn=4, ell_final=5)
-    wide = np.concatenate(list(gen._output_chunks(chunk_bits=21)))
-    narrow = np.concatenate(list(gen._output_chunks(chunk_bits=20)))
+    wide = np.concatenate([chunk for chunk, _ in gen._output_chunks(chunk_bits=21)])
+    narrow = np.concatenate([chunk for chunk, _ in gen._output_chunks(chunk_bits=20)])
     assert np.array_equal(wide, narrow)
     assert [int(v) for v in wide[[0, 12345, len(wide) - 1]]] == [
         gen.expand(s) for s in (0, 12345, len(wide) - 1)
@@ -396,23 +460,44 @@ def test_exhaustive_fooling_memory_peak_stays_under_4_mib():
     assert _distribution_cached.cache_info().currsize == 0
 
 
+def test_orbit_sweep_at_ell_13_builds_no_table_over_alpha():
+    # the two 2^20-entry block tables over (alpha, half of beta) took 26 MiB
+    c = load_circuit("random:n=18,d=3,seed=5")
+    r, peak = _traced_peak(lambda: fooling_error(c, SmallBiasGen(13, 18), mode="exhaustive"))
+    assert r.generator_expectation == Fraction(33018545, 67108864)
+    assert peak <= 4 << 20
+    assert _block_table.cache_info().currsize == _alpha_power_rows.cache_info().currsize == 0
+
+
 @pytest.mark.parametrize("gen", [
-    SmallBiasGen(11, 22),  # 4 chunks of 2^20 outputs into 2^22 counts
+    SmallBiasGen(11, 22),  # 32 blocks of 2^6 low halves of beta into 2^22 counts
     RestrictionPRG(10, a=1, rounds=1, ell_sel=3, ell_asn=3, ell_final=3),
 ], ids=lambda g: f"{type(g).__name__}-{g.seed_bits}bits")
 def test_distribution_matches_bincount_and_holds_one_chunk(gen):
-    # one bincount over every output against chunks added in place; a 2^n
+    # bincounts over every seed against chunks added in place; a 2^n
     # bincount result or a second chunk beside the counts took 98 MiB at 2^22
     counts, peak = _traced_peak(lambda: _distribution_cached(gen))
-    outputs = np.concatenate(list(gen._output_chunks(chunk_bits=gen.seed_bits)))
-    assert np.array_equal(counts, np.bincount(outputs, minlength=1 << gen.n))
+    assert np.array_equal(counts, _every_seed_counts(gen))
     assert peak <= counts.nbytes + (16 << 20)
+
+
+def test_restriction_distribution_holds_one_chunk_of_2_20_outputs():
+    # 2^22 seeds in four 8 MiB chunks; the previous chunk held while the
+    # next one was built read counts + 16 MiB
+    gen = RestrictionPRG(16, a=1, rounds=1, ell_sel=4, ell_asn=4, ell_final=3)
+    assert gen.seed_bits == 22
+    counts, peak = _traced_peak(lambda: _distribution_cached(gen))
+    try:
+        assert counts.sum() == 1 << 22
+        assert peak <= counts.nbytes + (9 << 20)
+    finally:
+        _distribution_cached.cache_clear()
 
 
 @pytest.mark.parametrize("gen", [
     SmallBiasGen(5, 9),
-    SmallBiasGen(9, 12),  # 4 chunks of 2^7 betas: 4 rows of T_1 against all of T_0
-    SmallBiasGen(11, 12),  # 64 chunks of 2^5 betas: one row of T_1 against part of T_0
+    SmallBiasGen(9, 12),  # orbits of sizes 1, 3 and 9, 16 high halves of beta
+    SmallBiasGen(11, 12),  # orbits of sizes 1 and 11, 32 high halves of beta
     UniformGen(12),
     UniformGen(18),
     RestrictionPRG(6, a=1, rounds=1, ell_sel=2, ell_asn=2, ell_final=2),
