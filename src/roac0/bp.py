@@ -51,7 +51,7 @@ from .circuit import (
     simplify,
     trampoline,
 )
-from .fourier import SpectralTable, _wht_integers, variable_pattern
+from .fourier import SpectralTable, variable_pattern
 
 
 class BPError(CircuitError):
@@ -420,6 +420,6 @@ def bp_matrix_levelmass_upper(b: OrderedBP, k: int):
         raise BPError("level must be nonnegative")
     if k > b.length:
         return Fraction(0)
-    best = max(SpectralTable(b.length, _wht_integers(table)).level_sums()[0][k]
+    best = max(SpectralTable(b.length, table).level_sums()[0][k]
                for table in bp_state_functions(b).values())
     return b.width * best

@@ -14,15 +14,14 @@ a leaf contributes +-1/2, so every subtree's quantities are integers over
 bound checkers need only L_p and F_hat[0], which one O(size) scalar fold
 gives exactly; the level profile and the transform are the oracles.
 
-The transform and its level sums run as float matmuls by +-1 and 0/1
-matrices, exact because every partial sum is an integer the float type
-holds: a transform partial sum is at most 2^n * max|v|, so 0/1 tables
-(n <= 24) run in float32 (to 2^24) and seed counts (2^EXHAUSTIVE_SEED_CAP
-= 2^26 in total) in float64 (to 2^53); an input past 2^53 is refused, not
-transformed another way.  The transform works in place in one full-size
-buffer of that float type and returns the same memory as the integer of
-the same width, so a 0/1 table's spectrum is int32, 4 bytes a point, and
-no int64 copy is made.  Level sums stay below 4^n <= 2^48.
+The transform is one stream of blocks of max(2^16, 2^(n-6)) indices: the
+h <= 6 index bits above a block go first, by integer butterflies in place
+(a 0/1 table is read as int8, then restored), then each block's
+low bits as float matmuls by +-1 matrices, exact because every partial sum
+is an integer of magnitude at most 2^n * max|v|: float32 to 2^24 (0/1
+tables, n <= 24), float64 below 2^53 (seed counts, 2^EXHAUSTIVE_SEED_CAP =
+2^26 in total), and past that the input is refused.  Level sums reduce
+each block as it arrives and stay below 4^n <= 2^48.
 
 Conventions, fixed once here and used everywhere:
   * characters chi_s(x) = (-1)^{s.x}; F_hat[s] = E_x[F(x) chi_s(x)]
@@ -100,7 +99,6 @@ def popcounts(n: int) -> np.ndarray:
 
 
 _EXACT_FLOAT32, _EXACT_FLOAT = 1 << 24, 1 << 53  # float32, float64 hold every integer up to these
-_MATMUL_BLOCK = 1 << 16  # entries per float block: two 256 or 512 KiB buffers
 _H64 = {np.dtype(t): 1 - 2 * (popcounts(6)[np.bitwise_and.outer(*[np.arange(64)] * 2)] & 1).astype(t)
         for t in (np.float32, np.float64)}  # Sylvester, in each float type
 _POP_BITS = 10
@@ -128,59 +126,85 @@ def _hadamard_rows(m: np.ndarray, spare: np.ndarray) -> np.ndarray:
     return m.reshape(shape)
 
 
-def _wht_integers(values: np.ndarray) -> np.ndarray:
-    """New integer array h with h[s] = sum_x v[x]*(-1)^{s.x}; ``values`` is untouched.
+def _block_bits(n: int) -> int:
+    """Index bits of a transform block."""
+    return min(n, max(16, n - 6))
 
-    After k levels every partial sum is an integer of magnitude at most
-    2^k * max|v|, so levels run as float matmuls by Sylvester matrices, exact
-    while 2^n * max|v| is an integer the float type holds: float32 to 2^24
-    (0/1 tables up to n = 24), else float64 below 2^53 (seed counts, at most
-    2^EXHAUSTIVE_SEED_CAP * 2^WHT_CAP = 2^50); 2^n * max|v| >= 2^53 raises
-    ArithmeticError.  One full-size buffer of that float type is transformed
-    in place, blocks of _MATMUL_BLOCK entries by the low index bits, then
-    column tiles by the bits above, and each block is cast to the integer of
-    the same width (int32, int64) into its own memory once its last pass is
-    done; h is that buffer, so a 0/1 table's spectrum takes 4 bytes a point.
+
+def _butterflies(work: np.ndarray, block: int) -> None:
+    """H over the index bits above ``block``, in place by radix-2 butterflies on
+    runs of one block; numpy's integers wrap, so it is exact modulo the width."""
+    step = block
+    while step < work.size:
+        for r in range(0, work.size, 2 * step):
+            for c in range(r, r + step, block):
+                top, bottom = work[c : c + block], work[c + step : c + step + block]
+                diff = top - bottom
+                top += bottom
+                bottom[...] = diff
+        step *= 2
+
+
+def _wht_blocks(values: np.ndarray):
+    """Yield (start, h[start : start + B]) for h[s] = sum_x v[x]*(-1)^{s.x}.
+
+    The h bits above a block of B = 2^_block_bits(n) go first, by butterflies
+    on a table that holds 2^h * max|v|: ``values`` if it is writable and wide
+    enough, restored after (H @ H = 2^h * I, then a shift), else a copy in
+    the narrowest signed type.  Each block's low bits then run as float
+    matmuls: float32 while 2^n * max|v| <= 2^24, else float64 (ArithmeticError
+    from 2^53).  Each yielded block is overwritten by the next.
     """
     size = values.size
-    low = min(size, 64)  # index bits 0-5, by block @ H; the rest by H @ block
-    group = low * min(size // low, 64)  # bits 0-11: a batch of products of <= 2^18 multiply-adds
     bound = max(int(values.max()), 0 if values.dtype.kind in "bu" else -int(values.min()))
     if bound * size >= _EXACT_FLOAT:
         raise ArithmeticError(f"|v| = {bound} too large for an exact transform of {size}")
-    block = min(size, _MATMUL_BLOCK)
-    ftype, itype = ((np.float32, np.int32) if bound * size <= _EXACT_FLOAT32
-                    else (np.float64, np.int64))
-    buf, spare = np.empty(block, ftype), np.empty(block, ftype)
-    h = np.empty(size, ftype)
-    out = h.view(itype)  # the same memory, written once a block's last pass is done
-    rows_done = out if size == block else h  # one block has no tile pass
-    for r in range(0, size, block):
-        np.copyto(buf, values[r : r + block])
-        np.matmul(buf.reshape(-1, group // low, low), _H64[buf.dtype][:low, :low],
-                  out=spare.reshape(-1, group // low, low))
-        rows_done[r : r + block] = _hadamard_rows(spare.reshape(-1, low), buf).ravel()
-    if size > block:  # the bits above a block: H @ each column tile of h's rows
-        tiles = h.reshape(size // block, -1, block * block // size)  # [row, tile, column]
-        tile, ints = buf.reshape(len(tiles), -1), out.reshape(tiles.shape)
-        for t in range(tiles.shape[1]):
-            np.copyto(tile, tiles[:, t])
-            ints[:, t] = _hadamard_rows(tile, spare)
+    bits = _block_bits(size.bit_length() - 1)
+    block, high = 1 << bits, size.bit_length() - 1 - bits
+    width = next(w for w in (1, 2, 4, 8) if bound << high < 1 << (8 * w - 1))  # bytes
+    own = high and values.dtype.kind in "biu" and values.flags.carray and width <= values.itemsize
+    work = (values.view(f"i{values.itemsize}") if own else
+            values.astype(f"i{width}") if high else values)
+    _butterflies(work, block)
+    try:
+        low = min(size, 64)  # index bits 0-5, by block @ H; the rest by H @ block
+        group = low * min(block // low, 64)  # bits 0-11: batches of <= 2^18 multiply-adds
+        buf, spare = np.empty((2, block), np.float32 if bound * size <= _EXACT_FLOAT32 else float)
+        for r in range(0, size, block):
+            np.copyto(buf, work[r : r + block])
+            np.matmul(buf.reshape(-1, group // low, low), _H64[buf.dtype][:low, :low],
+                      out=spare.reshape(-1, group // low, low))
+            yield r, _hadamard_rows(spare.reshape(-1, low), buf).ravel()
+    finally:
+        if own:
+            _butterflies(work, block)
+            work >>= high
+
+
+def _wht_integers(values: np.ndarray) -> np.ndarray:
+    """New array h[s] = sum_x v[x]*(-1)^{s.x}, ``values`` as it was: each block
+    written into int32 (from float32: a 0/1 table) or int64."""
+    for r, block in _wht_blocks(values):
+        if r == 0:
+            out = np.empty(values.size, np.int32 if block.dtype == np.float32 else np.int64)
+        out[r : r + block.size] = block
     return out
 
 
 @dataclass(frozen=True)
 class SpectralTable:
-    """All 2^n Fourier coefficients, stored exactly.
+    """The spectrum of an integer table on 2^n points, exact.
 
-    ``numerators[s]`` is the integer 2^n * F_hat[s]; the shared denominator
-    keeps a 0/1 table's numerators in int32, straight from its float32
-    transform (|numerator| <= 2^n <= 2^WHT_CAP), and its level sums exact in
-    float64 (sum_s |numerator| <= 4^n <= 2^48).  Any integer array works.
+    ``table[x]`` is F(x); ``numerators[s]`` = 2^n * F_hat[s] is transformed
+    on demand (int32 for a 0/1 table), and ``level_sums`` never holds it.
     """
 
     n: int
-    numerators: np.ndarray
+    table: np.ndarray
+
+    @property
+    def numerators(self) -> np.ndarray:
+        return _wht_integers(self.table)
 
     def coefficient(self, s: int) -> Fraction:
         return Fraction(int(self.numerators[s]), 1 << self.n)
@@ -188,28 +212,21 @@ class SpectralTable:
     def level_sums(self) -> tuple[list[Fraction], list[Fraction]]:
         """(abs sums L^0..L^n, signed sums A^0..A^n), exact.
 
-        popcount(s) = popcount(s >> 10) + popcount(low 10 bits): rows of 2^10
-        numerators (and of their absolute values) times a one-hot popcount
-        matrix, binned by the row's popcount.
+        Each block is reduced as it arrives: rows of 2^10 numerators (and of
+        their absolute values) times a one-hot popcount matrix, binned by
+        level, which the popcount of the block index shifts.
         """
-        n = self.n
-        low = min(n, _POP_BITS)
+        n, bits = self.n, _block_bits(self.n)
+        low = min(bits, _POP_BITS)
         onehot = _POP_ONEHOT[: 1 << low, : low + 1]
-        rows = self.numerators.reshape(-1, 1 << low)
-        sgn_rows = np.empty((rows.shape[0], low + 1))
-        abs_rows = np.empty_like(sgn_rows)
-        step = _MATMUL_BLOCK >> low  # rows per float64 block
-        buf = np.empty((min(step, len(rows)), 1 << low))
-        for r in range(0, len(rows), step):
-            np.copyto(buf, rows[r : r + step])
-            sgn_rows[r : r + step] = buf @ onehot
-            abs_rows[r : r + step] = np.abs(buf, out=buf) @ onehot
-        level = (popcounts(n - low)[:, None] + np.arange(low + 1)).ravel()
-        den = 1 << n
-        return tuple(
-            [Fraction(int(v), den) for v in np.bincount(level, weights=w.ravel(), minlength=n + 1)]
-            for w in (abs_rows, sgn_rows)
-        )
+        level = (popcounts(bits - low)[:, None] + np.arange(low + 1)).ravel()
+        buf, sums = np.empty((1 << (bits - low), 1 << low)), np.zeros((2, n + 1))  # abs, signed
+        for r, block in _wht_blocks(self.table):
+            np.copyto(buf, block.reshape(buf.shape))
+            at = slice(k := (r >> bits).bit_count(), k + bits + 1)
+            sums[1, at] += np.bincount(level, weights=(buf @ onehot).ravel())
+            sums[0, at] += np.bincount(level, weights=(np.abs(buf, out=buf) @ onehot).ravel())
+        return tuple([Fraction(int(v), 1 << n) for v in row] for row in sums)
 
     def check_parseval(self) -> bool:
         """Exact check of sum_s F_hat[s]^2 = F_hat[0] for Boolean F."""
@@ -222,9 +239,9 @@ class SpectralTable:
 
 
 def wht_bruteforce(c: Circuit) -> SpectralTable:
-    """Exact spectrum by Walsh-Hadamard transform of the full truth table
-    (``CapExceeded`` above n = ``WHT_CAP``, from :func:`truth_table`)."""
-    return SpectralTable(c.n, _wht_integers(truth_table(c)))
+    """Exact spectrum of the full truth table (``CapExceeded`` above
+    n = ``WHT_CAP``, from :func:`truth_table`)."""
+    return SpectralTable(c.n, truth_table(c))
 
 
 # ---------------------------------------------------------------------------
@@ -295,9 +312,7 @@ def level_profile_recursive(c: Circuit, exact: bool = True) -> LevelProfile:
     den = 1 << m
     pad = [0] * (c.n + 1 - len(absL))
     conv = (lambda v: Fraction(v, den)) if exact else (lambda v: v / den)
-    return LevelProfile(
-        c.n, tuple(map(conv, absL + pad)), tuple(map(conv, sgnA + pad))
-    )
+    return LevelProfile(c.n, tuple(map(conv, absL + pad)), tuple(map(conv, sgnA + pad)))
 
 
 def damped_mass(lp: LevelProfile, p) -> object:
@@ -395,19 +410,9 @@ def check_lp_sandwich(lp: LevelProfile, p) -> BoundReport:
     lower_slack = lpv - peak
     upper_slack = lp.n * peak - lpv
     passed = lower_slack >= 0 and upper_slack >= 0
-    return BoundReport(
-        float(peak),
-        float(lpv),
-        float(min(lower_slack, upper_slack)),
-        passed,
-        {
-            "p": float(p),
-            "n": lp.n,
-            "slack_lower": float(lower_slack),
-            "slack_upper": float(upper_slack),
-            "upper_rhs": float(lp.n * peak),
-        },
-    )
+    params = {"p": float(p), "n": lp.n, "slack_lower": float(lower_slack),
+              "slack_upper": float(upper_slack), "upper_rhs": float(lp.n * peak)}
+    return BoundReport(float(peak), float(lpv), float(min(lower_slack, upper_slack)), passed, params)
 
 
 def growth_factor(n: int, depth: int, eps) -> float:
@@ -456,21 +461,8 @@ def check_mainbound(c: Circuit, eps, p: float | None = None) -> BoundReport:
     lhs = mass / u
     rhs = p * minf0 * factor + eps
     slack = rhs - lhs
-    return BoundReport(
-        lhs,
-        rhs,
-        slack,
-        slack >= 0,
-        {
-            "p": p,
-            "eps": float(eps),
-            "D": d,
-            "n": c.n,
-            "f0": minf0,
-            "log_base": 2,
-            "constant": 9,
-        },
-    )
+    params = {"p": p, "eps": float(eps), "D": d, "n": c.n, "f0": minf0, "log_base": 2, "constant": 9}
+    return BoundReport(lhs, rhs, slack, slack >= 0, params)
 
 
 def check_growth_corollary(c: Circuit) -> dict:

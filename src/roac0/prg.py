@@ -44,7 +44,7 @@ from .fourier import (
     WHT_CAP,
     BoundReport,
     CapExceeded,
-    _wht_integers,
+    _wht_blocks,
     damped_mass_recursive,
     level_profile_recursive,  # noqa: F401  (perfbench's tracer wraps this name here)
     truth_table,
@@ -472,9 +472,7 @@ class UniformGen:
 def _check_exhaustive(gen) -> None:
     """The caps every full seed sweep and 2^n output table stays under."""
     if gen.seed_bits > EXHAUSTIVE_SEED_CAP:
-        raise CapExceeded(
-            f"{gen.seed_bits} seed bits exceed exhaustive cap {EXHAUSTIVE_SEED_CAP}"
-        )
+        raise CapExceeded(f"{gen.seed_bits} seed bits exceed exhaustive cap {EXHAUSTIVE_SEED_CAP}")
     if gen.n > WHT_CAP:
         raise CapExceeded(f"output distribution for n={gen.n} exceeds cap {WHT_CAP}")
 
@@ -517,9 +515,11 @@ def _accepted_seeds(gen, tt: np.ndarray) -> int:
 
 def _transform_bias(gen) -> Fraction:
     """Bias from the exact transform of the output distribution."""
-    # _wht_integers copies the read-only counts; max |.| without a full-size np.abs temporary
-    rest = _wht_integers(_distribution_cached(gen))[1:]
-    return Fraction(max(int(rest.max()), -int(rest.min())), 1 << gen.seed_bits)
+    top = 0
+    for r, block in _wht_blocks(_distribution_cached(gen)):
+        rest = block[1:] if r == 0 else block  # s = 0 is no character
+        top = max(top, int(rest.max()), -int(rest.min()))
+    return Fraction(top, 1 << gen.seed_bits)
 
 
 def measure_bias(gen) -> Fraction:

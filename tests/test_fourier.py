@@ -1,5 +1,6 @@
 """Spectra: brute-force transform oracle, level recursion, bound checkers."""
 
+import hashlib
 import math
 import random
 import sys
@@ -28,6 +29,7 @@ from roac0 import (
     render,
     to_nand_form,
 )
+from roac0.bp import bp_from_circuit, bp_matrix_levelmass_upper
 from roac0.circuit import evaluate_columns
 from roac0.fourier import (
     _EXACT_FLOAT,
@@ -97,7 +99,7 @@ def test_spectrum_sums_to_value_at_zero():
 
 
 def test_transform_cap_enforced():
-    with pytest.raises(CapExceeded):
+    with pytest.raises(CapExceeded):  # at the call, not at a later query
         wht_bruteforce(gen_random_read_once(30, 2, seed=1))
 
 
@@ -237,10 +239,12 @@ def test_wht_integers_memory_peak_at_2_22_is_the_result_plus_small_buffers():
     assert peak <= h.nbytes + (2 << 20)
 
 
-def test_bruteforce_level_sums_memory_peak_at_2_20_stays_under_6_mib():
-    # the 1 MiB truth table, the 4 MiB int32 spectrum and small buffers; an
-    # int64 spectrum or a second full-size array would pass 8 MiB
-    c = gen_random_read_once(20, 3, seed=20)
+@pytest.mark.parametrize("n, seed, mib", [(20, 20, 3), (22, 22, 6)])
+def test_bruteforce_level_sums_memory_peak_is_the_table_plus_block_buffers(n, seed, mib):
+    # the uint8 truth table, transformed in place and restored, and about
+    # 1 MiB of block buffers; an int8 working copy would pass the bound, and
+    # the int32 spectrum took 5.5 MiB at 2^20 and 20.5 MiB at 2^22
+    c = gen_random_read_once(n, 3, seed=seed)
     tracemalloc.start()
     try:
         abs_l, sgn_l = wht_bruteforce(c).level_sums()
@@ -249,23 +253,73 @@ def test_bruteforce_level_sums_memory_peak_at_2_20_stays_under_6_mib():
         tracemalloc.stop()
     lp = level_profile_recursive(c)
     assert (abs_l, sgn_l) == (list(lp.abs_mass), list(lp.signed_sum))
-    assert peak <= 6 << 20
+    assert peak <= mib << 20
+
+
+def per_popcount_sums(n: int, nums: np.ndarray) -> tuple[list, list]:
+    """(abs, signed) sums of integer numerators by the popcount of their index, over 2^n."""
+    if n <= 14:  # in Python ints
+        abs_ref, sgn_ref = [0] * (n + 1), [0] * (n + 1)
+        for s, v in enumerate(nums.tolist()):
+            k = bin(s).count("1")
+            abs_ref[k] += abs(v)
+            sgn_ref[k] += v
+    else:  # int64 sums by mask, exact
+        pop, nums = np.bitwise_count(np.arange(1 << n)), nums.astype(np.int64)
+        abs_ref = [int(np.abs(nums[pop == k]).sum()) for k in range(n + 1)]
+        sgn_ref = [int(nums[pop == k].sum()) for k in range(n + 1)]
+    den = 1 << n
+    return [Fraction(v, den) for v in abs_ref], [Fraction(v, den) for v in sgn_ref]
 
 
 @pytest.mark.parametrize("n", range(15))
 def test_level_sums_match_per_popcount_python_sums(n):
     rng = np.random.default_rng(n)
-    nums = rng.integers(-(1 << n), 1 << n, 1 << n, endpoint=True)
-    abs_ref, sgn_ref = [0] * (n + 1), [0] * (n + 1)
-    for s, v in enumerate(nums.tolist()):
-        k = bin(s).count("1")
-        abs_ref[k] += abs(v)
-        sgn_ref[k] += v
-    den = 1 << n
-    abs_l, sgn_l = SpectralTable(n, nums).level_sums()
-    assert abs_l == [Fraction(v, den) for v in abs_ref]
-    assert sgn_l == [Fraction(v, den) for v in sgn_ref]
+    table = rng.integers(-(1 << n), 1 << n, 1 << n, endpoint=True)
+    assert SpectralTable(n, table).level_sums() == per_popcount_sums(n, _wht_integers(table))
     assert popcounts(n).tolist() == [bin(s).count("1") for s in range(1 << n)]
+
+
+# one block of at most 2^16 entries, then one bit (n = 17) and six bits
+# (n = 22, the most the block rule allows) above a block
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 6, 11, 16, 17, 19, 22])
+def test_streamed_level_sums_of_0_1_tables_match_per_popcount_sums(n):
+    table = np.random.default_rng(n).integers(0, 2, 1 << n).astype(np.uint8)
+    want = per_popcount_sums(n, _wht_integers(table))
+    before = table.copy()
+    assert SpectralTable(n, table).level_sums() == want
+    assert np.array_equal(table, before)  # transformed in place, then restored
+    table.setflags(write=False)  # a read-only table is copied to int8 instead
+    assert SpectralTable(n, table).level_sums() == want
+
+
+@pytest.mark.parametrize("dtype, low, high", [
+    (np.int64, -1000, 1000),  # in place in int64, restored by a shift
+    (np.int8, -1, 1),  # in place in int8, with the restoring pass wrapping past 127
+    (np.uint8, 0, 100),  # 100 fits int8, but 2^h * 100 needs an int16 copy
+    (np.bool_, 0, 1),
+])
+def test_level_sums_above_a_block_leave_any_table_as_it_was(dtype, low, high):
+    n = 18
+    table = np.random.default_rng(18).integers(low, high, 1 << n, endpoint=True).astype(dtype)
+    before = table.copy()
+    assert SpectralTable(n, table).level_sums() == per_popcount_sums(n, _wht_integers(table))
+    assert np.array_equal(table, before)
+
+
+def test_table_queries_pinned():
+    # sha256 of these rows as computed when SpectralTable stored the whole
+    # int32 spectrum instead of the table
+    rows = []
+    for c in random_corpus(12, 9, 3, seed=131) + [gen_random_read_once(17, 3, seed=17)]:
+        t = wht_bruteforce(c)
+        some = range(1 << c.n) if c.n <= 9 else range(0, 1 << c.n, 997)
+        rows.append(f"{render(c)} {[t.coefficient(s) for s in some]} {t.check_parseval()} "
+                    f"{t.sum_all()}")
+        b = bp_from_circuit(c)
+        rows.append(f"{b.width} {[bp_matrix_levelmass_upper(b, k) for k in range(c.n + 2)]}")
+    assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == (
+        "a3df41b8c671251c78b2a52214365a8325577a89bc4452d2b896856b5a1a7a16")
 
 
 # -- level recursion ----------------------------------------------------------

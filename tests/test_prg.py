@@ -426,6 +426,26 @@ def test_closed_form_matches_distribution_transform_past_ell_9(ell, sizes):
         _distribution_cached.cache_clear()
 
 
+def test_transform_bias_streams_blocks_off_one_narrow_copy_of_the_counts():
+    # the int64 spectrum of the 2^20 counts took 8 MiB; the counts are built
+    # before tracing, so the peak is the working copy and the block buffers
+    gen = SmallBiasGen(10, 20)
+    _distribution_cached.cache_clear()
+    try:
+        counts = _distribution_cached(gen)
+        width = next(w for w in (1, 2, 4, 8) if int(counts.max()) << 4 < 1 << (8 * w - 1))
+        tracemalloc.start()
+        try:
+            bias = _transform_bias(gen)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    finally:
+        _distribution_cached.cache_clear()
+    assert bias == measure_bias(gen) == Fraction(19, 1024)
+    assert peak <= width * counts.size + (2 << 20)
+
+
 @pytest.mark.parametrize("n", range(1, 13))
 def test_uniform_generator_transform_is_zero(n):
     assert _transform_bias(UniformGen(n)) == 0 == measure_bias(UniformGen(n))
