@@ -4,12 +4,13 @@ Circuits are immutable trees.  Gate depth counts AND/OR/NAND nodes only;
 NOT gates and leaves are free.  Every variable index may feed at most one
 leaf (read-once), which is what makes the bottom-up product formulas in
 :func:`acceptance_probability` exact.  Every bottom-up quantity is a
-:func:`fold` over the NOT-free de Morgan form.  Walkers that keep the tree
-as written (the parser, the renderer, evaluation, restriction and the
-rewrites) are generators run by :func:`trampoline`, which keeps their
-recursion on an explicit stack.  Nothing here recurses in Python once per
-nesting level, so circuits of any depth work; pickling goes through the
-DSL text for the same reason.
+:func:`fold` over the NOT-free de Morgan form; each exact mass is a
+:func:`product_fold`, where an AND multiplies its children's values and
+an OR is NOT-AND-NOT.  Walkers that keep the tree as written (the parser,
+the renderer, evaluation, restriction and the rewrites) are generators run
+by :func:`trampoline`, which keeps their recursion on an explicit stack.
+Nothing here recurses in Python once per nesting level, so circuits of any
+depth work; pickling goes through the DSL text for the same reason.
 """
 
 from __future__ import annotations
@@ -282,6 +283,18 @@ def fold(c: Circuit, leaf, const, start, absorb, finish):
         if not stack:
             return value
         acc = absorb(acc, value, is_and)
+
+
+def product_fold(c: Circuit, leaf, const, one, times, negate):
+    """:func:`fold` by the read-once product rule.
+
+    Children of a gate read disjoint variables, so an AND's value is ``one``
+    times each child's value by ``times(acc, value)``, and an OR is
+    NOT-AND-NOT: ``negate`` is applied to each child and to the product.
+    """
+    return fold(c, leaf, const, lambda: one,
+                lambda acc, value, is_and: times(acc, value if is_and else negate(value)),
+                lambda acc, is_and: acc if is_and else negate(acc))
 
 
 # ---------------------------------------------------------------------------
@@ -679,32 +692,28 @@ def acceptance_probability(c: Circuit, q: BiasVector):
     return Fraction(num, den)
 
 
-def _acceptance_pair(c: Circuit, pairs: list, negations: bool = True) -> tuple:
+def _acceptance_pair(c: Circuit, pairs: list) -> tuple:
     """Pr[F = 1] as an unnormalised (numerator, denominator) pair, when
     Pr[x_i = 1] = pairs[i][0] / pairs[i][1].
 
-    The fold multiplies numerators and denominators and divides nowhere, so
-    integer pairs cost no gcd per gate.  The denominator depends only on the
-    tree and the leaves' denominators.  With ``negations=False`` every leaf
-    reads as unnegated: the value for the monotone circuit left when the
-    de Morgan form's leaf flags are dropped.
+    A :func:`product_fold` of pairs: a leaf is its pair, or the pair's
+    complement when negated.  It multiplies numerators and denominators and
+    divides nowhere, so integer pairs cost no gcd per gate, and the
+    denominator depends only on the tree and the leaves' denominators.
     """
     c.check_read_once()
+    return product_fold(c, lambda var, negated: _pair_not(pairs[var]) if negated else pairs[var],
+                        lambda value: (value, 1), (1, 1), _pair_times, _pair_not)
 
-    def leaf(var, negated):
-        num, den = pairs[var]
-        return (den - num, den) if negated and negations else (num, den)
 
-    def absorb(prod, acc, is_and):
-        # AND accepts when every child does, OR rejects when every child does
-        num, den = acc
-        return prod[0] * (num if is_and else den - num), prod[1] * den
+def _pair_times(a: tuple, b: tuple) -> tuple:
+    """The product of two (numerator, denominator) pairs."""
+    return a[0] * b[0], a[1] * b[1]
 
-    def finish(prod, is_and):
-        num, den = prod
-        return prod if is_and else (den - num, den)
 
-    return fold(c, leaf, lambda value: (value, 1), lambda: (1, 1), absorb, finish)
+def _pair_not(a: tuple) -> tuple:
+    """1 - a for a (numerator, denominator) pair."""
+    return a[1] - a[0], a[1]
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,11 @@ Walsh-Hadamard transform over the full truth table (the oracle, exact in
 integer arithmetic, n capped), and a linear-size bottom-up recursion that
 exploits read-onceness (children of a gate touch disjoint variables, so
 generating polynomials multiply).  Both the truth table and the recursion
-are folds (``circuit.fold``) over the NOT-free de Morgan form, so they see
-only AND and OR gates over possibly negated leaves, and need no recursion
-at any nesting depth.  The recursion is exact at any n, in dyadic integers:
-a leaf contributes +-1/2, so every subtree's quantities are integers over
+are folds over the NOT-free de Morgan form, so they see only AND and OR
+gates over possibly negated leaves, and need no recursion at any nesting
+depth.  The recursions are ``circuit.product_fold``s (an AND multiplies,
+an OR is NOT-AND-NOT) and exact at any n, in dyadic integers: a leaf
+contributes +-1/2, so every subtree's quantities are integers over
 2^(leaf count) ((2b)^(leaf count) for damping p = a/b), with one
 ``Fraction`` built at the root and float modes rounding that value.  The
 bound checkers need only L_p and F_hat[0], which one O(size) scalar fold
@@ -48,7 +49,7 @@ from .circuit import (
     _bits,
     acceptance_probability,
     evaluate_columns,
-    fold,
+    product_fold,
     push_nots_to_leaves,  # noqa: F401  (perfbench's tracer wraps this name here)
 )
 
@@ -196,7 +197,8 @@ class SpectralTable:
     """The spectrum of an integer table on 2^n points, exact.
 
     ``table[x]`` is F(x); ``numerators[s]`` = 2^n * F_hat[s] is transformed
-    on demand (int32 for a 0/1 table), and ``level_sums`` never holds it.
+    on demand, the whole spectrum on each access (int32 for a 0/1 table),
+    and ``level_sums`` never holds it.
     """
 
     n: int
@@ -205,9 +207,6 @@ class SpectralTable:
     @property
     def numerators(self) -> np.ndarray:
         return _wht_integers(self.table)
-
-    def coefficient(self, s: int) -> Fraction:
-        return Fraction(int(self.numerators[s]), 1 << self.n)
 
     def level_sums(self) -> tuple[list[Fraction], list[Fraction]]:
         """(abs sums L^0..L^n, signed sums A^0..A^n), exact.
@@ -227,15 +226,6 @@ class SpectralTable:
             sums[1, at] += np.bincount(level, weights=(buf @ onehot).ravel())
             sums[0, at] += np.bincount(level, weights=(np.abs(buf, out=buf) @ onehot).ravel())
         return tuple([Fraction(int(v), 1 << n) for v in row] for row in sums)
-
-    def check_parseval(self) -> bool:
-        """Exact check of sum_s F_hat[s]^2 = F_hat[0] for Boolean F."""
-        nums = [int(v) for v in self.numerators]
-        return sum(v * v for v in nums) == nums[0] << self.n
-
-    def sum_all(self) -> Fraction:
-        """sum_s F_hat[s], which equals F(0^n) for any F."""
-        return Fraction(int(np.sum(self.numerators, dtype=np.int64)), 1 << self.n)
 
 
 def wht_bruteforce(c: Circuit) -> SpectralTable:
@@ -275,18 +265,12 @@ def _convolve(a: list, b: list) -> list:
     return out
 
 
-def _negate_polys(m: int, absL: list, sgnA: list) -> tuple[int, list, list]:
+def _negate_polys(polys: tuple) -> tuple[int, list, list]:
     # G = 1 - F: level 0 becomes 1 - A^0, higher signed levels flip sign,
     # higher abs levels are untouched.
+    m, absL, sgnA = polys
     a0 = (1 << m) - sgnA[0]
     return m, [a0] + absL[1:], [a0] + [-a for a in sgnA[1:]]
-
-
-def _profile_absorb(acc, child, is_and):
-    # And multiplies; Or is NOT-AND-NOT
-    m, absL, sgnA = acc
-    cm, cl, ca = child if is_and else _negate_polys(*child)
-    return m + cm, _convolve(absL, cl), _convolve(sgnA, ca)
 
 
 def level_profile_recursive(c: Circuit, exact: bool = True) -> LevelProfile:
@@ -301,13 +285,13 @@ def level_profile_recursive(c: Circuit, exact: bool = True) -> LevelProfile:
     """
     c.check_read_once()
     # (m, abs, sgn) over the subtree's leaf count m: L^k = abs[k] / 2^m
-    m, absL, sgnA = fold(
+    m, absL, sgnA = product_fold(
         c,
         lambda var, negated: (1, [1, 1], [1, 1 if negated else -1]),
         lambda value: (0, [value], [value]),
-        lambda: (0, [1], [1]),
-        _profile_absorb,
-        lambda acc, is_and: acc if is_and else _negate_polys(*acc),
+        (0, [1], [1]),
+        lambda f, g: (f[0] + g[0], _convolve(f[1], g[1]), _convolve(f[2], g[2])),
+        _negate_polys,
     )
     den = 1 << m
     pad = [0] * (c.n + 1 - len(absL))
@@ -343,31 +327,22 @@ def _float_or_inf(x) -> float:
 def _damped_fold(c: Circuit, p) -> tuple[int, int, int]:
     """Dyadic integers (u, L, f0) with L_p = L / u and F_hat[0] = f0 / u.
 
-    For an AND: L_p(F) = prod(L_p(F_i) + F_i_hat[0]) - prod(F_i_hat[0]).
-    With p = a/b every subtree's L_p and F_hat[0] are integers over
+    A :func:`~roac0.circuit.product_fold` of (u, L + f0, f0): for an AND,
+    L_p(F) + F_hat[0] = prod(L_p(F_i) + F_i_hat[0]) and F_hat[0] =
+    prod(F_i_hat[0]), and a NOT keeps L_p and turns f0 into u - f0.  With
+    p = a/b every subtree's L_p and F_hat[0] are integers over
     u = (2b)^(leaf count), so the fold is exact for any rational p (a float
-    p is a dyadic rational), with no cancellation.
+    p is a dyadic rational), with no cancellation; L is taken at the root.
     """
     if not 0 <= p <= 1:
         raise CircuitError(f"p={p} outside [0,1]")
     c.check_read_once()
-    pf = Fraction(p)
-    a, scale = pf.numerator, 2 * pf.denominator
-
-    # a gate carries (u, prod(L_i + f0_i), prod(f0_i)) until it closes
-    def absorb(acc, child, is_and):
-        u, prod_both, prod_f0 = acc
-        cu, lp_c, f0_c = child
-        if not is_and:  # Or is NOT-AND-NOT: L_p unchanged, f0 -> 1 - f0
-            f0_c = cu - f0_c
-        return u * cu, prod_both * (lp_c + f0_c), prod_f0 * f0_c
-
-    def finish(acc, is_and):
-        u, prod_both, prod_f0 = acc
-        return u, prod_both - prod_f0, prod_f0 if is_and else u - prod_f0
-
-    return fold(c, lambda var, negated: (scale, a, scale // 2), lambda value: (1, 0, value),
-                lambda: (1, 1, 1), absorb, finish)
+    a, b = Fraction(p).as_integer_ratio()
+    u, both, f0 = product_fold(
+        c, lambda var, negated: (2 * b, a + b, b), lambda value: (1, value, value),
+        (1, 1, 1), lambda f, g: (f[0] * g[0], f[1] * g[1], f[2] * g[2]),
+        lambda f: (f[0], f[1] - 2 * f[2] + f[0], f[0] - f[2]))
+    return u, both - f0, f0
 
 
 def damped_mass_recursive(c: Circuit, p, exact: bool = False):
@@ -446,7 +421,7 @@ def check_mainbound(c: Circuit, eps, p: float | None = None) -> BoundReport:
     come exactly from the O(size) damped fold; ``lhs`` is the correctly
     rounded float of the exact L_p, and ``rhs`` is a float (it has a log2).
     """
-    if not 0 < Fraction(eps) * c.n <= 1:
+    if not (0 < eps <= 1 and Fraction(eps) * c.n <= 1):  # nan and inf fail before Fraction
         raise CircuitError(f"eps={eps} outside (0, 1/n] for n={c.n}")
     d = max(c.depth, 1)
     factor = growth_factor(c.n, d, eps)

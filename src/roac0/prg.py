@@ -44,8 +44,8 @@ from .fourier import (
     WHT_CAP,
     BoundReport,
     CapExceeded,
+    _damped_fold,
     _wht_blocks,
-    damped_mass_recursive,
     level_profile_recursive,  # noqa: F401  (perfbench's tracer wraps this name here)
     truth_table,
 )
@@ -820,8 +820,8 @@ def check_sandwich_fooling(c: Circuit, fplus: Circuit, fminus: Circuit, gen) -> 
     F- <= F <= F+ must hold pointwise (verified exhaustively here); the gap
     delta and both total masses are exact rationals, and the bias is the
     measured one, so pass/fail is an exact comparison.  A total mass
-    L(F) = sum_{k>=1} L^k is the damped mass at p = 1, so it comes from the
-    O(size) fold, with no level profile.
+    L(F) = sum_{k>=1} L^k is the damped mass at p = 1, so each half's mass
+    and E[f] = F_hat[0] come from one O(size) fold, with no level profile.
     """
     for f in (fplus, fminus):
         if f.n != c.n:
@@ -832,14 +832,13 @@ def check_sandwich_fooling(c: Circuit, fplus: Circuit, fminus: Circuit, gen) -> 
     bad = np.nonzero((tm > tt) | (tt > tp))[0]
     if bad.size:
         raise CircuitError(f"not a sandwich: violated at input {int(bad[0])}")
-    uniform = BiasVector.uniform(c.n)
-    delta = acceptance_probability(fplus, uniform) - acceptance_probability(
-        fminus, uniform
-    )
+    (u_up, mass_up, f0_up), (u_low, mass_low, f0_low) = (
+        _damped_fold(f, 1) for f in (fplus, fminus))  # L(f) = mass / u, E[f] = f0 / u
+    delta = Fraction(f0_up, u_up) - Fraction(f0_low, u_low)
     eps = measure_bias(gen)
-    masses = [damped_mass_recursive(f, 1, exact=True) for f in (fplus, fminus)]
+    masses = [Fraction(mass_up, u_up), Fraction(mass_low, u_low)]
     gen_exp = Fraction(_accepted_seeds(gen, tt), 1 << gen.seed_bits)
-    exact = acceptance_probability(c, uniform)
+    exact = acceptance_probability(c, BiasVector.uniform(c.n))
     lhs = abs(gen_exp - exact)
     rhs = delta + eps * max(masses)
     params = {

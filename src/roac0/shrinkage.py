@@ -21,23 +21,25 @@ exactly, from about a byte of generator output.  The comparisons pack
 straight into word rows, with no transpose.
 
 The sandwich builder works on NAND-form circuits.  Writing rej(f) for
-Pr[f = 0], a NAND node rejects exactly when every child accepts, so child
-acceptances multiply.  Nodes with rej(f) >= eps swap each child for its
-opposite-side half (lower half gets child uppers and vice versa), replacing
-an upper whose rejection dropped below eps by the constant 1.  Nodes with
-rej(f) < eps take the constant 1 upper outright, and if the lower's
-rejection also fell below eps, children are pruned in index order until the
-rejection lands in [eps, sqrt(eps)]; when one pruning step would overshoot
-the window, the single child at the jump has acceptance in [eps, sqrt(eps)]
-and a one-child NAND of it serves as the lower half.  All masses are exact
-rationals, carried as unnormalised pairs of ints and compared with eps by
-cross-multiplying, so every case split is exact.
+Pr[f = 0], a NAND node rejects exactly when every child accepts, so its
+acceptance is 1 minus the product of its children's, the product rule of
+``circuit.product_fold``.  Nodes with rej(f) >= eps swap each child for
+its opposite-side half (lower half gets child uppers and vice versa),
+replacing an upper whose rejection dropped below eps by the constant 1.
+Nodes with rej(f) < eps take the constant 1 upper outright, and if the
+lower's rejection also fell below eps, children are pruned in index order
+until the rejection lands in [eps, sqrt(eps)]; when one pruning step would
+overshoot the window, the single child at the jump has acceptance in
+[eps, sqrt(eps)] and a one-child NAND of it serves as the lower half.
+All masses are exact rationals, carried as unnormalised pairs of ints and
+compared with eps by cross-multiplying, so every case split is exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from math import ceil, isnan, sqrt
 from typing import Iterator
 
@@ -52,12 +54,14 @@ from .circuit import (
     Leaf,
     Nand,
     Node,
-    _acceptance_pair,
     _bits,
     _nand,
+    _pair_not,
+    _pair_times,
     acceptance_probability,
     fold,
     iter_nodes,
+    product_fold,
     push_nots_to_leaves,  # noqa: F401  (perfbench's tracer wraps this name here)
     simplify,  # noqa: F401  (perfbench's tracer wraps this name here)
     strip_leaf_negations,  # noqa: F401  (perfbench's tracer wraps this name here)
@@ -192,16 +196,20 @@ def _exact_nonconstant_probability(c: Circuit, p) -> Fraction:
     pushed to the leaves (as ``fold`` does) and the leaf flags dropped, the
     circuit is monotone, and the restriction is nonconstant exactly when
     setting free bits to all-1 accepts while all-0 rejects.  Each bit is 1
-    with probability (1+p)/2 in the first event and (1-p)/2 in the second,
-    and the first event contains the second, so the probability is the
-    difference of the two acceptance probabilities.  Both folds read ``c``
-    itself with its leaf flags ignored.  For p = a/b they run over leaf
-    denominator 2b on the same tree, so their denominators agree and one
-    Fraction is built at the end.
+    with probability (b + a) / 2b in the first event and (b - a) / 2b in the
+    second, p = a/b, and the first event contains the second, so the
+    probability is the difference of the two acceptance probabilities.
+    Each is a product fold of pairs over ``c`` itself whose leaves ignore
+    their flags; both run over leaf denominator 2b on the same tree, so
+    their denominators agree and one Fraction is built at the end.
     """
     a, b = Fraction(p).as_integer_ratio()
-    hi, den = _acceptance_pair(c, [(b + a, 2 * b)] * c.n, negations=False)
-    lo, _ = _acceptance_pair(c, [(b - a, 2 * b)] * c.n, negations=False)
+
+    def accepts(leaf):
+        return product_fold(c, lambda var, negated: leaf, lambda value: (value, 1), (1, 1),
+                            _pair_times, _pair_not)
+
+    (hi, den), (lo, _) = accepts((b + a, 2 * b)), accepts((b - a, 2 * b))
     return Fraction(hi - lo, den)
 
 
@@ -304,10 +312,10 @@ def collapse_probability(
     n, D = c.n, c.depth
     if not 0 <= p <= 1:
         raise CircuitError(f"p={p} outside [0,1]")
-    if enforce_bounds and not 0 < Fraction(eps) * n < 1:
-        raise CircuitError(f"eps={eps} not inside (0, 1/{n})")
-    if not 0 < eps < 1:
+    if not 0 < eps < 1:  # nan and inf fail here, before Fraction
         raise CircuitError(f"eps={eps} outside (0,1)")
+    if enforce_bounds and not Fraction(eps) * n < 1:
+        raise CircuitError(f"eps={eps} not inside (0, 1/{n})")
     factor = growth_factor(n, D, eps)
     pmax = 1.0 / factor
     if enforce_bounds and p > pmax * (1 + 1e-12):
@@ -344,7 +352,6 @@ class SandwichPair:
     upper: Circuit
     eps: Fraction
     gap: Fraction
-    source_leaves: int
 
 
 def _require_nand_form(node: Node) -> None:
@@ -358,42 +365,46 @@ def _require_nand_form(node: Node) -> None:
 _ONE = Const(1), (1, 1)
 
 
+def _literal_pair(node: Node) -> tuple:
+    """A leaf's or a constant's acceptance pair under uniform inputs."""
+    return (1, 2) if isinstance(node, Leaf) else (node.value, 1)
+
+
+def _nand_pair(pairs) -> tuple:
+    """A NAND's acceptance pair from its children's: it rejects when every child accepts."""
+    return _pair_not(reduce(_pair_times, pairs, (1, 1)))
+
+
 def _make_nand(halves):
     """simplify's NAND of (node, acceptance pair) halves, with its exact pair.  Every
     constant half is (Const(v), (v, 1)), so a 1 child multiplies by (1, 1)."""
     node = _nand([nd for nd, _ in halves])
     if isinstance(node, Const):
         return node, (node.value, 1)
-    rn = rd = 1  # rejection: every child accepts
-    for _, (an, ad) in halves:
-        rn *= an
-        rd *= ad
-    return node, (rd - rn, rd)
+    return node, _nand_pair(pair for _, pair in halves)
 
 
 def _sandwich_node(node: Node, en: int, ed: int):
-    """Returns the halves (lower, upper, own) at eps = en/ed: (node, acceptance) pairs.
+    """Returns (lower, upper, own) at eps = en/ed: two (node, acceptance) halves
+    and the node's own acceptance.
 
     Each acceptance is an unnormalised (numerator, denominator) pair of ints
     with a positive denominator, and each comparison with eps or its square
-    root cross-multiplies.  ``own`` is ``simplify(node)``.  Every half is
-    built by simplify's NAND rule, so a node runs as its own half would.
-    A node that is not NAND form raises before its children run, so the
-    walk's order makes it the first such node in pre-order.
+    root cross-multiplies.  Every half is built by simplify's NAND rule, so
+    a node runs as its own half would.  A node that is not NAND form raises
+    before its children run, so the walk's order makes it the first such
+    node in pre-order.
     """
-    if isinstance(node, Leaf):
-        half = node, (1, 2)
-        return half, half, half
-    if isinstance(node, Const):
-        half = node, (node.value, 1)
-        return half, half, half
+    if isinstance(node, (Leaf, Const)):
+        half = node, _literal_pair(node)
+        return half, half, half[1]
     _require_nand_form(node)
     parts = yield [_sandwich_node(ch, en, ed) for ch in node.children]
     lows = [p[0] for p in parts]
     ups = [p[1] for p in parts]
-    own = _make_nand([p[2] for p in parts])
+    own = _nand_pair(p[2] for p in parts)
     lower = _make_nand(ups)
-    an, ad = own[1]
+    an, ad = own
     if (ad - an) * ed >= en * ad:  # the node rejects with at least e
         upper = _make_nand(lows)
         un, ud = upper[1]
@@ -431,24 +442,24 @@ def build_sandwich(c: Circuit, eps) -> SandwichPair:
     """Bracket a NAND-form read-once circuit between two like circuits.
 
     Every nonconstant node of either output has rejection mass inside
-    [eps, 1-eps] exactly, neither output uses more leaves than the input,
-    and lower <= c <= upper pointwise.  Both come out constant-propagated,
-    and ``source_leaves`` counts the leaves of ``simplify(c)``.  eps must
-    lie in (0, 1/4].  The build does not re-derive the halves' node
-    masses: :func:`sandwich_condition_violations` checks them, and the
-    sandwich tests run it on the halves they build.
+    [eps, 1-eps] exactly, neither output uses more leaves than
+    ``simplify(c)``, and lower <= c <= upper pointwise.  Both come out
+    constant-propagated; the input's own masses are carried as pairs, and
+    no simplified copy of it is built.  eps must lie in (0, 1/4].  The
+    build does not re-derive the halves' node masses:
+    :func:`sandwich_condition_violations` checks them, and the sandwich
+    tests run it on the halves they build.
     """
-    e = Fraction(eps)
-    if not 0 < e <= Fraction(1, 4):
+    if not 0 < eps <= Fraction(1, 4):  # nan and inf fail here, before Fraction
         raise CircuitError(f"eps={eps} outside (0, 1/4]")
-    (low, acc_low), (up, acc_up), (own, _) = trampoline(
+    e = Fraction(eps)
+    (low, acc_low), (up, acc_up), _ = trampoline(
         _sandwich_node(c.root, e.numerator, e.denominator))
     return SandwichPair(
         lower=Circuit(low, c.n),
         upper=Circuit(up, c.n),
         eps=e,
         gap=Fraction(*acc_up) - Fraction(*acc_low),
-        source_leaves=Circuit(own, c.n).size,
     )
 
 
@@ -456,31 +467,22 @@ def sandwich_condition_violations(c: Circuit, eps) -> list:
     """Nonconstant nodes whose exact rejection mass leaves [eps, 1-eps].
 
     Needs NAND form, as the sandwich does, and raises on the first other
-    node in pre-order.  A NAND rejects exactly when every child accepts, so
-    one bottom-up pass over the pre-order node list gives every node's
-    rejection mass, as an unnormalised (numerator, denominator) pair of
-    ints; the offending nodes come back in pre-order.
+    node in pre-order.  One bottom-up pass over the pre-order node list
+    gives every node's acceptance as an unnormalised (numerator,
+    denominator) pair of ints, a NAND's by :func:`_nand_pair`; the
+    offending nodes come back in pre-order.
     """
     en, ed = Fraction(eps).as_integer_ratio()
     nodes = list(iter_nodes(c.root))
     for node in nodes:
         _require_nand_form(node)
-    rej = {}
+    acc = {}
     for node in reversed(nodes):  # every child before its parent
-        if isinstance(node, Nand):
-            rn = rd = 1
-            for ch in node.children:
-                cn, cd = rej[id(ch)]
-                rn *= cd - cn
-                rd *= cd
-        elif isinstance(node, Leaf):
-            rn, rd = 1, 2
-        else:
-            rn, rd = 1 - node.value, 1
-        rej[id(node)] = rn, rd
+        acc[id(node)] = (_nand_pair(acc[id(ch)] for ch in node.children)
+                         if isinstance(node, Nand) else _literal_pair(node))
     bad = []
     for node in nodes:
-        rn, rd = rej[id(node)]
+        rn, rd = _pair_not(acc[id(node)])
         if not isinstance(node, Const) and not en * rd <= rn * ed <= (ed - en) * rd:
             bad.append((type(node).__name__, rn / rd))
     return bad

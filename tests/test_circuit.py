@@ -37,7 +37,16 @@ from roac0 import (
 )
 from roac0.circuit import evaluate_columns, strip_leaf_negations, trampoline
 from roac0.bp import bp_from_circuit
-from roac0.fourier import check_mainbound, level_profile_recursive, truth_table
+from roac0.fourier import (
+    _damped_fold,
+    check_mainbound,
+    damped_mass,
+    level_profile_recursive,
+    truth_table,
+    wht_bruteforce,
+)
+from roac0.shrinkage import sandwich_condition_violations
+from test_shrinkage import _reference_violations
 
 
 # -- parsing ------------------------------------------------------------------
@@ -437,6 +446,42 @@ def test_acceptance_floats_bit_identical_to_the_float_fold():
             assert type(got) is type(want) and got == want
             if type(got) is float:
                 assert got.hex() == want.hex()
+
+
+def thin_chain(levels: int = 2100, leaves: int = 20) -> Circuit:
+    """``levels`` nested gates over ``leaves`` leaves: NOTs over one-child ORs
+    and one-child NANDs in turn, and every 110th level a two-child AND or OR
+    that brings in the next leaf, some of them negated."""
+    node, var = Leaf(0), 1
+    for i in range(1, levels + 1):
+        if i % 110 == 0 and var < leaves:
+            node = (And, Or)[var % 2]((node, Leaf(var, var % 3 == 0)))
+            var += 1
+        else:
+            node = Not(Or((node,))) if i % 2 else Nand((node,))
+    return Circuit(node, var)
+
+
+def test_product_folds_match_the_truth_table():
+    # every exact mass is one product fold: acceptance, the damped fold's L
+    # and F_hat[0], the level polynomials, and the NAND rejection masses
+    third = Fraction(1, 3)
+    circuits = [thin_chain()] + [c for c in _oracle_circuits() if c.n <= 14]
+    assert circuits[0].depth >= 2000 and circuits[0].size == circuits[0].n == 20
+    rng = random.Random(9)  # and restrictions of some, for constants under gates
+    circuits += [restrict(c, RestrictionMask(rng.getrandbits(c.n), rng.getrandbits(c.n), c.n))
+                 for c in circuits[1:16]]
+    for c in circuits:
+        mean = Fraction(int(truth_table(c).sum()), 1 << c.n)
+        assert acceptance_probability(c, BiasVector.uniform(c.n)) == mean
+        u, mass, f0 = _damped_fold(c, third)
+        assert Fraction(f0, u) == mean
+        lp = level_profile_recursive(c)
+        assert [list(lp.abs_mass), list(lp.signed_sum)] == list(wht_bruteforce(c).level_sums())
+        assert Fraction(mass, u) == damped_mass(lp, third)
+        nand = to_nand_form(c)
+        for eps in (Fraction(1, 4), Fraction(1, 16), Fraction(2, 9)):
+            assert sandwich_condition_violations(nand, eps) == _reference_violations(nand, eps)
 
 
 # -- generators ---------------------------------------------------------------

@@ -23,6 +23,7 @@ from roac0 import (
     gen_tribes,
     parse,
     restrict,
+    to_nand_form,
 )
 from roac0.circuit import RestrictionMask
 from roac0.fourier import WHT_CAP, CapExceeded, level_profile_recursive, total_mass, truth_table
@@ -41,6 +42,7 @@ from roac0.prg import (
     seed_length_account,
     wilson_interval,
 )
+from roac0.shrinkage import build_sandwich
 from roac0.prg import (
     _accepted_seeds,
     _alpha_power_rows,
@@ -704,6 +706,28 @@ def test_uniform_generator_satisfies_transfer_bound():
     c = gen_tribes(2, 2)
     rep = check_sandwich_fooling(c, c, c, UniformGen(4))
     assert rep.passed and rep.lhs == 0
+
+
+def test_sandwich_fooling_reports_pinned():
+    # sha256 of every report's fields on the inputs of the tests above and of
+    # acceptance criterion 8 (halves of build_sandwich, 20 with delta != 0),
+    # as computed when each half's E[f] came from its own acceptance fold
+    cases = [(c, c, c, SmallBiasGen(8, c.n)) for c in random_corpus(12, 10, 3, seed=311)]
+    c = gen_random_read_once(5, 2, seed=3)
+    cases.append((c, c, c, SmallBiasGen(6, 5)))
+    c = gen_tribes(2, 2)
+    cases.append((c, c, c, UniformGen(4)))
+    for c in random_corpus(50, 12, 3, seed=808):
+        nand = to_nand_form(c)
+        pair = build_sandwich(nand, Fraction(1, 16))
+        cases.append((nand, pair.upper, pair.lower, SmallBiasGen(8, c.n)))
+    rows = []
+    for c, upper, lower, gen in cases:
+        rep = check_sandwich_fooling(c, upper, lower, gen)
+        rows.append(f"{rep.lhs!r} {rep.rhs!r} {rep.slack!r} {rep.passed} "
+                    f"{sorted(rep.params.items())}")
+    assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == (
+        "d98b81c59a297a22a44dd503ee1384faef7793c983761c17f18f7023692c51c8")
 
 
 def test_restriction_rounds_preserve_acceptance_on_average():

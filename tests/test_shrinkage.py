@@ -314,6 +314,23 @@ def test_collapse_parameter_gates():
         collapse_probability(c, 0.25, 0.2, trials=0, enforce_bounds=False)
 
 
+@pytest.mark.parametrize("eps", [float("nan"), float("inf"), float("-inf")],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("call", [
+    lambda c, eps: check_mainbound(c, eps),
+    lambda c, eps: collapse_probability(c, 0.01, eps, trials=10),
+    lambda c, eps: collapse_probability(c, 0.01, eps, trials=10, enforce_bounds=False),
+    lambda c, eps: build_sandwich(to_nand_form(c), eps),
+    lambda c, eps: shrink_experiment(c, 0.3, eps, trials=10),
+], ids=["check_mainbound", "collapse_probability", "collapse_unenforced", "build_sandwich",
+        "shrink_experiment"])
+def test_non_finite_eps_is_a_circuit_error(call, eps):
+    # the range check comes before Fraction(eps), which raises ValueError on
+    # nan and OverflowError on an infinity
+    with pytest.raises(CircuitError, match="eps"):
+        call(gen_tribes(2, 2), eps)
+
+
 def test_collapse_bound_overflow_is_a_circuit_error():
     c = parse("(and " * 100 + "x0" + ")" * 100)
     with pytest.raises(CircuitError, match="overflows"):
@@ -393,7 +410,7 @@ def test_sandwich_wide_or_prunes_to_exact_gap():
     pair = build_sandwich(c, Fraction(1, 16))
     assert isinstance(pair.upper.root, Const) and pair.upper.root.value == 1
     assert pair.gap == Fraction(1, 16)
-    assert pair.lower.size == 4 and pair.source_leaves == 6
+    assert pair.lower.size == 4 and simplify(c).size == 6
     tt_c, tt_lo = truth_table(c), truth_table(pair.lower)
     assert np.all(tt_lo <= tt_c)
 
@@ -414,8 +431,8 @@ def test_sandwich_random_battery():
         assert np.all(tt_lo <= tt) and np.all(tt <= tt_up)
         assert sandwich_condition_violations(pair.lower, eps) == []
         assert sandwich_condition_violations(pair.upper, eps) == []
-        assert pair.lower.size <= pair.source_leaves
-        assert pair.upper.size <= pair.source_leaves
+        assert pair.lower.size <= simplify(nand).size
+        assert pair.upper.size <= simplify(nand).size
         uni = BiasVector.uniform(c.n)
         gap = acceptance_probability(pair.upper, uni) - acceptance_probability(
             pair.lower, uni
@@ -580,7 +597,8 @@ def test_sandwich_pairs_match_the_fraction_recursion(eps):
             # the halves come out constant-propagated without a simplify pass
             assert simplify(got.lower) == got.lower
             assert simplify(got.upper) == got.upper
-            assert got.source_leaves == simplify(nand).size
+            # neither half uses more leaves than the constant-propagated input
+            assert max(got.lower.size, got.upper.size) <= simplify(nand).size
 
 
 @settings(max_examples=25, deadline=None)
